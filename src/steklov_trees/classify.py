@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 from .roots import q_range_integer, sigma_rM, spider_lambda2, threshold_data
 from .trees import ASParams, Tree, make_as_tree, make_path
@@ -22,7 +23,8 @@ from .trees import ASParams, Tree, make_as_tree, make_path
 # rather than ordered; genuine ties exist only at integer kappa.
 _TIE_RTOL = 1e-9
 
-# Strictness band for the unimodality assertions on the sigma table.
+# Relative band inside which values on the sigma table count as equal
+# when the peak and the rise-then-fall shape are checked.
 _STRICT_RTOL = 1e-12
 
 
@@ -88,6 +90,24 @@ def _division_params(r: int, M: int, q: int) -> ASParams:
     return ASParams(r=r, q=q, c=M // q, t=M % q)
 
 
+def _predicted_counts(r: int, M: int) -> tuple[int, int, int]:
+    """s = ceil(r/2) and the two branch counts nearest M/s that can win."""
+    s = (r + 1) // 2
+    return s, max(1, M // s), math.ceil(M / s)
+
+
+def _sigma_table(r: int, M: int) -> tuple[tuple[int, float], ...]:
+    """(q, Sigma_{r,M}(q)) at every feasible integer branch count q."""
+    lo, hi = q_range_integer(r, M)
+    return tuple((q, sigma_rM(r, M, q).value) for q in range(lo, hi + 1))
+
+
+def _near_argmax(rows: Sequence[tuple[object, float]], rtol: float) -> tuple[tuple, float]:
+    """Keys of the (key, positive value) rows within rtol of the maximum, and the maximum."""
+    best = max(val for _, val in rows)
+    return tuple(key for key, val in rows if best - val <= rtol * best), best
+
+
 def candidate_profiles(n: int, D: int) -> CandidatePair | None:
     """The candidate parameter sets for (n, D), or None when the path wins.
 
@@ -99,9 +119,7 @@ def candidate_profiles(n: int, D: int) -> CandidatePair | None:
     M = n - D - 1
     if M == 0:
         return None
-    s = (r + 1) // 2
-    q_minus = max(1, M // s)
-    q_plus = math.ceil(M / s)
+    s, q_minus, q_plus = _predicted_counts(r, M)
     return CandidatePair(
         M=M,
         s=s,
@@ -188,15 +206,11 @@ def compare_candidates(r: int, M: int) -> CandidateComparison:
     anything else means the unimodal picture is broken and is raised as
     an internal error.  Near-ties within 1e-9 relative are flagged.
     """
-    lo, hi = q_range_integer(r, M)
-    rows = tuple((q, sigma_rM(r, M, q).value) for q in range(lo, hi + 1))
-    best = max(val for _, val in rows)
-    strict_peaks = tuple(q for q, val in rows if _relative_gap(val, best) <= _STRICT_RTOL)
-    tie_peaks = tuple(q for q, val in rows if _relative_gap(val, best) <= _TIE_RTOL)
+    rows = _sigma_table(r, M)
+    strict_peaks, _ = _near_argmax(rows, _STRICT_RTOL)
+    tie_peaks, _ = _near_argmax(rows, _TIE_RTOL)
 
-    s = (r + 1) // 2
-    q_minus = max(1, M // s)
-    q_plus = math.ceil(M / s)
+    s, q_minus, q_plus = _predicted_counts(r, M)
     if q_minus not in strict_peaks and q_plus not in strict_peaks:
         raise RuntimeError(
             f"maximum of the balanced family at r={r}, M={M} sits at {strict_peaks}, "

@@ -4,7 +4,8 @@ One executable with one subcommand per library entry point.  Output is
 deterministic byte-for-byte for a fixed input and format: floats are
 printed to 12 significant digits, JSON carries them as decimal strings,
 and verification merges are sorted.  Exit codes: 0 success, 1 usage
-error, 2 domain error, 3 verification mismatch.
+error, 2 domain error, 3 verification mismatch, 4 internal numeric or
+resource failure.  Every error is one line on stderr.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ import sys
 from .classify import candidate_profiles, classify
 from .flux import lambda2_via_distance
 from .reduce import greedy_ascent_trace
-from .roots import double_spider_rho, spider_lambda2
 from .spectral import lambda2_numeric, steklov_spectrum
 from .trees import (
     Tree,
@@ -27,11 +27,10 @@ from .trees import (
     make_as_tree,
     parse_tree,
     parse_tree_text,
-    recognize_double_spider,
     recognize_spider,
     render_shorthand,
 )
-from .verify import verify_classification, verify_unimodality
+from .verify import _root_routes, verify_classification, verify_unimodality
 
 
 class _UsageError(Exception):
@@ -96,19 +95,6 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
     return 0
 
 
-def _root_method_lambda2(tree: Tree) -> float:
-    spider = recognize_spider(tree)
-    if spider is not None and spider.lengths[0] > spider.lengths[1]:
-        return spider_lambda2(spider).value
-    double = recognize_double_spider(tree)
-    if double is not None and double.a_lengths[0] == double.b_lengths[0]:
-        return 1.0 / double_spider_rho(double).value
-    raise ValueError(
-        "root method needs a spider with a strict longest branch "
-        "or a double spider with equal longest sides"
-    )
-
-
 def _cmd_lambda2(args: argparse.Namespace) -> int:
     tree = _load_tree(args)
     if args.method == "matrix":
@@ -116,7 +102,13 @@ def _cmd_lambda2(args: argparse.Namespace) -> int:
     elif args.method == "distance":
         lam = lambda2_via_distance(tree)
     else:
-        lam = _root_method_lambda2(tree)
+        route = next(_root_routes(tree), None)
+        if route is None:
+            raise ValueError(
+                "root method needs a spider with a strict longest branch "
+                "or a double spider with equal longest sides"
+            )
+        lam = route[1]
     if args.format == "text":
         print(_fmt(lam))
     elif args.format == "csv":
@@ -415,6 +407,11 @@ def run(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except (RuntimeError, MemoryError) as exc:
+        # Internal failures: a solver that cannot certify its answer, or
+        # an input too large for the dense routes.
+        print(f"error: {exc or type(exc).__name__}", file=sys.stderr)
+        return 4
 
 
 def main() -> None:

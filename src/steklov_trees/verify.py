@@ -17,11 +17,19 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from typing import Iterator
 
-from .classify import classify
+from .classify import (
+    _STRICT_RTOL,
+    _TIE_RTOL,
+    _near_argmax,
+    _predicted_counts,
+    _sigma_table,
+    classify,
+)
 from .flux import lambda2_via_distance
 from .reduce import dominating_double_spider
-from .roots import double_spider_rho, q_range_integer, sigma_rM, spider_lambda2
+from .roots import double_spider_rho, spider_lambda2
 from .spectral import lambda2_numeric
 from .trees import (
     Tree,
@@ -31,14 +39,8 @@ from .trees import (
     recognize_spider,
 )
 
-# Relative gap below which two lambda_2 values cannot be ordered honestly.
-_TIE_RTOL = 1e-9
-
 # Pairwise agreement required between independent lambda_2 routes.
 _CROSS_RTOL = 1e-10
-
-# Band inside which the unimodality checks tolerate equality.
-_STRICT_BAND = 1e-12
 
 # Sharding below this many trees costs more than it saves.
 _MIN_SHARD_SIZE = 64
@@ -133,31 +135,26 @@ def brute_force_extremizers(n: int, d: int, jobs: int | None = None) -> tuple[tu
     All trees within 1e-9 relative of the maximum are included, so a
     genuine near-tie is never silently dropped.
     """
-    rows = _evaluate_all(n, d, jobs)
-    best = max(lam for _, lam in rows)
-    codes = tuple(code for code, lam in rows if best - lam <= _TIE_RTOL * best)
-    return codes, best
+    return _near_argmax(_evaluate_all(n, d, jobs), _TIE_RTOL)
 
 
 def verify_classification(n: int, d: int, jobs: int | None = None) -> VerificationReport:
     """Compare the classifier's winner set against exhaustive search."""
     start = time.perf_counter()
     rows = _evaluate_all(n, d, jobs)
-    by_code = dict(rows)
-    best = max(lam for _, lam in rows)
-    argmax = tuple(code for code, lam in rows if best - lam <= _TIE_RTOL * best)
+    argmax, best = _near_argmax(rows, _TIE_RTOL)
 
     result = classify(n, d)
     classifier = tuple(sorted({canonical_code(tree) for tree, _ in result.winners}))
 
+    # A classifier winner outside the tie band of the brute-force maximum
+    # is a mismatch; naming only part of that band leaves a tie unresolved.
     if set(classifier) == set(argmax):
         verdict = "match"
+    elif set(classifier) < set(argmax):
+        verdict = "tie_unresolved"
     else:
-        unresolved = set(classifier).symmetric_difference(argmax)
-        if all(code in by_code and best - by_code[code] <= _TIE_RTOL * best for code in unresolved):
-            verdict = "tie_unresolved"
-        else:
-            verdict = "mismatch"
+        verdict = "mismatch"
     return VerificationReport(
         n=n,
         D=d,
@@ -180,11 +177,10 @@ def verify_unimodality(r: int, M: int) -> UnimodalityReport:
     1e-12 band and its maximum sits at one of the two branch counts
     nearest M/s.
     """
-    lo, hi = q_range_integer(r, M)
-    rows = tuple((q, sigma_rM(r, M, q).value) for q in range(lo, hi + 1))
+    rows = _sigma_table(r, M)
     vals = [lam for _, lam in rows]
-    best = max(vals)
-    band = _STRICT_BAND * best
+    peak_q, best = _near_argmax(rows, _STRICT_RTOL)
+    band = _STRICT_RTOL * best
     i_star = vals.index(best)
 
     problems = []
@@ -195,9 +191,7 @@ def verify_unimodality(r: int, M: int) -> UnimodalityReport:
         if vals[i + 1] > vals[i] + band:
             problems.append(f"rise after the peak at q={rows[i + 1][0]}")
 
-    s = (r + 1) // 2
-    predicted = {max(1, M // s), math.ceil(M / s)}
-    peak_q = tuple(q for q, lam in rows if best - lam <= band)
+    predicted = set(_predicted_counts(r, M)[1:])
     if not predicted.intersection(peak_q):
         problems.append(f"peak at q={peak_q}, predicted {sorted(predicted)}")
 
@@ -248,6 +242,20 @@ def verify_domination(n: int, d: int) -> DominationReport:
 # -------------------------- method agreement ---------------------------
 
 
+def _root_routes(t: Tree) -> Iterator[tuple[str, float]]:
+    """lambda_2 from each root equation that t's shape admits, spider first.
+
+    The spider equation needs a strict longest branch; the double-spider
+    equation needs equal longest sides.  Values are solved only as drawn.
+    """
+    spider = recognize_spider(t)
+    if spider is not None and spider.lengths[0] > spider.lengths[1]:
+        yield "spider_root", spider_lambda2(spider).value
+    double = recognize_double_spider(t)
+    if double is not None and double.a_lengths[0] == double.b_lengths[0]:
+        yield "double_spider_root", 1.0 / double_spider_rho(double).value
+
+
 def verify_cross_methods(t: Tree) -> CrossMethodReport:
     """Compute lambda_2 by every route the tree's shape supports.
 
@@ -258,13 +266,8 @@ def verify_cross_methods(t: Tree) -> CrossMethodReport:
     values = [
         ("matrix", lambda2_numeric(t)),
         ("distance", lambda2_via_distance(t)),
+        *_root_routes(t),
     ]
-    spider = recognize_spider(t)
-    if spider is not None and spider.lengths[0] > spider.lengths[1]:
-        values.append(("spider_root", spider_lambda2(spider).value))
-    double = recognize_double_spider(t)
-    if double is not None and double.a_lengths[0] == double.b_lengths[0]:
-        values.append(("double_spider_root", 1.0 / double_spider_rho(double).value))
 
     problems = []
     for i in range(len(values)):

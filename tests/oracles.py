@@ -3,21 +3,31 @@
 Everything here recomputes expected values through a different route
 than the code under test: exact rational bisection of cleared
 denominators instead of float bisection, Prufer sequences instead of
-the nonisomorphic-tree catalog.  Keep this module free of imports from
-the package except where a test explicitly certifies one route against
-the other.
+the nonisomorphic-tree catalog, cyclic Jacobi rotations instead of
+LAPACK, an explicit harmonic extension instead of the Schur complement.
+Keep this module free of imports from the package except where a test
+explicitly certifies one route against the other.
 """
 
 from __future__ import annotations
 
 import heapq
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
+
+import numpy as np
+
+from steklov_trees import Tree, laplacian_matrix, leaf_set
 
 # Distinct unlabeled trees on n = 1..16 vertices, frozen by hand.
 FREE_TREE_COUNTS = [1, 1, 1, 2, 3, 6, 11, 23, 47, 106, 235, 551, 1301, 3159, 7741, 19320]
 
 _BRACKET_BITS = 90
+
+# Off-diagonal Frobenius norm below which a Jacobi sweep stops.
+_JACOBI_TOL = 1e-13
+_JACOBI_MAX_SWEEPS = 60
 
 
 # --------------------------- exact root finding ---------------------------
@@ -183,3 +193,92 @@ def all_labeled_trees(n: int):
         if i < 0:
             return
         seq[i] += 1
+
+
+# ------------------------- Jacobi eigensolver -----------------------------
+
+
+def jacobi_eigenvalues(a: np.ndarray) -> np.ndarray:
+    """Eigenvalues of a symmetric matrix by cyclic Jacobi rotations.
+
+    Sweeps rotate away every off-diagonal pair until the off-diagonal
+    Frobenius norm drops below _JACOBI_TOL (scaled by the matrix norm).
+    Raises on non-convergence, which for the matrix sizes here would
+    signal a bug rather than a hard spectrum.
+    """
+    a = np.array(a, dtype=float)
+    m = a.shape[0]
+    if a.shape != (m, m):
+        raise ValueError(f"matrix must be square, got shape {a.shape}")
+    if m == 1:
+        return a[0, :1].copy()
+    scale = max(np.max(np.abs(a)), 1.0)
+    for _ in range(_JACOBI_MAX_SWEEPS):
+        # Off-diagonal norm from the entries themselves; the textbook
+        # trace-difference form cancels catastrophically near convergence.
+        off = float(np.sqrt(((a - np.diag(np.diag(a))) ** 2).sum()))
+        if off <= _JACOBI_TOL * scale:
+            return np.sort(np.diag(a))
+        for p in range(m - 1):
+            for q in range(p + 1, m):
+                apq = a[p, q]
+                if abs(apq) <= 1e-18 * scale:
+                    a[p, q] = 0.0
+                    a[q, p] = 0.0
+                    continue
+                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
+                if abs(theta) > 1.0e10:
+                    tan = 0.5 / theta
+                else:
+                    tan = np.copysign(1.0, theta) / (abs(theta) + np.sqrt(theta * theta + 1.0))
+                cos = 1.0 / np.sqrt(tan * tan + 1.0)
+                sin = tan * cos
+                rp = a[p, :].copy()
+                rq = a[q, :].copy()
+                a[p, :] = cos * rp - sin * rq
+                a[q, :] = sin * rp + cos * rq
+                cp = a[:, p].copy()
+                cq = a[:, q].copy()
+                a[:, p] = cos * cp - sin * cq
+                a[:, q] = sin * cp + cos * cq
+                a[p, q] = 0.0
+                a[q, p] = 0.0
+    raise RuntimeError(f"Jacobi eigensolver failed to converge on a {m}x{m} matrix")
+
+
+# ------------------------- harmonic extension -----------------------------
+
+
+@dataclass(frozen=True)
+class BoundaryValues:
+    """Dirichlet data on the leaves, indexed by leaf_set order."""
+
+    values: tuple[float, ...]
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "values", tuple(float(x) for x in self.values))
+
+    def as_array(self) -> np.ndarray:
+        return np.array(self.values, dtype=float)
+
+
+def harmonic_extension(t: Tree, g: BoundaryValues | np.ndarray) -> np.ndarray:
+    """Extend leaf values g to the unique interior-harmonic function.
+
+    g is indexed by leaf_set order; a raw array is accepted in place of
+    BoundaryValues.  The interior block of the Laplacian is an M-matrix
+    and always nonsingular on a tree, so a direct solve is exact up to
+    rounding; with an empty interior the extension is g itself.
+    """
+    boundary = leaf_set(t)
+    g = g.as_array() if isinstance(g, BoundaryValues) else np.asarray(g, dtype=float)
+    if g.shape != (len(boundary),):
+        raise ValueError(f"expected {len(boundary)} boundary values, got shape {g.shape}")
+    interior = [v for v in range(t.n) if t.degrees[v] > 1]
+    values = np.zeros(t.n)
+    values[boundary] = g
+    if interior:
+        lap = laplacian_matrix(t)
+        rhs = -lap[np.ix_(interior, boundary)] @ g
+        values[interior] = np.linalg.solve(lap[np.ix_(interior, interior)], rhs)
+    return values

@@ -3,7 +3,8 @@
 Every test prints exactly one pass/fail line, checks its stated numeric
 tolerance, and asserts its wall-clock budget.  Nothing here is mocked:
 brute-force enumeration, root solvers, and matrix routes are compared
-against each other at full strength.
+against each other at full strength, and the LAPACK spectrum of the
+boundary operator against the independent Jacobi oracle.
 """
 
 import math
@@ -23,6 +24,7 @@ from steklov_trees import (
     canonical_code,
     cut_sums,
     double_spider_rho,
+    dtn_matrix,
     enumerate_trees,
     lambda2_numeric,
     lambda2_via_distance,
@@ -33,12 +35,15 @@ from steklov_trees import (
     recognize_double_spider,
     recognize_spider,
     spider_lambda2,
+    steklov_spectrum,
     threshold_data,
     verify_classification,
     verify_cross_methods,
     verify_domination,
     verify_unimodality,
 )
+
+from oracles import jacobi_eigenvalues
 
 # (D, largest order) grid for the classification certification.
 CERTIFICATION_GRID = ((3, 16), (5, 16), (7, 15), (9, 14))
@@ -48,6 +53,10 @@ BOUND_SLACK = 1e-9
 CLOSED_FORM_TOL = 1e-11
 MOVE_MARGIN = 1e-10
 CROSS_RTOL = 1e-10
+# Entrywise agreement of the Jacobi oracle with the production spectrum,
+# relative to max(1, max|A|) of the boundary operator A: about 4500
+# float64 ulps (the worst gap on the criterion 8 trees is 10 ulps).
+JACOBI_RTOL = 1e-12
 
 
 def _report(number: int, name: str, ok: bool, elapsed: float) -> None:
@@ -76,6 +85,13 @@ def certification_runs():
     return runs, time.monotonic() - start
 
 
+def _jacobi_disagreement(t) -> float | None:
+    """Largest entrywise gap between the Jacobi oracle and steklov_spectrum, if too big."""
+    a = dtn_matrix(t)
+    gap = float(np.max(np.abs(jacobi_eigenvalues(a) - np.array(steklov_spectrum(t).eigenvalues))))
+    return gap if gap > JACOBI_RTOL * max(1.0, float(np.max(np.abs(a)))) else None
+
+
 def test_criterion_1_path_sharpness():
     start = time.monotonic()
     problems = []
@@ -89,6 +105,9 @@ def test_criterion_1_path_sharpness():
         for lam in routes:
             if abs(lam - expect) > PATH_TOL:
                 problems.append((d, lam, expect))
+        gap = _jacobi_disagreement(t)
+        if gap is not None:
+            problems.append((d, "jacobi", gap))
     elapsed = time.monotonic() - start
     ok = not problems and elapsed < 1.0
     _report(1, "path sharpness", ok, elapsed)
@@ -227,6 +246,9 @@ def test_criterion_8_cross_method_agreement():
                 if not report.passed:
                     problems.append((n, d, report.detail))
                     continue
+                gap = _jacobi_disagreement(t)
+                if gap is not None:
+                    problems.append((n, d, "jacobi", gap))
                 m = len(leaf_set(t))
                 dist = leaf_distance_matrix(t)
                 for _ in range(20):

@@ -18,7 +18,7 @@ from steklov_trees import (
     threshold_data,
 )
 
-from oracles import spider_lambda2_exact, bracket_contains
+from oracles import bracket_contains, sigma_exact, spider_lambda2_exact
 
 
 def _winner_names(result):
@@ -150,6 +150,18 @@ def test_classify_winner_realizable_grid():
                 assert tree.n == n
                 assert diameter(tree) == d
                 assert recognize_spider(tree) is not None
+
+
+@pytest.mark.parametrize("n,d", [(141, 3), (217, 5), (321, 7), (304, 3), (1006, 5), (3042, 41)])
+def test_classify_large_lateral_mass_matches_exact_root(n, d):
+    # Near a steep pole no float reaches the bisection's residual target;
+    # the exhausted bracket must still certify the root to an ulp.
+    result = classify(n, d)
+    pair = candidate_profiles(n, d)
+    params = [pair.as_minus] if pair.as_minus == pair.as_plus else [pair.as_minus, pair.as_plus]
+    assert len(result.candidates) == len(params)
+    for p, (_, lam) in zip(params, result.candidates):
+        assert bracket_contains(sigma_exact(p.r, p.lateral_mass, p.q), lam, 1e-13)
 
 
 # --------------------------- candidate comparison --------------------------

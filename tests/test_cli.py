@@ -201,6 +201,26 @@ def test_root_method_shape_mismatch_is_domain_error(capsys):
     assert "root method" in err
 
 
+def test_classify_large_lateral_mass_answers(capsys):
+    code, out, err = _capture(capsys, ["classify", "304", "3"])
+    assert code == 0
+    assert out.startswith("n=304 D=3 case=divisible tie=false\nwinner q=300 ")
+    assert err == ""
+
+
+@pytest.mark.parametrize("exc", [RuntimeError("bisection failed"), MemoryError()])
+def test_internal_failure_exits_four(capsys, monkeypatch, exc):
+    def fail(n, d):
+        raise exc
+
+    monkeypatch.setattr(cli_module, "classify", fail)
+    code, out, err = _capture(capsys, ["classify", "7", "5"])
+    assert code == 4
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_verify_mismatch_exits_three(capsys, monkeypatch):
     fake = VerificationReport(
         n=7,

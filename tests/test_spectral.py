@@ -1,4 +1,4 @@
-"""Laplacian, DtN matrix, Jacobi eigensolver, and full Steklov spectra."""
+"""Laplacian, DtN matrix, the Jacobi and harmonic-extension oracles, and full Steklov spectra."""
 
 import math
 
@@ -8,14 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from steklov_trees import (
-    BoundaryValues,
     DoubleSpiderProfile,
     SpiderProfile,
     Tree,
     diameter,
     dtn_matrix,
-    harmonic_extension,
-    jacobi_eigenvalues,
     lambda2_numeric,
     laplacian_matrix,
     leaf_set,
@@ -25,7 +22,13 @@ from steklov_trees import (
     steklov_spectrum,
 )
 
-from oracles import prufer_to_edges, spider_lambda2_exact
+from oracles import (
+    BoundaryValues,
+    harmonic_extension,
+    jacobi_eigenvalues,
+    prufer_to_edges,
+    spider_lambda2_exact,
+)
 
 RTOL = 1e-10
 

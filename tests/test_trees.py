@@ -46,6 +46,8 @@ def test_tree_validates_shape():
         Tree(3, ((0, 1), (1, 1)))  # self loop
     with pytest.raises(ValueError):
         Tree(4, ((0, 1), (2, 3), (0, 1)))  # disconnected plus duplicate
+    with pytest.raises(ValueError, match="not connected"):
+        Tree(4, ((0, 1), (1, 2), (0, 2)))  # cycle plus isolated vertex
 
 
 def test_tree_degrees_and_adjacency():
