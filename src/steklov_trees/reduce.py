@@ -3,7 +3,7 @@
 Three mechanisms: replacing an odd-diameter tree by the double spider
 that dominates it edge-for-edge, transferring a branch between the two
 hubs of a double spider, and the two balancing moves on spider branch
-lengths.  Each move asserts the strict spectral increase it promises;
+lengths.  Each move checks the strict spectral increase it promises;
 chaining them in greedy_ascent walks any odd-diameter tree to an almost
 seesaw tree without ever decreasing lambda_2.
 """
@@ -19,6 +19,7 @@ from .trees import (
     diameter,
     make_double_spider,
     make_spider,
+    tree_centers,
 )
 
 # Every move must beat its input by at least this much.
@@ -29,20 +30,6 @@ _DOMINATION_SLACK = 1e-9
 
 
 # --------------------------- domination -------------------------------
-
-
-def _lex_first_diameter_path(t: Tree, d: int) -> list[int]:
-    dists = [t.bfs_distances(v) for v in range(t.n)]
-    best: list[int] | None = None
-    for a in range(t.n):
-        row = dists[a]
-        for b in range(t.n):
-            if row[b] == d:
-                path = t.path_between(a, b)
-                if best is None or path < best:
-                    best = path
-    assert best is not None
-    return best
 
 
 def _side_arm_lengths(t: Tree, root: int, banned: int) -> tuple[int, ...]:
@@ -81,7 +68,8 @@ def _side_arm_lengths(t: Tree, root: int, banned: int) -> tuple[int, ...]:
             if w in best and parent[w] == v:
                 if key is None or best[w] < key:
                     key = best[w]
-        assert key is not None
+        if key is None:
+            raise RuntimeError(f"vertex {v} has no boundary leaf below it")
         best[v] = key
         arms[key[1]] = arms.get(key[1], 0) + 1
     return tuple(sorted(arms.values(), reverse=True))
@@ -90,10 +78,11 @@ def _side_arm_lengths(t: Tree, root: int, banned: int) -> tuple[int, ...]:
 def dominating_double_spider(t: Tree) -> DoubleSpiderProfile:
     """Double spider whose lambda_2 dominates that of t, at equal (n, D).
 
-    The central edge of the lexicographically first diameter path splits
-    t into two depth-r halves; charging each half's edges to deepest
-    leaves yields one pendant path per boundary leaf.  Equality of the
-    two lambda_2 values forces t to be a double spider already.
+    The edge between the two tree centers, which every diameter path
+    crosses in its middle, splits t into two depth-r halves; charging
+    each half's edges to deepest leaves yields one pendant path per
+    boundary leaf.  Equality of the two lambda_2 values forces t to be
+    a double spider already.
     """
     d = diameter(t)
     if d % 2 == 0:
@@ -101,12 +90,12 @@ def dominating_double_spider(t: Tree) -> DoubleSpiderProfile:
     if d < 3:
         raise ValueError("a single edge has no central structure to split")
     r = (d - 1) // 2
-    path = _lex_first_diameter_path(t, d)
-    u, v = path[r], path[r + 1]
+    u, v = tree_centers(t)
 
+    # The profile canonicalizes its sides, so naming the centers is free.
     profile = DoubleSpiderProfile(_side_arm_lengths(t, u, v), _side_arm_lengths(t, v, u))
-    assert profile.a_lengths[0] == r and profile.b_lengths[0] == r
-    assert sum(profile.a_lengths) + sum(profile.b_lengths) == t.n - 2
+    if profile.a_lengths[0] != r or profile.b_lengths[0] != r or profile.order != t.n:
+        raise RuntimeError(f"double spider {profile} lacks radius {r} on both sides or order {t.n}")
     return profile
 
 
@@ -119,7 +108,7 @@ def arm_transfer(p: DoubleSpiderProfile, k: int = 2) -> DoubleSpiderProfile:
     The donor is the side whose resolvent sum at rho = 1/lambda_2 is
     smaller (ties donate from the b-side); it must keep its principal
     branch, so k starts at 2 and the donor needs at least two branches.
-    The strict lambda_2 increase is asserted numerically.
+    The strict lambda_2 increase is checked numerically.
     """
     rho_old = double_spider_rho(p).value
     a_sum = _resolvent_sum(p.a_lengths, rho_old)
@@ -136,8 +125,9 @@ def arm_transfer(p: DoubleSpiderProfile, k: int = 2) -> DoubleSpiderProfile:
 
     moved = donor[k - 1]
     result = DoubleSpiderProfile(receiver + (moved,), donor[: k - 1] + donor[k:])
-    assert result.order == p.order
-    assert result.a_lengths[0] == p.a_lengths[0] and result.b_lengths[0] == p.b_lengths[0]
+    principals = (result.a_lengths[0], result.b_lengths[0])
+    if result.order != p.order or principals != (p.a_lengths[0], p.b_lengths[0]):
+        raise RuntimeError(f"arm transfer changed order or principal branches: {p} -> {result}")
     rho_new = double_spider_rho(result).value
     if 1.0 / rho_new - 1.0 / rho_old <= _INCREASE_MARGIN:
         raise RuntimeError(f"arm transfer failed to increase lambda_2: {p} -> {result}")
@@ -166,7 +156,8 @@ def balance_main_step(p: SpiderProfile) -> SpiderProfile:
 
     before = spider_lambda2(p).value
     result = SpiderProfile((l1 - 1, l2 + 1) + sides)
-    assert result.order == p.order and result.diameter == p.diameter
+    if result.order != p.order or result.diameter != p.diameter:
+        raise RuntimeError(f"main balance changed order or diameter: {p} -> {result}")
     after = spider_lambda2(result).value
     if after - before <= _INCREASE_MARGIN:
         raise RuntimeError(f"main balance failed to increase lambda_2: {p} -> {result}")
@@ -192,7 +183,8 @@ def balance_side_step(p: SpiderProfile) -> SpiderProfile:
 
     before = spider_lambda2(p).value
     result = SpiderProfile((r + 1, r, u - 1) + sides[1:-1] + (v + 1,))
-    assert result.order == p.order and result.diameter == p.diameter
+    if result.order != p.order or result.diameter != p.diameter:
+        raise RuntimeError(f"side balance changed order or diameter: {p} -> {result}")
     after = spider_lambda2(result).value
     if after - before <= _INCREASE_MARGIN:
         raise RuntimeError(f"side balance failed to increase lambda_2: {p} -> {result}")
@@ -209,7 +201,8 @@ def _spider_from_one_sided(p: DoubleSpiderProfile) -> SpiderProfile:
     r+1 hanging off the a-hub, so the tree is the spider (r+1, a-side).
     Side canonicalization guarantees the single side is the b-side.
     """
-    assert len(p.b_lengths) == 1
+    if len(p.b_lengths) != 1:
+        raise RuntimeError(f"double spider {p} is not one-sided")
     return SpiderProfile((p.b_lengths[0] + 1,) + p.a_lengths)
 
 
@@ -232,7 +225,8 @@ def greedy_ascent_trace(t: Tree) -> tuple[tuple[str, Tree], ...]:
     while len(profile.a_lengths) >= 2 and len(profile.b_lengths) >= 2:
         profile = arm_transfer(profile, 2)
         trace.append(("arm_transfer", make_double_spider(profile)))
-        assert len(trace) <= budget
+        if len(trace) > budget:
+            raise RuntimeError(f"ascent exceeded its budget of {budget} moves")
 
     spider = _spider_from_one_sided(profile)
     while True:
@@ -246,7 +240,8 @@ def greedy_ascent_trace(t: Tree) -> tuple[tuple[str, Tree], ...]:
             trace.append(("balance_side", make_spider(spider)))
         else:
             break
-        assert len(trace) <= budget
+        if len(trace) > budget:
+            raise RuntimeError(f"ascent exceeded its budget of {budget} moves")
 
     trace.append(("result", make_spider(spider)))
     low, high = lambda2_numeric(t), lambda2_numeric(trace[-1][1])

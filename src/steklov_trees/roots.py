@@ -4,14 +4,18 @@ Every lambda_2 that this package certifies against matrix computations
 also satisfies a one-variable equation: the spider equation F(lambda),
 its balanced-family form Phi_{r,M}, the two-sided resolvent equation for
 double spiders, and the threshold quadratic that orders the two
-balanced candidates.  Each function here is strictly monotone on an
-explicit bracket whose endpoints are poles, so plain bisection that
-never touches the endpoints is the safe solver.
+balanced candidates.  The one-center equations are all the pole sum
+sum_i w_i/(1 - l_i lambda) with grouped weights, evaluated by one
+helper.  Each equation is strictly increasing on an explicit bracket
+whose endpoints are poles, so plain bisection that never touches the
+endpoints is the one solver; that monotonicity is a property test, not
+a runtime check.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -21,9 +25,6 @@ from .trees import DoubleSpiderProfile, SpiderProfile
 # or once no float is left strictly inside the bracket.
 _WIDTH_TOL = 1e-14
 _RESIDUAL_TOL = 1e-11
-
-# Interior sample count for the debug-build monotonicity check.
-_MONOTONE_SAMPLES = 100
 
 
 @dataclass(frozen=True)
@@ -56,32 +57,20 @@ class ThresholdData:
 # ----------------------------- bisection ------------------------------
 
 
-def _assert_sampled_monotone(f: Callable[[float], float], lo: float, hi: float) -> None:
-    step = (hi - lo) / (_MONOTONE_SAMPLES + 1)
-    prev = f(lo + step)
-    for i in range(2, _MONOTONE_SAMPLES + 1):
-        cur = f(lo + i * step)
-        assert cur > prev, f"function not strictly increasing near {lo + i * step}"
-        prev = cur
+def _bisect(f: Callable[[float], float], lo: float, hi: float) -> RootResult:
+    """Unique zero of a strictly increasing f on (lo, hi).
 
-
-def _bisect(f: Callable[[float], float], lo: float, hi: float, increasing: bool = True) -> RootResult:
-    """Unique zero of a strictly monotone f on (lo, hi).
-
-    The endpoints are typically poles of f and are never evaluated.
-    Iterates until the bracket width is below _WIDTH_TOL and the
-    residual below _RESIDUAL_TOL, or the floats are exhausted.  Near a
-    steep pole no float may reach that residual; the bracket is then two
-    adjacent floats across which g changes sign, which certifies the
-    root to one ulp.
+    The endpoints are typically poles of f and are never evaluated, nor
+    is monotonicity: the callers' equations are property-tested to be
+    increasing on their brackets.  Iterates until the bracket width is
+    below _WIDTH_TOL and the residual below _RESIDUAL_TOL, or the floats
+    are exhausted.  Near a steep pole no float may reach that residual;
+    the bracket is then two adjacent floats across which f changes sign,
+    which certifies the root to one ulp.
     """
-    sign = 1.0 if increasing else -1.0
-    g = lambda x: sign * f(x)
-    if __debug__:
-        _assert_sampled_monotone(g, lo, hi)
     a, b = lo, hi
     value = 0.5 * (a + b)
-    resid = g(value)
+    resid = f(value)
     while (b - a) > _WIDTH_TOL or abs(resid) > _RESIDUAL_TOL:
         if resid > 0.0:
             b = value
@@ -91,8 +80,13 @@ def _bisect(f: Callable[[float], float], lo: float, hi: float, increasing: bool 
         if nxt <= a or nxt >= b:
             break
         value = nxt
-        resid = g(value)
-    return RootResult(value=value, bracket=(lo, hi), residual=sign * resid)
+        resid = f(value)
+    return RootResult(value=value, bracket=(lo, hi), residual=resid)
+
+
+def _pole_sum(terms: Sequence[tuple[int, float]], lam: float) -> float:
+    """sum_i w_i / (1 - l_i lam) over (length, weight) pairs, in order."""
+    return sum(w / (1.0 - l * lam) for l, w in terms)
 
 
 # --------------------------- spider equation --------------------------
@@ -102,18 +96,16 @@ def spider_lambda2(lengths: SpiderProfile | Sequence[int]) -> RootResult:
     """lambda_2 of a spider with a strict longest branch.
 
     Solves sum_i 1/(1 - l_i lambda) = 0 on (1/l_1, 1/l_2), where the
-    function climbs from -inf to +inf.  A repeated longest branch makes
+    function climbs from -inf to +inf; equal lengths share one weighted
+    pole, so an evaluation costs O(distinct lengths).  A repeated longest branch makes
     lambda_2 the pole 1/l_1 itself and is rejected.
     """
     profile = lengths if isinstance(lengths, SpiderProfile) else SpiderProfile(tuple(lengths))
     ls = profile.lengths
     if ls[0] == ls[1]:
         raise ValueError(f"longest branch must be strict, got lengths {ls}")
-
-    def f(lam: float) -> float:
-        return sum(1.0 / (1.0 - l * lam) for l in ls)
-
-    return _bisect(f, 1.0 / ls[0], 1.0 / ls[1])
+    terms = tuple(Counter(ls).items())
+    return _bisect(lambda lam: _pole_sum(terms, lam), 1.0 / ls[0], 1.0 / ls[1])
 
 
 # ------------------------- balanced family ----------------------------
@@ -154,16 +146,8 @@ def sigma_rM(r: int, M: int, q: float) -> RootResult:
     c = min(max(c, 1), r)
     w_hi = max(M - c * q, 0.0)
     w_lo = max((c + 1) * q - M, 0.0)
-
-    def f(lam: float) -> float:
-        val = 1.0 / (1.0 - (r + 1) * lam) + 1.0 / (1.0 - r * lam)
-        if w_hi > 0.0:
-            val += w_hi / (1.0 - (c + 1) * lam)
-        if w_lo > 0.0:
-            val += w_lo / (1.0 - c * lam)
-        return val
-
-    return _bisect(f, 1.0 / (r + 1), 1.0 / r)
+    terms = tuple((l, w) for l, w in ((r + 1, 1), (r, 1), (c + 1, w_hi), (c, w_lo)) if w > 0.0)
+    return _bisect(lambda lam: _pole_sum(terms, lam), 1.0 / (r + 1), 1.0 / r)
 
 
 # ------------------------ double-spider equation -----------------------
@@ -251,16 +235,10 @@ def threshold_data(r: int, t: int) -> ThresholdData:
     lead = 2 * s * s + s - 2 * t - 1
     disc = 9 * s * s - 4 * lead
     lo, hi = 1.0 / (r + 1), 1.0 / r
-    zeta = (3 * s - math.sqrt(disc)) / (2 * lead) if disc >= 0 else math.nan
+    # disc = (s - 2)^2 + 8t > 0, and the smaller root lies in I_r.
+    zeta = (3 * s - math.sqrt(disc)) / (2 * lead)
     if not lo < zeta < hi:
-        # Cancellation fallback; P is strictly decreasing across I_r.
-        poly = lambda lam: 1.0 - 3 * s * lam + lead * lam * lam
-        zeta = _bisect(poly, lo, hi, increasing=False).value
+        raise RuntimeError(f"threshold root {zeta} outside ({lo}, {hi}) for r={r}, t={t}")
 
-    kappa = -(1.0 - s * zeta) * (
-        1.0 / (1.0 - (r + 1) * zeta)
-        + 1.0 / (1.0 - r * zeta)
-        + (t - s + 1) / (1.0 - s * zeta)
-        + (s - t) / (1.0 - (s - 1) * zeta)
-    )
+    kappa = -(1.0 - s * zeta) * _pole_sum(((r + 1, 1), (r, 1), (s, t - s + 1), (s - 1, s - t)), zeta)
     return ThresholdData(r=r, s=s, t=t, regime="threshold", zeta=zeta, kappa=kappa)

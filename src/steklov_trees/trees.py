@@ -351,7 +351,8 @@ def recognize_double_spider(t: Tree) -> Optional[DoubleSpiderProfile]:
         return DoubleSpiderProfile(tuple(a), tuple(b))
     if len(hubs) == 1:
         prof = recognize_spider(t)
-        assert prof is not None
+        if prof is None:
+            raise RuntimeError("tree with one branch vertex not recognized as a spider")
         if prof.lengths[0] < 2:
             return None  # star: the split would leave an empty side
         rest = prof.lengths[1:]

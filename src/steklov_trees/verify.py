@@ -56,6 +56,7 @@ class VerificationReport:
     argmax_codes: tuple[bytes, ...]
     argmax_lambda2: float
     classifier_codes: tuple[bytes, ...]
+    classifier_winners: tuple[Tree, ...]
     verdict: str
     wall_time: float
 
@@ -162,6 +163,7 @@ def verify_classification(n: int, d: int, jobs: int | None = None) -> Verificati
         argmax_codes=argmax,
         argmax_lambda2=best,
         classifier_codes=classifier,
+        classifier_winners=tuple(tree for tree, _ in result.winners),
         verdict=verdict,
         wall_time=time.perf_counter() - start,
     )

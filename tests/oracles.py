@@ -87,7 +87,9 @@ def spider_lambda2_exact(lengths: Iterable[int]) -> tuple[Fraction, Fraction]:
     """Bracket of the spider eigenvalue between the two largest poles."""
     ls = sorted(lengths, reverse=True)
     assert ls[0] > ls[1], "oracle needs a strict longest branch"
-    terms = [(1, l) for l in ls]
+    # Equal lengths share a pole, so one weighted term per distinct length
+    # keeps the cleared polynomial small at large lateral mass.
+    terms = [(ls.count(l), l) for l in sorted(set(ls), reverse=True)]
     return rational_root_bracket(terms, Fraction(1, ls[0]), Fraction(1, ls[1]))
 
 

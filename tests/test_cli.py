@@ -1,13 +1,19 @@
 """End-to-end command-line checks: goldens, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from steklov_trees import SpiderProfile, canonical_code, format_tree_text, make_spider, parse_tree_text
 from steklov_trees.cli import run
 from steklov_trees.verify import VerificationReport
+import steklov_trees
 import steklov_trees.cli as cli_module
+import steklov_trees.verify as verify_module
 
 
 def _capture(capsys, argv):
@@ -104,6 +110,21 @@ def test_verify_text_golden(capsys):
     code, out, _ = _capture(capsys, ["verify", "6", "5"])
     assert code == 0
     assert out == "n=6 D=5 trees=1 winners=path:5 lambda2=0.4 verdict=match\n"
+
+
+def test_verify_classifies_once_per_order(capsys, monkeypatch):
+    calls = []
+    real = verify_module.classify
+
+    def counting(n, d):
+        calls.append((n, d))
+        return real(n, d)
+
+    monkeypatch.setattr(verify_module, "classify", counting)
+    monkeypatch.setattr(cli_module, "classify", counting)
+    code, _, _ = _capture(capsys, ["verify", "9", "5", "--all-orders"])
+    assert code == 0
+    assert calls == [(6, 5), (7, 5), (8, 5), (9, 5)]
 
 
 def test_verify_all_orders(capsys):
@@ -229,6 +250,7 @@ def test_verify_mismatch_exits_three(capsys, monkeypatch):
         argmax_codes=(b"00",),
         argmax_lambda2=0.5,
         classifier_codes=(b"01",),
+        classifier_winners=(),
         verdict="mismatch",
         wall_time=0.0,
     )
@@ -254,3 +276,25 @@ def test_verify_jobs_do_not_change_bytes(capsys, monkeypatch):
     monkeypatch.setenv("STEKLOV_JOBS", "3")
     _, via_env, _ = _capture(capsys, ["verify", "12", "5"])
     assert via_env == serial
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["classify", "304", "3"],
+        ["sweep", "--r", "4", "--M-max", "20", "--format", "csv"],
+        ["reduce", "spider:4,1,1", "--format", "csv"],
+    ],
+)
+def test_optimized_interpreter_prints_the_same_bytes(capsys, argv):
+    # `python -O` strips assert statements; the package must not lean on them.
+    code, out, _ = _capture(capsys, argv)
+    src = str(Path(steklov_trees.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "steklov_trees.cli", *argv],
+        capture_output=True,
+        env={**os.environ, "PYTHONPATH": src},
+        check=False,
+    )
+    assert (proc.returncode, proc.stderr) == (code, b"")
+    assert proc.stdout == out.encode()

@@ -1,6 +1,7 @@
 """Scalar root equations: spider, balanced family, double spider, thresholds."""
 
 import math
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -11,6 +12,7 @@ from steklov_trees import (
     BoundaryFlux,
     DoubleSpiderProfile,
     SpiderProfile,
+    candidate_profiles,
     double_spider_maximizer,
     double_spider_rho,
     lambda2_numeric,
@@ -23,6 +25,7 @@ from steklov_trees import (
     spider_lambda2,
     threshold_data,
 )
+from steklov_trees import roots
 
 from oracles import (
     bracket_contains,
@@ -61,11 +64,21 @@ def test_spider_lambda2_quadratic_case():
 
 
 @pytest.mark.parametrize(
-    "lengths", [(3, 2, 1), (5, 4, 4, 2), (7, 1, 1, 1, 1, 1), (12, 11, 3, 2, 1)]
+    "lengths", [(3, 2, 1), (5, 4, 4, 2), (7, 1, 1, 1, 1, 1), (12, 11, 3, 2, 1), (2, 1) + (1,) * 1000]
 )
 def test_spider_lambda2_exact_oracle(lengths):
     res = spider_lambda2(lengths)
     assert bracket_contains(spider_lambda2_exact(lengths), res.value, 1e-13)
+
+
+@pytest.mark.parametrize("n,d", [(141, 3), (217, 5), (321, 7), (304, 3), (1006, 5), (3042, 41)])
+def test_spider_lambda2_exact_oracle_former_stalls(n, d):
+    # The balanced candidates at which the bisection once stalled.
+    pair = candidate_profiles(n, d)
+    for p in (pair.as_minus, pair.as_plus):
+        lengths = p.spider_profile().lengths
+        res = spider_lambda2(lengths)
+        assert bracket_contains(spider_lambda2_exact(lengths), res.value, 1e-13)
 
 
 def test_spider_lambda2_rejects_tied_longest():
@@ -301,3 +314,59 @@ def test_threshold_sign_predicts_comparison():
                 if abs(k - td.kappa) <= 1e-9:
                     continue  # exact tie candidates are flagged, not ordered
                 assert math.copysign(1.0, a - b) == math.copysign(1.0, k - td.kappa)
+
+
+# ---------------------- monotonicity of the equations ----------------------
+
+# Bisection trusts each equation to increase across its bracket; these
+# properties probe that at evenly spaced interior points.
+_MONOTONE_SAMPLES = 100
+
+
+def _assert_sampled_increasing(f, lo, hi):
+    step = (hi - lo) / (_MONOTONE_SAMPLES + 1)
+    values = [f(lo + i * step) for i in range(1, _MONOTONE_SAMPLES + 1)]
+    for i, (prev, cur) in enumerate(zip(values, values[1:]), start=2):
+        assert cur > prev, f"not strictly increasing near {lo + i * step}"
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    rest=st.lists(st.integers(min_value=1, max_value=12), min_size=1, max_size=60),
+    gap=st.integers(min_value=1, max_value=8),
+)
+def test_spider_equation_increases_on_its_bracket(rest, gap):
+    ls = sorted([max(rest) + gap, *rest], reverse=True)
+    terms = tuple(Counter(ls).items())
+    _assert_sampled_increasing(lambda lam: roots._pole_sum(terms, lam), 1.0 / ls[0], 1.0 / ls[1])
+
+
+@st.composite
+def _balanced_triples(draw):
+    r = draw(st.integers(min_value=1, max_value=10))
+    m = draw(st.integers(min_value=1, max_value=2000))
+    lo_q, hi_q = q_range_continuous(r, m)
+    q = draw(st.one_of(st.integers(*q_range_integer(r, m)), st.floats(min_value=lo_q, max_value=hi_q)))
+    return r, m, q
+
+
+@settings(max_examples=200, deadline=None)
+@given(triple=_balanced_triples())
+def test_balanced_equation_increases_on_its_bracket(triple):
+    r, m, q = triple
+    c = min(max(math.floor(m / q), 1), r)
+    terms = ((r + 1, 1), (r, 1), (c + 1, max(m - c * q, 0.0)), (c, max((c + 1) * q - m, 0.0)))
+    _assert_sampled_increasing(lambda lam: roots._pole_sum(terms, lam), 1.0 / (r + 1), 1.0 / r)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    r=st.integers(min_value=1, max_value=12),
+    a_extra=st.lists(st.integers(min_value=1, max_value=12), max_size=30),
+    b_extra=st.lists(st.integers(min_value=1, max_value=12), max_size=30),
+)
+def test_double_spider_equation_increases_on_its_bracket(r, a_extra, b_extra):
+    a = (r, *[min(x, r) for x in a_extra])
+    b = (r, *[min(x, r) for x in b_extra])
+    f = lambda rho: 1.0 / roots._resolvent_sum(a, rho) + 1.0 / roots._resolvent_sum(b, rho)
+    _assert_sampled_increasing(f, r + 1e-9, float(r + sum(a) + sum(b) + 1))
