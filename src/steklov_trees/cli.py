@@ -214,6 +214,8 @@ def _cmd_candidates(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
+    if args.r < 1 or args.m_max < 1:
+        raise ValueError(f"need --r >= 1 and --M-max >= 1, got --r {args.r}, --M-max {args.m_max}")
     reports = [verify_unimodality(args.r, m) for m in range(1, args.m_max + 1)]
     failed = [rep for rep in reports if not rep.passed]
     if args.format == "text":

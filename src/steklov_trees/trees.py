@@ -4,8 +4,9 @@ A tree is a vertex count plus an edge list over {0..n-1}; its boundary is
 always the leaf set.  This module constructs the families the optimization
 theory is phrased in (paths, spiders, double spiders, generalized almost
 seesaw trees), recognizes them back from bare edge lists, computes an
-isomorphism-invariant canonical code, and enumerates all unlabeled trees
-of a given order and diameter for the brute-force certification harness.
+isomorphism-invariant canonical code, and generates the unlabeled trees
+of one order and diameter from their centers, as canonical codes, for
+the brute-force certification harness.
 
 Vertex labeling of constructed families is deterministic: center(s) get
 the smallest labels, then each branch is laid out outward in profile
@@ -19,8 +20,6 @@ from collections import deque
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Iterator, Optional
-
-import networkx as nx
 
 Edge = tuple[int, int]
 
@@ -409,46 +408,80 @@ def canonical_code(t: Tree) -> bytes:
 
 
 @lru_cache(maxsize=None)
-def _tree_catalog(n: int) -> tuple[tuple[int, bytes, tuple[Edge, ...]], ...]:
-    """Every unlabeled tree of order n, as (diameter, code, edges).
+def _rooted_codes(size: int, height: int) -> tuple[bytes, ...]:
+    """AHU codes of the rooted trees with `size` vertices and height <= height, ascending.
 
-    Backed by the write-read-orient-merge generator; entries are sorted
-    by (diameter, code), which fixes the enumeration order.  Codes are
-    checked pairwise distinct, so the generator emitting an isomorphic
-    duplicate would be caught here.
+    Each is its smallest-code root subtree a hung from the root of the rest b, b"(" + a + b[1:];
+    as no code is a proper prefix of another, a <= b[1:] iff a is at most b's first child.
     """
-    if n < 2:
-        raise ValueError(f"tree enumeration needs n >= 2, got n={n}")
-    entries = []
-    for g in nx.nonisomorphic_trees(n):
-        relabel = {node: i for i, node in enumerate(sorted(g.nodes()))}
-        t = Tree(n, tuple((relabel[u], relabel[v]) for u, v in g.edges()))
-        entries.append((diameter(t), canonical_code(t), t.edges))
-    entries.sort()
-    codes = {code for _, code, _ in entries}
-    if len(codes) != len(entries):
-        raise RuntimeError(f"tree generator emitted isomorphic duplicates at n={n}")
-    return tuple(entries)
+    if height < 0:
+        return ()
+    if size == 1:
+        return (b"()",)
+    return tuple(sorted(
+        b"(" + a + b[1:]
+        for k in range(1, size)
+        for a in _rooted_codes(k, height - 1)
+        for b in _rooted_codes(size - k, height)
+        if a <= b[1:]
+    ))
+
+
+def _center_codes(n: int, d: int) -> list[bytes]:
+    """Canonical codes of the trees of order n and diameter d, ascending.
+
+    d = 2r+1: b"2" + a + b for the sides a <= b of the central edge, both of height r.
+    d = 2r: b"1(" + a + b[1:] for the center's first child a (height r-1) cut from the rest b
+    (height r).  A tallest child comes first, so a code of height h opens with h+1 brackets
+    and sorts below every lower code: a <= b[cut:] pins a to its height.
+    """
+    r, odd = divmod(d, 2)
+    head, cut = (b"2", 0) if odd else (b"1(", 1)
+    codes = sorted(
+        head + a + b[cut:]
+        for k in range(r + odd, n - r)  # a tree of height h has h+1 vertices or more
+        for b in _rooted_codes(n - k, r)
+        if b.startswith(b"(" * (r + 1))
+        for a in _rooted_codes(k, r - 1 + odd)
+        if a <= b[cut:]
+    )
+    if len(set(codes)) != len(codes):
+        raise RuntimeError(f"tree generator emitted isomorphic duplicates at n={n}, d={d}")
+    return codes
+
+
+def _code_tree(n: int, code: bytes) -> Tree:
+    """The tree of a canonical code; a two-center code's second root joins vertex 0."""
+    parent: list[int] = []
+    stack = [0]
+    for ch in code[1:]:
+        if ch == ord("("):
+            parent.append(stack[-1])
+            stack.append(len(parent) - 1)
+        else:
+            stack.pop()
+    return Tree(n, tuple((p, v) for v, p in enumerate(parent) if v))
 
 
 def enumerate_trees(n: int, d: int) -> Iterator[Tree]:
     """One representative per isomorphism class with order n, diameter d.
 
-    Deterministic order (sorted canonical codes); empty when no tree of
-    that order and diameter exists.
+    Generated from the center(s) outward, in ascending canonical code
+    order; empty when no tree of that order and diameter exists.
     """
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
     if not 1 <= d <= n - 1:
         raise ValueError(f"need 1 <= d <= n-1, got d={d}, n={n}")
-    for dd, _code, edges in _tree_catalog(n):
-        if dd == d:
-            yield Tree(n, edges)
+    for code in _center_codes(n, d):
+        yield _code_tree(n, code)
 
 
 def count_trees(n: int) -> int:
     """Number of unlabeled trees of order n (all diameters)."""
-    return len(_tree_catalog(n))
+    if n < 2:
+        raise ValueError(f"tree enumeration needs n >= 2, got n={n}")
+    return sum(len(_center_codes(n, d)) for d in range(1, n))
 
 
 # ------------------------- parsing and rendering ------------------------

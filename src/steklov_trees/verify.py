@@ -104,11 +104,14 @@ def _evaluate_shard(payload: tuple[int, tuple[tuple[tuple[int, int], ...], ...]]
 
 
 def _resolve_jobs(jobs: int | None) -> int:
-    if jobs is None:
-        jobs = int(os.environ.get("STEKLOV_JOBS", "1"))
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
-    return jobs
+    if jobs is not None:
+        if jobs < 1:
+            raise ValueError(f"jobs must be >= 1, got {jobs}")
+        return jobs
+    raw = os.environ.get("STEKLOV_JOBS", "1")
+    if not raw.strip().isdecimal() or int(raw) < 1:
+        raise ValueError(f"STEKLOV_JOBS must be an integer >= 1, got {raw!r}")
+    return int(raw)
 
 
 def _evaluate_all(n: int, d: int, jobs: int | None) -> list[tuple[bytes, float]]:
@@ -142,10 +145,10 @@ def brute_force_extremizers(n: int, d: int, jobs: int | None = None) -> tuple[tu
 def verify_classification(n: int, d: int, jobs: int | None = None) -> VerificationReport:
     """Compare the classifier's winner set against exhaustive search."""
     start = time.perf_counter()
+    # classify checks the domain; an empty enumeration would have no maximum.
+    result = classify(n, d)
     rows = _evaluate_all(n, d, jobs)
     argmax, best = _near_argmax(rows, _TIE_RTOL)
-
-    result = classify(n, d)
     classifier = tuple(sorted({canonical_code(tree) for tree, _ in result.winners}))
 
     # A classifier winner outside the tie band of the brute-force maximum

@@ -2,8 +2,9 @@
 
 Everything here recomputes expected values through a different route
 than the code under test: exact rational bisection of cleared
-denominators instead of float bisection, Prufer sequences instead of
-the nonisomorphic-tree catalog, cyclic Jacobi rotations instead of
+denominators instead of float bisection, Prufer sequences, the networkx
+tree generator and a count recurrence instead of the center-rooted
+tree generator, cyclic Jacobi rotations instead of
 LAPACK, an explicit harmonic extension instead of the Schur complement.
 Keep this module free of imports from the package except where a test
 explicitly certifies one route against the other.
@@ -14,11 +15,13 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterable, Sequence
 
+import networkx as nx
 import numpy as np
 
-from steklov_trees import Tree, laplacian_matrix, leaf_set
+from steklov_trees import Tree, canonical_code, laplacian_matrix, leaf_set
 
 # Distinct unlabeled trees on n = 1..16 vertices, frozen by hand.
 FREE_TREE_COUNTS = [1, 1, 1, 2, 3, 6, 11, 23, 47, 106, 235, 551, 1301, 3159, 7741, 19320]
@@ -195,6 +198,74 @@ def all_labeled_trees(n: int):
         if i < 0:
             return
         seq[i] += 1
+
+
+# ------------------------ unlabeled enumeration ---------------------------
+
+
+@lru_cache(maxsize=None)
+def _networkx_catalog(n: int) -> tuple[tuple[int, bytes], ...]:
+    """(diameter, canonical code) of every tree networkx generates on n vertices, sorted."""
+    entries = []
+    for g in nx.nonisomorphic_trees(n):
+        relabel = {node: i for i, node in enumerate(sorted(g.nodes()))}
+        t = Tree(n, tuple((relabel[u], relabel[v]) for u, v in g.edges()))
+        entries.append((nx.diameter(g), canonical_code(t)))
+    return tuple(sorted(entries))
+
+
+def nonisomorphic_trees_by_diameter(n: int, d: int) -> list[bytes]:
+    """Canonical codes of the trees of order n and diameter d, ascending.
+
+    Drawn from networkx's nonisomorphic-tree generator over all diameters
+    and filtered by networkx's own diameter.
+    """
+    return [code for dd, code in _networkx_catalog(n) if dd == d]
+
+
+def _multiset_counts(items: Sequence[int], total: int) -> list[int]:
+    """Multisets of every total size 0..total over items[k] kinds of size k.
+
+    The Euler transform: m * b[m] = sum_k c[k] b[m-k], c[k] = sum over
+    divisors j of k of j * items[j].
+    """
+    c = [0] + [sum(j * items[j] for j in range(1, k + 1) if k % j == 0) for k in range(1, total + 1)]
+    b = [1]
+    for m in range(1, total + 1):
+        b.append(sum(c[k] * b[m - k] for k in range(1, m + 1)) // m)
+    return b
+
+
+def rooted_counts_by_height(size_max: int, height: int) -> list[int]:
+    """Rooted unlabeled trees with s vertices and height <= height, for s = 0..size_max.
+
+    A root over a multiset of subtrees of height <= height-1.
+    """
+    if height < 0:
+        return [0] * (size_max + 1)
+    return [0] + _multiset_counts(rooted_counts_by_height(size_max, height - 1), size_max - 1)
+
+
+def tree_count_by_diameter(n: int, d: int) -> int:
+    """Unlabeled trees of order n and diameter d, counted from their center(s).
+
+    Diameter 2r+1: unordered pairs of rooted trees of height exactly r
+    with n vertices between them.  Diameter 2r: a root over subtrees of
+    height <= r-1, less those with at most one subtree of height r-1.
+    """
+    r = d // 2
+    if d % 2:
+        upper, lower = rooted_counts_by_height(n, r), rooted_counts_by_height(n, r - 1)
+        exact = [x - y for x, y in zip(upper, lower)]
+        count = sum(exact[a] * exact[n - a] for a in range(1, (n + 1) // 2))
+        if n % 2 == 0:
+            count += exact[n // 2] * (exact[n // 2] + 1) // 2
+        return count
+    upper, lower = rooted_counts_by_height(n, r - 1), rooted_counts_by_height(n, r - 2)
+    exact = [x - y for x, y in zip(upper, lower)]
+    short = _multiset_counts(lower, n - 1)
+    one_tall = sum(exact[k] * short[n - 1 - k] for k in range(1, n))
+    return _multiset_counts(upper, n - 1)[n - 1] - short[n - 1] - one_tall
 
 
 # ------------------------- Jacobi eigensolver -----------------------------

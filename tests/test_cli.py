@@ -210,6 +210,30 @@ def test_even_diameter_is_domain_error(capsys):
     assert "Lin and Zhao" in err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["verify", "2", "1"], "need diameter >= 3, got 1"),
+        (["verify", "3", "1"], "need diameter >= 3, got 1"),
+        (["sweep", "--r", "2", "--M-max", "0"], "need --r >= 1 and --M-max >= 1, got --r 2, --M-max 0"),
+        (["sweep", "--r", "0", "--M-max", "0"], "need --r >= 1 and --M-max >= 1, got --r 0, --M-max 0"),
+    ],
+    ids=["verify-2-1", "verify-3-1", "sweep-M-max-0", "sweep-r-0"],
+)
+def test_out_of_domain_arguments_are_one_line_errors(capsys, argv, message):
+    code, out, err = _capture(capsys, argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("value", ["x", "0"])
+def test_bad_jobs_variable_is_domain_error(capsys, monkeypatch, value):
+    monkeypatch.setenv("STEKLOV_JOBS", value)
+    code, out, err = _capture(capsys, ["verify", "6", "5"])
+    assert (code, out) == (2, "")
+    assert err == f"error: STEKLOV_JOBS must be an integer >= 1, got {value!r}\n"
+
+
 def test_bad_shorthand_is_domain_error(capsys):
     code, _, err = _capture(capsys, ["lambda2", "tri:3"])
     assert code == 2

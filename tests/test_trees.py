@@ -29,7 +29,13 @@ from steklov_trees import (
     tree_centers,
 )
 
-from oracles import FREE_TREE_COUNTS, all_labeled_trees, prufer_to_edges
+from oracles import (
+    FREE_TREE_COUNTS,
+    all_labeled_trees,
+    nonisomorphic_trees_by_diameter,
+    prufer_to_edges,
+    tree_count_by_diameter,
+)
 
 
 # ------------------------------ Tree basics ------------------------------
@@ -224,7 +230,7 @@ def test_canonical_code_separates_shapes():
 # ------------------------------ enumeration ------------------------------
 
 
-@pytest.mark.parametrize("n", range(2, 11))
+@pytest.mark.parametrize("n", range(2, 15))
 def test_count_trees_matches_frozen_table(n):
     assert count_trees(n) == FREE_TREE_COUNTS[n - 1]
 
@@ -258,6 +264,20 @@ def test_enumeration_complete_against_prufer(n):
         canonical_code(t) for d in range(1, n) for t in enumerate_trees(n, d)
     }
     assert labeled == catalog
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_enumeration_matches_networkx_generator(n):
+    """Same classes in the same order as an independent generator."""
+    for d in range(1, n):
+        codes = [canonical_code(t) for t in enumerate_trees(n, d)]
+        assert codes == nonisomorphic_trees_by_diameter(n, d), d
+
+
+@pytest.mark.parametrize("n", range(2, 17))
+def test_enumeration_counts_match_height_recurrence(n):
+    for d in range(1, n):
+        assert sum(1 for _ in enumerate_trees(n, d)) == tree_count_by_diameter(n, d), d
 
 
 # --------------------------- parse and render ----------------------------
