@@ -6,7 +6,8 @@ energy Q(z) admits two combinatorial descriptions: the sum of squared
 per-edge cut sums, and -z^T D z / 2 with D the leaf distance matrix.
 The largest eigenvalue of that form on mean-zero vectors is the
 reciprocal of the first nonzero Steklov eigenvalue, which gives a route
-to lambda_2 that never touches the Laplacian Schur complement.
+to lambda_2 that never touches the Laplacian Schur complement; the
+certification harness runs it batched over canonical codes.
 """
 
 from __future__ import annotations
@@ -154,12 +155,53 @@ def lambda2_via_distance(t: Tree) -> float:
     eigenvalues of P(-D/2)P, with P the centering projection on the
     leaves; the largest of those reciprocal pairs with lambda_2.
     """
-    dmat = leaf_distance_matrix(t).astype(float)
-    m = dmat.shape[0]
+    return float(_distance_lambda2(leaf_distance_matrix(t).astype(float)))
+
+
+def _distance_lambda2(dmat: np.ndarray) -> np.ndarray:
+    """lambda_2 = 1 / top eigenvalue of P(-D/2)P for each stacked m x m distance matrix."""
+    m = dmat.shape[-1]
     pmat = np.eye(m) - np.full((m, m), 1.0 / m)
     gram = -0.5 * (pmat @ dmat @ pmat)
-    gram = (gram + gram.T) / 2.0
-    top = float(np.linalg.eigvalsh(gram)[-1])
-    if top <= 0.0:
-        raise RuntimeError(f"centered distance form has no positive eigenvalue (top={top})")
+    gram = (gram + np.swapaxes(gram, -1, -2)) / 2.0
+    top = np.linalg.eigvalsh(gram)[..., -1]
+    if np.any(top <= 0.0):
+        raise RuntimeError(f"centered distance form has no positive eigenvalue (top={np.min(top)})")
     return 1.0 / top
+
+
+# Trees per stacked distance array; bounds the kernel's memory at O(_CHUNK n^2) bytes.
+_CHUNK = 4096
+
+
+def _lambda2_batch(codes: list[bytes]) -> np.ndarray:
+    """lambda_2 of every tree given by an equal-length canonical code, in input order.
+
+    Vertices are numbered in code (pre)order, as trees._code_tree does: a vertex's
+    parent is the latest earlier vertex one level up, and a second root (two-center
+    code) joins vertex 0.  No u < v lies below v, so Dist[v, u] = Dist[parent(v), u] + 1.
+    A vertex is a leaf iff its bracket closes at once: a center never has one child.
+    """
+    out = np.empty(len(codes))
+    for lo in range(0, len(codes), _CHUNK):
+        batch = codes[lo : lo + _CHUNK]
+        count, n = len(batch), len(batch[0]) // 2  # a code is a shape digit and 2n brackets
+        chars = np.frombuffer(b"".join(batch), np.uint8).reshape(count, -1)[:, 1:]
+        opens = chars == ord("(")
+        level = np.cumsum(np.where(opens, 1, -1), axis=1)[opens].reshape(count, n)
+        leaf = (opens[:, :-1] & ~opens[:, 1:])[opens[:, :-1]].reshape(count, n)
+        rows = np.arange(count)
+        latest = np.zeros((count, n + 1), dtype=np.intp)  # latest vertex per level; zeros hang level-1 roots on vertex 0
+        dist = np.zeros((count, n, n), dtype=np.min_scalar_type(n))
+        for v in range(1, n):
+            parent = latest[rows, level[:, v] - 1]
+            latest[rows, level[:, v]] = v
+            dist[:, v, :v] = dist[rows, parent, :v] + 1
+            dist[:, :v, v] = dist[:, v, :v]
+        sizes = leaf.sum(axis=1)
+        for m in np.unique(sizes):
+            group = np.flatnonzero(sizes == m)
+            leaves = np.nonzero(leaf[group])[1].reshape(-1, m)
+            dmat = dist[group[:, None, None], leaves[:, :, None], leaves[:, None, :]]
+            out[lo + group] = _distance_lambda2(dmat.astype(float))
+    return out

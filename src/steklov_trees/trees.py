@@ -18,7 +18,7 @@ from __future__ import annotations
 import re
 from collections import deque
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import Iterator, Optional
 
 Edge = tuple[int, int]
@@ -407,8 +407,7 @@ def canonical_code(t: Tree) -> bytes:
 # ----------------------------- enumeration ----------------------------
 
 
-@lru_cache(maxsize=None)
-def _rooted_codes(size: int, height: int) -> tuple[bytes, ...]:
+def _rooted_codes(size: int, height: int, memo: dict[tuple[int, int], tuple[bytes, ...]]) -> tuple[bytes, ...]:
     """AHU codes of the rooted trees with `size` vertices and height <= height, ascending.
 
     Each is its smallest-code root subtree a hung from the root of the rest b, b"(" + a + b[1:];
@@ -418,13 +417,15 @@ def _rooted_codes(size: int, height: int) -> tuple[bytes, ...]:
         return ()
     if size == 1:
         return (b"()",)
-    return tuple(sorted(
-        b"(" + a + b[1:]
-        for k in range(1, size)
-        for a in _rooted_codes(k, height - 1)
-        for b in _rooted_codes(size - k, height)
-        if a <= b[1:]
-    ))
+    if (size, height) not in memo:
+        memo[size, height] = tuple(sorted(
+            b"(" + a + b[1:]
+            for k in range(1, size)
+            for a in _rooted_codes(k, height - 1, memo)
+            for b in _rooted_codes(size - k, height, memo)
+            if a <= b[1:]
+        ))
+    return memo[size, height]
 
 
 def _center_codes(n: int, d: int) -> list[bytes]:
@@ -435,14 +436,19 @@ def _center_codes(n: int, d: int) -> list[bytes]:
     (height r).  A tallest child comes first, so a code of height h opens with h+1 brackets
     and sorts below every lower code: a <= b[cut:] pins a to its height.
     """
+    if n < 2:
+        raise ValueError(f"need n >= 2, got {n}")
+    if not 1 <= d <= n - 1:
+        raise ValueError(f"need 1 <= d <= n-1, got d={d}, n={n}")
+    memo: dict[tuple[int, int], tuple[bytes, ...]] = {}
     r, odd = divmod(d, 2)
     head, cut = (b"2", 0) if odd else (b"1(", 1)
     codes = sorted(
         head + a + b[cut:]
         for k in range(r + odd, n - r)  # a tree of height h has h+1 vertices or more
-        for b in _rooted_codes(n - k, r)
+        for b in _rooted_codes(n - k, r, memo)
         if b.startswith(b"(" * (r + 1))
-        for a in _rooted_codes(k, r - 1 + odd)
+        for a in _rooted_codes(k, r - 1 + odd, memo)
         if a <= b[cut:]
     )
     if len(set(codes)) != len(codes):
@@ -469,10 +475,6 @@ def enumerate_trees(n: int, d: int) -> Iterator[Tree]:
     Generated from the center(s) outward, in ascending canonical code
     order; empty when no tree of that order and diameter exists.
     """
-    if n < 2:
-        raise ValueError(f"need n >= 2, got {n}")
-    if not 1 <= d <= n - 1:
-        raise ValueError(f"need 1 <= d <= n-1, got d={d}, n={n}")
     for code in _center_codes(n, d):
         yield _code_tree(n, code)
 

@@ -1,8 +1,9 @@
 """Brute-force certification of the classification and its supporting claims.
 
 Everything the classifier claims is checkable at desk scale by exhaustion:
-enumerate every unlabeled tree of a given order and diameter, compute
-lambda_2 from the boundary operator, and compare winner sets; sweep the
+enumerate every unlabeled tree of a given order and diameter as its
+canonical code, compute lambda_2 in batches from the leaf distance form
+P(-D/2)P straight from those codes, and compare winner sets; sweep the
 balanced family for unimodality; check the double-spider domination
 inequality tree by tree; and cross-check the independent lambda_2
 routes against each other.  Reports never hide a failure: verdicts are
@@ -15,7 +16,6 @@ from __future__ import annotations
 import math
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -27,12 +27,13 @@ from .classify import (
     _sigma_table,
     classify,
 )
-from .flux import lambda2_via_distance
+from .flux import _lambda2_batch, lambda2_via_distance
 from .reduce import dominating_double_spider
 from .roots import double_spider_rho, spider_lambda2
 from .spectral import lambda2_numeric
 from .trees import (
     Tree,
+    _center_codes,
     canonical_code,
     enumerate_trees,
     recognize_double_spider,
@@ -98,9 +99,8 @@ class CrossMethodReport:
 # ------------------------- sharded evaluation --------------------------
 
 
-def _evaluate_shard(payload: tuple[int, tuple[tuple[tuple[int, int], ...], ...]]) -> list[tuple[bytes, float]]:
-    n, edge_lists = payload
-    return [(canonical_code(t), lambda2_numeric(t)) for t in (Tree(n, e) for e in edge_lists)]
+def _evaluate_shard(codes: list[bytes]) -> list[tuple[bytes, float]]:
+    return list(zip(codes, _lambda2_batch(codes).tolist()))
 
 
 def _resolve_jobs(jobs: int | None) -> int:
@@ -117,18 +117,22 @@ def _resolve_jobs(jobs: int | None) -> int:
 def _evaluate_all(n: int, d: int, jobs: int | None) -> list[tuple[bytes, float]]:
     """(canonical code, lambda_2) for every tree of order n, diameter d.
 
-    Work may be sharded over processes; the merge sorts by canonical
-    code, so the result is byte-identical for any job count.
+    The generator's codes are evaluated as they are, in batches; no tree
+    is built.  Work may be sharded over processes; the merge sorts by
+    canonical code, so the result is byte-identical for any job count.
     """
-    edge_lists = tuple(t.edges for t in enumerate_trees(n, d))
+    codes = _center_codes(n, d)
     jobs = _resolve_jobs(jobs)
-    if jobs == 1 or len(edge_lists) < _MIN_SHARD_SIZE:
-        rows = _evaluate_shard((n, edge_lists))
+    if jobs == 1 or len(codes) < _MIN_SHARD_SIZE:
+        rows = _evaluate_shard(codes)
     else:
-        size = math.ceil(len(edge_lists) / (jobs * 4))
-        payloads = [(n, edge_lists[i : i + size]) for i in range(0, len(edge_lists), size)]
+        # Imported here: the pool machinery costs every other command start-up time and memory.
+        from concurrent.futures import ProcessPoolExecutor
+
+        size = math.ceil(len(codes) / (jobs * 4))
+        chunks = [codes[i : i + size] for i in range(0, len(codes), size)]
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            rows = [row for part in pool.map(_evaluate_shard, payloads) for row in part]
+            rows = [row for part in pool.map(_evaluate_shard, chunks) for row in part]
     rows.sort(key=lambda row: row[0])
     return rows
 

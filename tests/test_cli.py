@@ -112,6 +112,43 @@ def test_verify_text_golden(capsys):
     assert out == "n=6 D=5 trees=1 winners=path:5 lambda2=0.4 verdict=match\n"
 
 
+def test_verify_frozen_certification_goldens(capsys):
+    code, out, _ = _capture(capsys, ["verify", "14", "7", "--format", "json"])
+    assert code == 0
+    assert out == (
+        "[\n"
+        "  {\n"
+        '    "n": 14,\n'
+        '    "D": 7,\n'
+        '    "trees": 850,\n'
+        '    "winners": [\n'
+        '      "spider:4,3,2,2,2"\n'
+        "    ],\n"
+        '    "argmax_codes": [\n'
+        '      "2(((()))(())(())(()))(((())))"\n'
+        "    ],\n"
+        '    "classifier_codes": [\n'
+        '      "2(((()))(())(())(()))(((())))"\n'
+        "    ],\n"
+        '    "lambda2": "0.271010205144",\n'
+        '    "verdict": "match"\n'
+        "  }\n"
+        "]\n"
+    )
+    code, out, _ = _capture(capsys, ["verify", "13", "5", "--all-orders"])
+    assert code == 0
+    assert out == (
+        "n=6 D=5 trees=1 winners=path:5 lambda2=0.4 verdict=match\n"
+        "n=7 D=5 trees=2 winners=spider:3,2,1 lambda2=0.38799538113 verdict=match\n"
+        "n=8 D=5 trees=7 winners=spider:3,2,1,1 lambda2=0.378732187482 verdict=match\n"
+        "n=9 D=5 trees=14 winners=spider:3,2,1,1,1 lambda2=0.371761315531 verdict=match\n"
+        "n=10 D=5 trees=32 winners=spider:3,2,1,1,1,1 lambda2=0.366473057818 verdict=match\n"
+        "n=11 D=5 trees=58 winners=spider:3,2,1,1,1,1,1 lambda2=0.362382148847 verdict=match\n"
+        "n=12 D=5 trees=110 winners=spider:3,2,1,1,1,1,1,1 lambda2=0.359148360545 verdict=match\n"
+        "n=13 D=5 trees=187 winners=spider:3,2,1,1,1,1,1,1,1 lambda2=0.356539559849 verdict=match\n"
+    )
+
+
 def test_verify_classifies_once_per_order(capsys, monkeypatch):
     calls = []
     real = verify_module.classify
@@ -300,6 +337,18 @@ def test_verify_jobs_do_not_change_bytes(capsys, monkeypatch):
     monkeypatch.setenv("STEKLOV_JOBS", "3")
     _, via_env, _ = _capture(capsys, ["verify", "12", "5"])
     assert via_env == serial
+
+
+def test_cli_import_leaves_the_process_pool_unloaded():
+    # Only `verify --jobs N` with N > 1 needs it; every other start-up would pay for it.
+    src = str(Path(steklov_trees.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, steklov_trees.cli; print('concurrent.futures.process' in sys.modules)"],
+        capture_output=True,
+        env={**os.environ, "PYTHONPATH": src},
+        check=True,
+    )
+    assert proc.stdout == b"False\n"
 
 
 @pytest.mark.parametrize(

@@ -23,6 +23,10 @@ from steklov_trees import (
     q_form,
 )
 
+from steklov_trees.flux import _lambda2_batch
+from steklov_trees.trees import _center_codes, _code_tree
+import steklov_trees.flux as flux_module
+
 from oracles import prufer_to_edges, spider_lambda2_exact
 
 RTOL = 1e-10
@@ -214,3 +218,31 @@ def test_lambda2_routes_agree(data):
     a = lambda2_numeric(t)
     b = lambda2_via_distance(t)
     assert abs(a - b) <= RTOL * max(1.0, abs(a))
+
+
+# ----------------------------- batched kernel -----------------------------
+
+
+def test_batched_kernel_matches_dtn_oracle_and_single_tree():
+    # Every tree of order 2..12: paths (two leaves), stars (n-1 leaves), d = 1 and 2.
+    for n in range(2, 13):
+        for d in range(1, n):
+            codes = _center_codes(n, d)
+            for code, lam in zip(codes, _lambda2_batch(codes).tolist()):
+                t = _code_tree(n, code)
+                ref = np.linalg.eigvalsh(dtn_matrix(t))[1]
+                assert abs(lam - ref) <= 1e-12 * ref, (n, d, code)
+                assert lam == lambda2_via_distance(t), (n, d, code)
+                if d == n - 1:
+                    assert abs(lam - 2.0 / d) <= 1e-12 * lam
+                elif d == 2:
+                    assert abs(lam - 1.0) <= 1e-12
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 551])
+def test_batched_kernel_is_chunk_independent(monkeypatch, chunk):
+    # All 551 trees of order 12, every diameter and leaf count in one batch.
+    codes = [code for d in range(1, 12) for code in _center_codes(12, d)]
+    whole = _lambda2_batch(codes)
+    monkeypatch.setattr(flux_module, "_CHUNK", chunk)
+    assert _lambda2_batch(codes).tobytes() == whole.tobytes()
