@@ -17,7 +17,6 @@ import json
 import sys
 
 from .classify import candidate_profiles, classify
-from .flux import lambda2_via_distance
 from .reduce import greedy_ascent_trace
 from .spectral import lambda2_numeric, steklov_spectrum
 from .trees import (
@@ -97,10 +96,10 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
 
 def _cmd_lambda2(args: argparse.Namespace) -> int:
     tree = _load_tree(args)
-    if args.method == "matrix":
+    if args.method == "distance":
         lam = lambda2_numeric(tree)
-    elif args.method == "distance":
-        lam = lambda2_via_distance(tree)
+    elif args.method == "matrix":
+        lam = steklov_spectrum(tree).eigenvalues[1]
     else:
         route = next(_root_routes(tree), None)
         if route is None:
@@ -354,7 +353,12 @@ def _build_parser() -> _Parser:
 
     sub = subs.add_parser("lambda2", help="first nonzero Steklov eigenvalue")
     _add_tree_arguments(sub)
-    sub.add_argument("--method", choices=["matrix", "distance", "root"], default="matrix")
+    sub.add_argument(
+        "--method",
+        choices=["matrix", "distance", "root"],
+        default="distance",
+        help="distance: leaf distance form; matrix: DtN Schur complement, as in spectrum; root: root equation",
+    )
     _add_format_argument(sub)
     sub.set_defaults(handler=_cmd_lambda2)
 

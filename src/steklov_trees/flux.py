@@ -5,9 +5,9 @@ mean zero makes the corresponding vertex potential exist.  Its Dirichlet
 energy Q(z) admits two combinatorial descriptions: the sum of squared
 per-edge cut sums, and -z^T D z / 2 with D the leaf distance matrix.
 The largest eigenvalue of that form on mean-zero vectors is the
-reciprocal of the first nonzero Steklov eigenvalue, which gives a route
-to lambda_2 that never touches the Laplacian Schur complement; the
-certification harness runs it batched over canonical codes.
+reciprocal of the first nonzero Steklov eigenvalue: spectral.lambda2_numeric
+evaluates it for one tree, and _lambda2_batch for many canonical codes at
+once, as the certification harness does.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import laplacian_matrix
+from .spectral import _distance_lambda2, laplacian_matrix
 from .trees import Tree, leaf_set
 
 # A flux is accepted as mean-zero when |sum z| <= this times max|z|.
@@ -101,18 +101,7 @@ def cut_sums(t: Tree, z: BoundaryFlux, root: int = 0) -> CutDecomposition:
     boundary, arr = _leaf_flux_or_raise(t, z)
     flux_at = dict(zip(boundary, arr))
 
-    parent = [-1] * t.n
-    parent[root] = root
-    order = [root]
-    stack = [root]
-    while stack:
-        x = stack.pop()
-        for y in t.adjacency[x]:
-            if parent[y] < 0:
-                parent[y] = x
-                order.append(y)
-                stack.append(y)
-
+    order, parent, _ = t._preorder(root)
     acc = [0.0] * t.n
     for v in reversed(order):
         if t.degrees[v] == 1 and v != root:
@@ -134,40 +123,6 @@ def q_form(t: Tree, z: BoundaryFlux) -> float:
     """
     potential = flux_potential(t, z)
     return float(sum((potential[u] - potential[v]) ** 2 for u, v in t.edges))
-
-
-def leaf_distance_matrix(t: Tree) -> np.ndarray:
-    """Pairwise graph distances between leaves, in leaf_set order."""
-    boundary = leaf_set(t)
-    m = len(boundary)
-    dmat = np.zeros((m, m), dtype=int)
-    for i, leaf in enumerate(boundary):
-        dist = t.bfs_distances(leaf)
-        for j, other in enumerate(boundary):
-            dmat[i, j] = dist[other]
-    return dmat
-
-
-def lambda2_via_distance(t: Tree) -> float:
-    """First nonzero Steklov eigenvalue from the leaf distance matrix.
-
-    The nonzero Steklov eigenvalues are the reciprocals of the nonzero
-    eigenvalues of P(-D/2)P, with P the centering projection on the
-    leaves; the largest of those reciprocal pairs with lambda_2.
-    """
-    return float(_distance_lambda2(leaf_distance_matrix(t).astype(float)))
-
-
-def _distance_lambda2(dmat: np.ndarray) -> np.ndarray:
-    """lambda_2 = 1 / top eigenvalue of P(-D/2)P for each stacked m x m distance matrix."""
-    m = dmat.shape[-1]
-    pmat = np.eye(m) - np.full((m, m), 1.0 / m)
-    gram = -0.5 * (pmat @ dmat @ pmat)
-    gram = (gram + np.swapaxes(gram, -1, -2)) / 2.0
-    top = np.linalg.eigvalsh(gram)[..., -1]
-    if np.any(top <= 0.0):
-        raise RuntimeError(f"centered distance form has no positive eigenvalue (top={np.min(top)})")
-    return 1.0 / top
 
 
 # Trees per stacked distance array; bounds the kernel's memory at O(_CHUNK n^2) bytes.

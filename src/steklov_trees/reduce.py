@@ -40,23 +40,7 @@ def _side_arm_lengths(t: Tree, root: int, banned: int) -> tuple[int, ...]:
     number of edges charged to it.  Every charged leaf lies on the path
     from the root through its edges, so arms never exceed the depth.
     """
-    parent = {root: root}
-    order = [root]
-    stack = [root]
-    while stack:
-        x = stack.pop()
-        for y in t.adjacency[x]:
-            if x == root and y == banned:
-                continue
-            if y not in parent:
-                parent[y] = x
-                order.append(y)
-                stack.append(y)
-
-    depth = {root: 0}
-    for v in order[1:]:
-        depth[v] = depth[parent[v]] + 1
-
+    order, parent, depth = t._preorder(root, banned)
     # best[v] = (-depth, id) of the deepest leaf in the subtree of v.
     best: dict[int, tuple[int, int]] = {}
     arms: dict[int, int] = {}

@@ -1,13 +1,18 @@
-"""Steklov spectrum of a tree via the Schur complement of its Laplacian.
+"""Steklov spectrum of a tree with leaf boundary, and its first nonzero eigenvalue.
 
 The boundary is the leaf set.  The Dirichlet-to-Neumann matrix is the
 Schur complement of the graph Laplacian onto the leaf block; its
 eigenvalues, sorted ascending, form the Steklov spectrum
 0 = lambda_1 <= lambda_2 <= ... <= lambda_m with m the number of leaves.
+steklov_spectrum solves that matrix with LAPACK (numpy.linalg.eigvalsh).
 
-The eigenvalues come from LAPACK's symmetric solver (numpy.linalg.eigvalsh).
-The test suite keeps an independent cyclic Jacobi solver and an explicit
-harmonic extension as oracles for this route (tests/oracles.py).
+lambda2_numeric, the production lambda_2, never builds the n x n
+Laplacian: the nonzero Steklov eigenvalues are the reciprocals of the
+nonzero eigenvalues of P(-D/2)P, with D the leaf distance matrix (built
+in one traversal) and P the centering projection, so it needs O(n + m^2)
+memory.  The test suite keeps an independent cyclic Jacobi solver and an
+explicit harmonic extension as oracles for the Schur route
+(tests/oracles.py).
 """
 
 from __future__ import annotations
@@ -75,6 +80,41 @@ def steklov_spectrum(t: Tree) -> Spectrum:
     return Spectrum(tuple(out))
 
 
+def leaf_distance_matrix(t: Tree) -> np.ndarray:
+    """Pairwise graph distances between leaves, in leaf_set order.
+
+    One depth-first pass from vertex 0 gives the preorder and the depths.
+    The shallowest vertex after a leaf, up to and including the next leaf
+    in preorder, is a child of their lowest common ancestor; the ancestor
+    of leaves i < j is the shallowest over the consecutive pairs between.
+    """
+    order, _, depth = t._preorder(0)
+    pre = np.array(order)
+    pre_depth = np.array(depth)[pre]
+    at = np.flatnonzero(np.array(t.degrees)[pre] == 1)  # the last vertex in preorder is a leaf
+    gap = np.minimum.reduceat(pre_depth, at[:-1] + 1) - 1  # LCA depth of consecutive leaves
+    k = np.arange(len(gap))
+    lca = np.minimum.accumulate(np.where(k[:, None] <= k, gap, t.n), axis=1)  # [i, j]: leaves i, j + 1
+    dep = pre_depth[at]
+    dmat = np.zeros((len(at), len(at)), dtype=int)
+    dmat[:-1, 1:] = np.triu(dep[:-1, None] + dep[1:] - 2 * lca)
+    dmat += dmat.T
+    rank = np.argsort(pre[at])
+    return dmat[np.ix_(rank, rank)]
+
+
+def _distance_lambda2(dmat: np.ndarray) -> np.ndarray:
+    """lambda_2 = 1 / top eigenvalue of P(-D/2)P for each stacked m x m distance matrix."""
+    m = dmat.shape[-1]
+    pmat = np.eye(m) - np.full((m, m), 1.0 / m)
+    gram = -0.5 * (pmat @ dmat @ pmat)
+    gram = (gram + np.swapaxes(gram, -1, -2)) / 2.0
+    top = np.linalg.eigvalsh(gram)[..., -1]
+    if np.any(top <= 0.0):
+        raise RuntimeError(f"centered distance form has no positive eigenvalue (top={np.min(top)})")
+    return 1.0 / top
+
+
 def lambda2_numeric(t: Tree) -> float:
-    """First nonzero Steklov eigenvalue (second-smallest overall)."""
-    return steklov_spectrum(t).eigenvalues[1]
+    """First nonzero Steklov eigenvalue, from the leaf distance form."""
+    return float(_distance_lambda2(leaf_distance_matrix(t).astype(float)))

@@ -56,7 +56,7 @@ class Tree:
         if len(set(normalized)) != len(normalized):
             raise ValueError("repeated edge")
         object.__setattr__(self, "edges", tuple(normalized))
-        if len(self._bfs_order(0)) != self.n:
+        if len(self._preorder(0)[0]) != self.n:
             raise ValueError("edge list is not connected")
 
     @cached_property
@@ -72,19 +72,24 @@ class Tree:
     def degrees(self) -> tuple[int, ...]:
         return tuple(len(a) for a in self.adjacency)
 
-    def _bfs_order(self, start: int) -> list[int]:
-        seen = [False] * self.n
-        seen[start] = True
-        order = [start]
-        queue = deque([start])
-        while queue:
-            x = queue.popleft()
+    def _preorder(self, root: int, banned: int = -1) -> tuple[list[int], list[int], list[int]]:
+        """Depth-first preorder from root, with every vertex's parent and depth.
+
+        The walk never enters `banned`, so with a neighbor of the root it
+        covers the root's side of their edge; vertices off the walk keep
+        parent and depth -1.  The root is its own parent.
+        """
+        parent, depth = [-1] * self.n, [-1] * self.n
+        parent[root], depth[root] = root, 0
+        order, stack = [], [root]
+        while stack:
+            x = stack.pop()
+            order.append(x)
             for y in self.adjacency[x]:
-                if not seen[y]:
-                    seen[y] = True
-                    order.append(y)
-                    queue.append(y)
-        return order
+                if depth[y] < 0 and y != banned:
+                    parent[y], depth[y] = x, depth[x] + 1
+                    stack.append(y)
+        return order, parent, depth
 
     def bfs_distances(self, start: int) -> list[int]:
         """Graph distances from start to every vertex."""

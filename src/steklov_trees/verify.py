@@ -27,10 +27,10 @@ from .classify import (
     _sigma_table,
     classify,
 )
-from .flux import _lambda2_batch, lambda2_via_distance
+from .flux import _lambda2_batch
 from .reduce import dominating_double_spider
 from .roots import double_spider_rho, spider_lambda2
-from .spectral import lambda2_numeric
+from .spectral import lambda2_numeric, steklov_spectrum
 from .trees import (
     Tree,
     _center_codes,
@@ -268,13 +268,14 @@ def _root_routes(t: Tree) -> Iterator[tuple[str, float]]:
 def verify_cross_methods(t: Tree) -> CrossMethodReport:
     """Compute lambda_2 by every route the tree's shape supports.
 
-    The boundary-operator and distance-matrix routes always apply; the
-    spider and double-spider root equations join in when the shape
-    matches.  Passes iff all pairs agree within 1e-10 relative.
+    The boundary-operator (Schur complement) and leaf distance routes
+    always apply; the spider and double-spider root equations join in
+    when the shape matches.  Passes iff all pairs agree within 1e-10
+    relative.
     """
     values = [
-        ("matrix", lambda2_numeric(t)),
-        ("distance", lambda2_via_distance(t)),
+        ("matrix", steklov_spectrum(t).eigenvalues[1]),
+        ("distance", lambda2_numeric(t)),
         *_root_routes(t),
     ]
 

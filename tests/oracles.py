@@ -5,7 +5,9 @@ than the code under test: exact rational bisection of cleared
 denominators instead of float bisection, Prufer sequences, the networkx
 tree generator and a count recurrence instead of the center-rooted
 tree generator, cyclic Jacobi rotations instead of
-LAPACK, an explicit harmonic extension instead of the Schur complement.
+LAPACK, an explicit harmonic extension instead of the Schur complement,
+one breadth-first search per leaf instead of the one-traversal leaf
+distance matrix.
 Keep this module free of imports from the package except where a test
 explicitly certifies one route against the other.
 """
@@ -13,6 +15,7 @@ explicitly certifies one route against the other.
 from __future__ import annotations
 
 import heapq
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -266,6 +269,31 @@ def tree_count_by_diameter(n: int, d: int) -> int:
     short = _multiset_counts(lower, n - 1)
     one_tall = sum(exact[k] * short[n - 1 - k] for k in range(1, n))
     return _multiset_counts(upper, n - 1)[n - 1] - short[n - 1] - one_tall
+
+
+# ---------------------------- leaf distances ------------------------------
+
+
+def leaf_distances_by_bfs(t: Tree) -> np.ndarray:
+    """Leaf distance matrix in leaf_set order, one breadth-first search per leaf."""
+    nbrs: list[list[int]] = [[] for _ in range(t.n)]
+    for u, v in t.edges:
+        nbrs[u].append(v)
+        nbrs[v].append(u)
+    leaves = [v for v in range(t.n) if len(nbrs[v]) == 1]
+    rows = []
+    for leaf in leaves:
+        dist = [-1] * t.n
+        dist[leaf] = 0
+        queue = deque([leaf])
+        while queue:
+            x = queue.popleft()
+            for y in nbrs[x]:
+                if dist[y] < 0:
+                    dist[y] = dist[x] + 1
+                    queue.append(y)
+        rows.append([dist[v] for v in leaves])
+    return np.array(rows, dtype=int)
 
 
 # ------------------------- Jacobi eigensolver -----------------------------

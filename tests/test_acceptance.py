@@ -27,7 +27,6 @@ from steklov_trees import (
     dtn_matrix,
     enumerate_trees,
     lambda2_numeric,
-    lambda2_via_distance,
     leaf_distance_matrix,
     leaf_set,
     make_path,
@@ -98,7 +97,8 @@ def test_criterion_1_path_sharpness():
     for d in range(2, 16):
         t = make_path(d)
         expect = 2.0 / d
-        routes = [lambda2_numeric(t), lambda2_via_distance(t)]
+        # Three independent routes: Schur complement, leaf distance form, root equation.
+        routes = [steklov_spectrum(t).eigenvalues[1], lambda2_numeric(t)]
         if d % 2 == 1:
             profile = recognize_double_spider(t)
             routes.append(1.0 / double_spider_rho(profile).value)

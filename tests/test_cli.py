@@ -31,6 +31,30 @@ def test_lambda2_path_golden(capsys):
     assert out == "0.4\n"
 
 
+@pytest.mark.parametrize(
+    "tree, value",
+    [("path:3003", "0.000666000666001"), ("path:3019", "0.000662471016893")],
+)
+def test_lambda2_long_path_goldens(capsys, tree, value):
+    # 2/L to the last printed digit; the Schur complement's dense solve misses it.
+    code, out, _ = _capture(capsys, ["lambda2", tree])
+    assert code == 0
+    assert out == value + "\n"
+
+
+def test_lambda2_default_method_is_distance_and_matrix_is_the_spectrum(capsys):
+    code, out, _ = _capture(capsys, ["lambda2", "path:5", "--format", "csv"])
+    assert code == 0
+    assert out == "method,lambda2\ndistance,0.4\n"
+    # Exactly 0.04870631197095005...: the two routes round to different last digits.
+    tree = "spider:21,20,6,5,4,3"
+    _, distance, _ = _capture(capsys, ["lambda2", tree])
+    _, spectrum, _ = _capture(capsys, ["spectrum", tree])
+    _, matrix, _ = _capture(capsys, ["lambda2", tree, "--method", "matrix"])
+    assert distance == "0.048706311971\n"
+    assert matrix == spectrum.splitlines(keepends=True)[1] != distance
+
+
 @pytest.mark.parametrize("method", ["matrix", "distance", "root"])
 def test_lambda2_methods_agree_on_spider(capsys, method):
     code, out, _ = _capture(capsys, ["lambda2", "spider:3,2,1", "--method", method])

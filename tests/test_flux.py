@@ -14,7 +14,6 @@ from steklov_trees import (
     dtn_matrix,
     flux_potential,
     lambda2_numeric,
-    lambda2_via_distance,
     leaf_distance_matrix,
     leaf_set,
     make_double_spider,
@@ -203,20 +202,21 @@ def test_inverse_pair_identity(data, raw):
 
 
 def test_lambda2_via_distance_examples():
-    assert abs(lambda2_via_distance(make_path(3)) - 2.0 / 3.0) <= 1e-12
-    assert abs(lambda2_via_distance(make_spider(SpiderProfile((2, 1, 1)))) - 0.6) <= 1e-11
+    assert abs(lambda2_numeric(make_path(3)) - 2.0 / 3.0) <= 1e-12
+    assert abs(lambda2_numeric(make_spider(SpiderProfile((2, 1, 1)))) - 0.6) <= 1e-11
     lo, hi = spider_lambda2_exact((3, 2, 1))
-    got = lambda2_via_distance(make_spider(SpiderProfile((3, 2, 1))))
+    got = lambda2_numeric(make_spider(SpiderProfile((3, 2, 1))))
     assert float(lo) - 1e-11 <= got <= float(hi) + 1e-11
 
 
 @settings(max_examples=100, deadline=None)
 @given(data=trees_st)
 def test_lambda2_routes_agree(data):
+    # The Schur complement of the Laplacian against the leaf distance form.
     n, seq = data
     t = _random_tree(seq, n)
-    a = lambda2_numeric(t)
-    b = lambda2_via_distance(t)
+    a = np.linalg.eigvalsh(dtn_matrix(t))[1]
+    b = lambda2_numeric(t)
     assert abs(a - b) <= RTOL * max(1.0, abs(a))
 
 
@@ -232,7 +232,7 @@ def test_batched_kernel_matches_dtn_oracle_and_single_tree():
                 t = _code_tree(n, code)
                 ref = np.linalg.eigvalsh(dtn_matrix(t))[1]
                 assert abs(lam - ref) <= 1e-12 * ref, (n, d, code)
-                assert lam == lambda2_via_distance(t), (n, d, code)
+                assert lam == lambda2_numeric(t) == _lambda2_batch([code])[0], (n, d, code)
                 if d == n - 1:
                     assert abs(lam - 2.0 / d) <= 1e-12 * lam
                 elif d == 2:

@@ -1,6 +1,8 @@
-"""Laplacian, DtN matrix, the Jacobi and harmonic-extension oracles, and full Steklov spectra."""
+"""Laplacian, DtN matrix, leaf distances, the oracles of each, Steklov spectra and lambda_2."""
 
 import math
+import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,8 +15,11 @@ from steklov_trees import (
     Tree,
     diameter,
     dtn_matrix,
+    enumerate_trees,
+    greedy_ascent_trace,
     lambda2_numeric,
     laplacian_matrix,
+    leaf_distance_matrix,
     leaf_set,
     make_double_spider,
     make_path,
@@ -26,6 +31,7 @@ from oracles import (
     BoundaryValues,
     harmonic_extension,
     jacobi_eigenvalues,
+    leaf_distances_by_bfs,
     prufer_to_edges,
     spider_lambda2_exact,
 )
@@ -182,6 +188,77 @@ def test_jacobi_handles_near_diagonal():
     a[0, 1] = a[1, 0] = 1e-200
     got = jacobi_eigenvalues(a)
     assert np.allclose(got, [1.0, 2.0, 3.0], atol=1e-12)
+
+
+# ---------------------------- leaf distances -----------------------------
+
+
+def _relabeled(t, perm):
+    return Tree(t.n, tuple((perm[u], perm[v]) for u, v in t.edges))
+
+
+def test_leaf_distances_match_bfs_oracle_on_catalog():
+    # Every tree of order 2..12, as generated (vertex 0 a center) and with
+    # its labels reversed (vertex 0, the traversal root, then a leaf).
+    for n in range(2, 13):
+        for d in range(1, n):
+            for t in enumerate_trees(n, d):
+                for u in (t, _relabeled(t, range(n - 1, -1, -1))):
+                    got = leaf_distance_matrix(u)
+                    assert got.dtype == int
+                    assert np.array_equal(got, leaf_distances_by_bfs(u)), (n, d, u.edges)
+
+
+@pytest.mark.parametrize("length", [1, 2, 3, 10, 1000, 3003, 3019])
+def test_leaf_distances_on_paths(length):
+    t = make_path(length)
+    assert leaf_distance_matrix(t).tolist() == leaf_distances_by_bfs(t).tolist() == [[0, length], [length, 0]]
+
+
+@pytest.mark.parametrize("arms", [2, 3, 50])
+def test_leaf_distances_on_stars(arms):
+    star = make_spider(SpiderProfile((1,) * arms))
+    want = 2 * (np.ones((arms, arms), dtype=int) - np.eye(arms, dtype=int))
+    assert np.array_equal(leaf_distance_matrix(star), want)
+    leaf_root = _relabeled(star, [arms] + list(range(arms)))  # the center becomes vertex arms
+    assert np.array_equal(leaf_distance_matrix(leaf_root), want)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=trees_st)
+def test_leaf_distances_match_bfs_oracle_random(data):
+    n, seq = data
+    t = _random_tree(seq, n)
+    assert np.array_equal(leaf_distance_matrix(t), leaf_distances_by_bfs(t))
+
+
+def _transient_mb(fn):
+    """Peak traced allocation of fn() beyond what its result keeps alive, in MB."""
+    tracemalloc.start()
+    try:
+        kept = fn()
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    del kept
+    return (peak - current) / 2**20
+
+
+def test_lambda2_and_reduce_allocate_no_n_by_n_array():
+    # The traced peak sees numpy buffers: the Laplacian of a 1001-vertex path is 8 MB.
+    assert _transient_mb(lambda: laplacian_matrix(make_path(1000)).sum()) >= 7.6
+    # The Schur complement needs a 3001 x 3001 Laplacian (72 MB) here.
+    assert _transient_mb(lambda: lambda2_numeric(make_path(3000))) < 2.0
+    # Order 400 with 40 leaves: the Schur route allocates about 2.5 MB a step.
+    rng = random.Random(400)
+    while True:
+        internal = rng.sample(range(400), 360)
+        seq = internal + [rng.choice(internal) for _ in range(38)]
+        rng.shuffle(seq)
+        t = Tree(400, tuple(prufer_to_edges(seq, 400)))
+        if diameter(t) % 2 == 1:
+            break
+    assert _transient_mb(lambda: [(s, lambda2_numeric(s)) for _, s in greedy_ascent_trace(t)]) < 1.0
 
 
 # ------------------------------- spectra ---------------------------------

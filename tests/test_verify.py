@@ -11,15 +11,18 @@ from steklov_trees import (
     brute_force_extremizers,
     canonical_code,
     enumerate_trees,
+    lambda2_numeric,
     make_double_spider,
     make_path,
     make_spider,
     recognize_spider,
+    steklov_spectrum,
     verify_classification,
     verify_cross_methods,
     verify_domination,
     verify_unimodality,
 )
+import steklov_trees.verify as verify_module
 
 
 def _spider_code(*lengths):
@@ -195,3 +198,17 @@ def test_cross_methods_pass_on_catalog():
             for t in enumerate_trees(n, d):
                 report = verify_cross_methods(t)
                 assert report.passed, (n, report.detail)
+
+
+def test_cross_methods_take_the_schur_value_from_the_spectrum(monkeypatch):
+    # The "matrix" entry must not come from lambda2_numeric, or the check
+    # would compare the distance route with itself.
+    t = make_spider(SpiderProfile((5, 4, 3, 2)))
+    values = dict(verify_cross_methods(t).values)
+    assert values["matrix"] == steklov_spectrum(t).eigenvalues[1]
+    assert values["distance"] == lambda2_numeric(t)
+    monkeypatch.setattr(verify_module, "lambda2_numeric", lambda tree: 2.0 * lambda2_numeric(tree))
+    report = verify_cross_methods(t)
+    assert not report.passed
+    assert dict(report.values)["matrix"] == values["matrix"]
+    assert "matrix=" in report.detail and "distance=" in report.detail
