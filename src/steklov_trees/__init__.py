@@ -51,19 +51,16 @@ from .roots import (
     ThresholdData,
     double_spider_maximizer,
     double_spider_rho,
-    q_range_continuous,
     q_range_integer,
     sigma_rM,
     spider_lambda2,
     threshold_data,
 )
 from .classify import (
-    CandidateComparison,
     CandidatePair,
     ClassificationResult,
     candidate_profiles,
     classify,
-    compare_candidates,
 )
 from .reduce import (
     arm_transfer,
@@ -78,7 +75,6 @@ from .verify import (
     DominationReport,
     UnimodalityReport,
     VerificationReport,
-    brute_force_extremizers,
     verify_classification,
     verify_cross_methods,
     verify_domination,
@@ -88,7 +84,6 @@ from .verify import (
 __all__ = [
     "ASParams",
     "BoundaryFlux",
-    "CandidateComparison",
     "CandidatePair",
     "ClassificationResult",
     "CrossMethodReport",
@@ -105,11 +100,9 @@ __all__ = [
     "arm_transfer",
     "balance_main_step",
     "balance_side_step",
-    "brute_force_extremizers",
     "candidate_profiles",
     "canonical_code",
     "classify",
-    "compare_candidates",
     "count_trees",
     "cut_sums",
     "diameter",
@@ -133,7 +126,6 @@ __all__ = [
     "parse_tree",
     "parse_tree_text",
     "q_form",
-    "q_range_continuous",
     "q_range_integer",
     "recognize_double_spider",
     "recognize_spider",

@@ -60,20 +60,6 @@ class ClassificationResult:
     tie_flag: bool
 
 
-@dataclass(frozen=True)
-class CandidateComparison:
-    """Value table of the balanced family over every feasible q."""
-
-    r: int
-    M: int
-    s: int
-    q_minus: int
-    q_plus: int
-    rows: tuple[tuple[int, float], ...]
-    argmax_q: tuple[int, ...]
-    tie_flag: bool
-
-
 def _check_odd_case(n: int, D: int) -> None:
     if D % 2 == 0:
         raise ValueError(
@@ -197,32 +183,3 @@ def classify(n: int, D: int) -> ClassificationResult:
     else:
         winners = (candidates[1],)
     return ClassificationResult(case_tag=tag, candidates=candidates, winners=winners, tie_flag=tied)
-
-
-def compare_candidates(r: int, M: int) -> CandidateComparison:
-    """Value of the balanced family at every feasible integer q.
-
-    The maximum must land at one of the two branch counts nearest M/s;
-    anything else means the unimodal picture is broken and is raised as
-    an internal error.  Near-ties within 1e-9 relative are flagged.
-    """
-    rows = _sigma_table(r, M)
-    strict_peaks, _ = _near_argmax(rows, _STRICT_RTOL)
-    tie_peaks, _ = _near_argmax(rows, _TIE_RTOL)
-
-    s, q_minus, q_plus = _predicted_counts(r, M)
-    if q_minus not in strict_peaks and q_plus not in strict_peaks:
-        raise RuntimeError(
-            f"maximum of the balanced family at r={r}, M={M} sits at {strict_peaks}, "
-            f"not at the predicted q in {{{q_minus}, {q_plus}}}"
-        )
-    return CandidateComparison(
-        r=r,
-        M=M,
-        s=s,
-        q_minus=q_minus,
-        q_plus=q_plus,
-        rows=rows,
-        argmax_q=tie_peaks,
-        tie_flag=len(tie_peaks) > 1,
-    )

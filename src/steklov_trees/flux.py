@@ -5,9 +5,8 @@ mean zero makes the corresponding vertex potential exist.  Its Dirichlet
 energy Q(z) admits two combinatorial descriptions: the sum of squared
 per-edge cut sums, and -z^T D z / 2 with D the leaf distance matrix.
 The largest eigenvalue of that form on mean-zero vectors is the
-reciprocal of the first nonzero Steklov eigenvalue: spectral.lambda2_numeric
-evaluates it for one tree, and _lambda2_batch for many canonical codes at
-once, as the certification harness does.
+reciprocal of the first nonzero Steklov eigenvalue, which spectral.py
+evaluates; this module holds the flux identities themselves.
 """
 
 from __future__ import annotations
@@ -16,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import _distance_lambda2, laplacian_matrix
+from .spectral import laplacian_matrix
 from .trees import Tree, leaf_set
 
 # A flux is accepted as mean-zero when |sum z| <= this times max|z|.
@@ -123,40 +122,3 @@ def q_form(t: Tree, z: BoundaryFlux) -> float:
     """
     potential = flux_potential(t, z)
     return float(sum((potential[u] - potential[v]) ** 2 for u, v in t.edges))
-
-
-# Trees per stacked distance array; bounds the kernel's memory at O(_CHUNK n^2) bytes.
-_CHUNK = 4096
-
-
-def _lambda2_batch(codes: list[bytes]) -> np.ndarray:
-    """lambda_2 of every tree given by an equal-length canonical code, in input order.
-
-    Vertices are numbered in code (pre)order, as trees._code_tree does: a vertex's
-    parent is the latest earlier vertex one level up, and a second root (two-center
-    code) joins vertex 0.  No u < v lies below v, so Dist[v, u] = Dist[parent(v), u] + 1.
-    A vertex is a leaf iff its bracket closes at once: a center never has one child.
-    """
-    out = np.empty(len(codes))
-    for lo in range(0, len(codes), _CHUNK):
-        batch = codes[lo : lo + _CHUNK]
-        count, n = len(batch), len(batch[0]) // 2  # a code is a shape digit and 2n brackets
-        chars = np.frombuffer(b"".join(batch), np.uint8).reshape(count, -1)[:, 1:]
-        opens = chars == ord("(")
-        level = np.cumsum(np.where(opens, 1, -1), axis=1)[opens].reshape(count, n)
-        leaf = (opens[:, :-1] & ~opens[:, 1:])[opens[:, :-1]].reshape(count, n)
-        rows = np.arange(count)
-        latest = np.zeros((count, n + 1), dtype=np.intp)  # latest vertex per level; zeros hang level-1 roots on vertex 0
-        dist = np.zeros((count, n, n), dtype=np.min_scalar_type(n))
-        for v in range(1, n):
-            parent = latest[rows, level[:, v] - 1]
-            latest[rows, level[:, v]] = v
-            dist[:, v, :v] = dist[rows, parent, :v] + 1
-            dist[:, :v, v] = dist[:, v, :v]
-        sizes = leaf.sum(axis=1)
-        for m in np.unique(sizes):
-            group = np.flatnonzero(sizes == m)
-            leaves = np.nonzero(leaf[group])[1].reshape(-1, m)
-            dmat = dist[group[:, None, None], leaves[:, :, None], leaves[:, None, :]]
-            out[lo + group] = _distance_lambda2(dmat.astype(float))
-    return out

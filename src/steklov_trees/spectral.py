@@ -6,13 +6,15 @@ eigenvalues, sorted ascending, form the Steklov spectrum
 0 = lambda_1 <= lambda_2 <= ... <= lambda_m with m the number of leaves.
 steklov_spectrum solves that matrix with LAPACK (numpy.linalg.eigvalsh).
 
-lambda2_numeric, the production lambda_2, never builds the n x n
-Laplacian: the nonzero Steklov eigenvalues are the reciprocals of the
-nonzero eigenvalues of P(-D/2)P, with D the leaf distance matrix (built
-in one traversal) and P the centering projection, so it needs O(n + m^2)
-memory.  The test suite keeps an independent cyclic Jacobi solver and an
-explicit harmonic extension as oracles for the Schur route
-(tests/oracles.py).
+The production lambda_2 never builds the n x n Laplacian: the nonzero
+Steklov eigenvalues are the reciprocals of the nonzero eigenvalues of
+P(-D/2)P, with D the leaf distance matrix and P the centering
+projection, so it needs O(n + m^2) memory.  It has two entry points,
+lambda2_numeric for one tree and _lambda2_batch for many canonical codes
+of one order at once, as certification runs it; both build D with one
+stacked kernel, _leaf_distances, from preorder depths and leaf masks.
+The test suite keeps an independent cyclic Jacobi solver and an explicit
+harmonic extension as oracles for the Schur route (tests/oracles.py).
 """
 
 from __future__ import annotations
@@ -80,26 +82,41 @@ def steklov_spectrum(t: Tree) -> Spectrum:
     return Spectrum(tuple(out))
 
 
-def leaf_distance_matrix(t: Tree) -> np.ndarray:
-    """Pairwise graph distances between leaves, in leaf_set order.
+def _leaf_distances(depth: np.ndarray, leaf: np.ndarray) -> np.ndarray:
+    """Leaf distances of k rooted trees, (k, m, m) in preorder leaf order.
 
-    One depth-first pass from vertex 0 gives the preorder and the depths.
+    depth and leaf are (k, n): each row lists one tree's vertex depths and
+    leaf mask in a depth-first preorder, has m leaves and ends on a leaf.
     The shallowest vertex after a leaf, up to and including the next leaf
     in preorder, is a child of their lowest common ancestor; the ancestor
     of leaves i < j is the shallowest over the consecutive pairs between.
     """
+    k, n = depth.shape
+    flat = depth.ravel()
+    at = np.flatnonzero(leaf)  # row by row, each row's leaves in preorder
+    m = len(at) // k
+    # A row's last leaf + 1 is the next row's first vertex, so a segment also starts at
+    # every row's first vertex: no gap runs into the next row.  Column 0 is that segment.
+    gap = np.minimum.reduceat(flat, np.concatenate(([0], at[:-1] + 1))).reshape(k, m)[:, 1:] - 1
+    i = np.arange(m - 1)  # lca[r, i, j]: leaves i and j + 1 of row r
+    lca = np.minimum.accumulate(np.where(i[:, None] <= i, gap[:, None, :], n), axis=2)
+    dep = flat[at].reshape(k, m)
+    dist = np.zeros((k, m, m), dtype=depth.dtype)
+    dist[:, :-1, 1:] = np.triu(dep[:, :-1, None] + dep[:, None, 1:] - 2 * lca)
+    return dist + np.swapaxes(dist, 1, 2)
+
+
+def leaf_distance_matrix(t: Tree) -> np.ndarray:
+    """Pairwise graph distances between leaves, in leaf_set order.
+
+    One depth-first pass from vertex 0 gives the preorder and the depths;
+    its last vertex is a leaf.
+    """
     order, _, depth = t._preorder(0)
     pre = np.array(order)
-    pre_depth = np.array(depth)[pre]
-    at = np.flatnonzero(np.array(t.degrees)[pre] == 1)  # the last vertex in preorder is a leaf
-    gap = np.minimum.reduceat(pre_depth, at[:-1] + 1) - 1  # LCA depth of consecutive leaves
-    k = np.arange(len(gap))
-    lca = np.minimum.accumulate(np.where(k[:, None] <= k, gap, t.n), axis=1)  # [i, j]: leaves i, j + 1
-    dep = pre_depth[at]
-    dmat = np.zeros((len(at), len(at)), dtype=int)
-    dmat[:-1, 1:] = np.triu(dep[:-1, None] + dep[1:] - 2 * lca)
-    dmat += dmat.T
-    rank = np.argsort(pre[at])
+    leaf = np.array(t.degrees)[pre] == 1
+    dmat = _leaf_distances(np.array(depth)[pre][None], leaf[None])[0]
+    rank = np.argsort(pre[leaf])
     return dmat[np.ix_(rank, rank)]
 
 
@@ -118,3 +135,35 @@ def _distance_lambda2(dmat: np.ndarray) -> np.ndarray:
 def lambda2_numeric(t: Tree) -> float:
     """First nonzero Steklov eigenvalue, from the leaf distance form."""
     return float(_distance_lambda2(leaf_distance_matrix(t).astype(float)))
+
+
+# Trees per stacked batch; bounds the kernel's memory at O(_CHUNK n^2) bytes.
+_CHUNK = 4096
+
+
+def _code_depths(codes: list[bytes]) -> tuple[np.ndarray, np.ndarray]:
+    """Vertex depths and leaf masks, (count, n), of equal-length canonical codes.
+
+    Vertices are numbered in code (pre)order from vertex 0, as trees._code_tree does.
+    A vertex's depth is its bracket level, one more past a two-center code's second
+    root, which hangs below vertex 0.  A vertex is a leaf iff its bracket closes at
+    once: a center never has one child.
+    """
+    count, n = len(codes), len(codes[0]) // 2  # a code is a shape digit and 2n brackets
+    chars = np.frombuffer(b"".join(codes), np.uint8).reshape(count, -1)[:, 1:]
+    opens = chars == ord("(")
+    level = np.cumsum(np.where(opens, 1, -1), axis=1)[opens].reshape(count, n) - 1
+    leaf = (opens[:, :-1] & ~opens[:, 1:])[opens[:, :-1]].reshape(count, n)
+    return level - 1 + np.cumsum(level == 0, axis=1), leaf
+
+
+def _lambda2_batch(codes: list[bytes]) -> np.ndarray:
+    """lambda_2 of every tree given by an equal-length canonical code, in input order."""
+    out = np.empty(len(codes))
+    for lo in range(0, len(codes), _CHUNK):
+        depth, leaf = _code_depths(codes[lo : lo + _CHUNK])
+        sizes = leaf.sum(axis=1)
+        for m in np.unique(sizes):
+            group = np.flatnonzero(sizes == m)
+            out[lo + group] = _distance_lambda2(_leaf_distances(depth[group], leaf[group]).astype(float))
+    return out

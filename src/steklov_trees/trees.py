@@ -104,25 +104,6 @@ class Tree:
                     queue.append(y)
         return dist
 
-    def path_between(self, a: int, b: int) -> list[int]:
-        """The unique path from a to b, as a vertex sequence."""
-        parent = [-1] * self.n
-        parent[a] = a
-        queue = deque([a])
-        while queue:
-            x = queue.popleft()
-            if x == b:
-                break
-            for y in self.adjacency[x]:
-                if parent[y] < 0:
-                    parent[y] = x
-                    queue.append(y)
-        path = [b]
-        while path[-1] != a:
-            path.append(parent[path[-1]])
-        path.reverse()
-        return path
-
 
 def leaf_set(t: Tree) -> list[int]:
     """All degree-1 vertices, ascending.  For n=2 both vertices are leaves."""

@@ -3,7 +3,8 @@
 Everything the classifier claims is checkable at desk scale by exhaustion:
 enumerate every unlabeled tree of a given order and diameter as its
 canonical code, compute lambda_2 in batches from the leaf distance form
-P(-D/2)P straight from those codes, and compare winner sets; sweep the
+P(-D/2)P straight from those codes (spectral._lambda2_batch, sharded
+over at most one process per CPU), and compare winner sets; sweep the
 balanced family for unimodality; check the double-spider domination
 inequality tree by tree; and cross-check the independent lambda_2
 routes against each other.  Reports never hide a failure: verdicts are
@@ -27,10 +28,9 @@ from .classify import (
     _sigma_table,
     classify,
 )
-from .flux import _lambda2_batch
 from .reduce import dominating_double_spider
 from .roots import double_spider_rho, spider_lambda2
-from .spectral import lambda2_numeric, steklov_spectrum
+from .spectral import _lambda2_batch, lambda2_numeric, steklov_spectrum
 from .trees import (
     Tree,
     _center_codes,
@@ -99,10 +99,6 @@ class CrossMethodReport:
 # ------------------------- sharded evaluation --------------------------
 
 
-def _evaluate_shard(codes: list[bytes]) -> list[tuple[bytes, float]]:
-    return list(zip(codes, _lambda2_batch(codes).tolist()))
-
-
 def _resolve_jobs(jobs: int | None) -> int:
     if jobs is not None:
         if jobs < 1:
@@ -115,16 +111,17 @@ def _resolve_jobs(jobs: int | None) -> int:
 
 
 def _evaluate_all(n: int, d: int, jobs: int | None) -> list[tuple[bytes, float]]:
-    """(canonical code, lambda_2) for every tree of order n, diameter d.
+    """(canonical code, lambda_2) for every tree of order n, diameter d, in code order.
 
     The generator's codes are evaluated as they are, in batches; no tree
-    is built.  Work may be sharded over processes; the merge sorts by
-    canonical code, so the result is byte-identical for any job count.
+    is built.  Work may be sharded over at most one process per CPU; the
+    shards' values are joined in code order, so the result is
+    byte-identical for any job count.
     """
     codes = _center_codes(n, d)
-    jobs = _resolve_jobs(jobs)
+    jobs = min(_resolve_jobs(jobs), os.cpu_count() or 1)
     if jobs == 1 or len(codes) < _MIN_SHARD_SIZE:
-        rows = _evaluate_shard(codes)
+        values = _lambda2_batch(codes).tolist()
     else:
         # Imported here: the pool machinery costs every other command start-up time and memory.
         from concurrent.futures import ProcessPoolExecutor
@@ -132,18 +129,8 @@ def _evaluate_all(n: int, d: int, jobs: int | None) -> list[tuple[bytes, float]]
         size = math.ceil(len(codes) / (jobs * 4))
         chunks = [codes[i : i + size] for i in range(0, len(codes), size)]
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            rows = [row for part in pool.map(_evaluate_shard, chunks) for row in part]
-    rows.sort(key=lambda row: row[0])
-    return rows
-
-
-def brute_force_extremizers(n: int, d: int, jobs: int | None = None) -> tuple[tuple[bytes, ...], float]:
-    """Canonical codes of every lambda_2 maximizer of order n, diameter d.
-
-    All trees within 1e-9 relative of the maximum are included, so a
-    genuine near-tie is never silently dropped.
-    """
-    return _near_argmax(_evaluate_all(n, d, jobs), _TIE_RTOL)
+            values = [lam for part in pool.map(_lambda2_batch, chunks) for lam in part.tolist()]
+    return list(zip(codes, values))
 
 
 def verify_classification(n: int, d: int, jobs: int | None = None) -> VerificationReport:

@@ -9,13 +9,13 @@ from steklov_trees import (
     candidate_profiles,
     canonical_code,
     classify,
-    compare_candidates,
     diameter,
     make_path,
     recognize_spider,
     render_shorthand,
     spider_lambda2,
     threshold_data,
+    verify_unimodality,
 )
 
 from oracles import bracket_contains, sigma_exact, spider_lambda2_exact
@@ -165,27 +165,29 @@ def test_classify_large_lateral_mass_matches_exact_root(n, d):
 
 
 # --------------------------- candidate comparison --------------------------
+# The q-comparison of the balanced family is verify_unimodality's peak rule.
 
 
 def test_compare_candidates_small():
-    rep = compare_candidates(2, 2)
+    rep = verify_unimodality(2, 2)
     assert [q for q, _ in rep.rows] == [1, 2]
     assert abs(rep.rows[0][1] - 3 / 8) <= 1e-11
     assert abs(rep.rows[1][1] - (17 - math.sqrt(17)) / 34) <= 1e-11
-    assert rep.argmax_q == (2,)
-    assert not rep.tie_flag
+    assert rep.peak_q == (2,)
+    assert rep.passed
 
 
 def test_compare_candidates_single_feasible():
-    rep = compare_candidates(1, 3)
+    rep = verify_unimodality(1, 3)
     assert [q for q, _ in rep.rows] == [3]
-    assert rep.argmax_q == (3,)
+    assert rep.peak_q == (3,)
 
 
 def test_compare_candidates_predicted_peak():
-    rep = compare_candidates(4, 5)
-    assert set(rep.argmax_q) <= {2, 3}
-    assert (rep.q_minus, rep.q_plus) == (2, 3)
+    rep = verify_unimodality(4, 5)  # r = 4, M = 5: D = 9, n = 15
+    pair = candidate_profiles(15, 9)
+    assert set(rep.peak_q) <= {2, 3}
+    assert (pair.q_minus, pair.q_plus) == (2, 3)
 
 
 def test_constant_regimes_agree_with_direct_comparison():

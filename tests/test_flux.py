@@ -22,9 +22,9 @@ from steklov_trees import (
     q_form,
 )
 
-from steklov_trees.flux import _lambda2_batch
+from steklov_trees.spectral import _lambda2_batch
 from steklov_trees.trees import _center_codes, _code_tree
-import steklov_trees.flux as flux_module
+import steklov_trees.spectral as spectral_module
 
 from oracles import prufer_to_edges, spider_lambda2_exact
 
@@ -244,5 +244,5 @@ def test_batched_kernel_is_chunk_independent(monkeypatch, chunk):
     # All 551 trees of order 12, every diameter and leaf count in one batch.
     codes = [code for d in range(1, 12) for code in _center_codes(12, d)]
     whole = _lambda2_batch(codes)
-    monkeypatch.setattr(flux_module, "_CHUNK", chunk)
+    monkeypatch.setattr(spectral_module, "_CHUNK", chunk)
     assert _lambda2_batch(codes).tobytes() == whole.tobytes()

@@ -19,13 +19,13 @@ from steklov_trees import (
     make_double_spider,
     make_spider,
     q_form,
-    q_range_continuous,
     q_range_integer,
     sigma_rM,
     spider_lambda2,
     threshold_data,
 )
 from steklov_trees import roots
+from steklov_trees.roots import q_range_continuous
 
 from oracles import (
     bracket_contains,

@@ -27,6 +27,9 @@ from steklov_trees import (
     steklov_spectrum,
 )
 
+from steklov_trees.spectral import _code_depths, _leaf_distances
+from steklov_trees.trees import _center_codes, _code_tree
+
 from oracles import (
     BoundaryValues,
     harmonic_extension,
@@ -207,6 +210,20 @@ def test_leaf_distances_match_bfs_oracle_on_catalog():
                     got = leaf_distance_matrix(u)
                     assert got.dtype == int
                     assert np.array_equal(got, leaf_distances_by_bfs(u)), (n, d, u.edges)
+
+
+def test_batched_leaf_distances_match_bfs_oracle_on_catalog():
+    # Every tree of order 2..12 from its code, stacked per leaf count as _lambda2_batch
+    # stacks them: rows of every diameter, so a row whose first leaf is deep follows one
+    # that ends on a leaf.
+    for n in range(2, 13):
+        codes = [code for d in range(1, n) for code in _center_codes(n, d)]
+        depth, leaf = _code_depths(codes)
+        sizes = leaf.sum(axis=1)
+        for m in np.unique(sizes):
+            group = np.flatnonzero(sizes == m)
+            for i, got in zip(group, _leaf_distances(depth[group], leaf[group])):
+                assert np.array_equal(got, leaf_distances_by_bfs(_code_tree(n, codes[i]))), (n, codes[i])
 
 
 @pytest.mark.parametrize("length", [1, 2, 3, 10, 1000, 3003, 3019])

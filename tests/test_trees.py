@@ -70,12 +70,6 @@ def test_leaf_set_ascending():
     assert all(t.degrees[v] == 1 for v in leaves)
 
 
-def test_path_between_endpoints():
-    t = make_path(5)
-    assert t.path_between(0, 5) == [0, 1, 2, 3, 4, 5]
-    assert t.path_between(3, 3) == [3]
-
-
 def test_diameter_and_centers():
     assert diameter(make_path(6)) == 6
     assert tree_centers(make_path(6)) == [3]

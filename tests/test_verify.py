@@ -1,5 +1,6 @@
 """Certification runs: brute force vs classifier, sweeps, cross-checks."""
 
+import concurrent.futures
 import math
 
 import pytest
@@ -8,7 +9,6 @@ from steklov_trees import (
     DoubleSpiderProfile,
     SpiderProfile,
     Tree,
-    brute_force_extremizers,
     canonical_code,
     enumerate_trees,
     lambda2_numeric,
@@ -33,27 +33,52 @@ def _spider_code(*lengths):
 
 
 def test_brute_force_path_only_order():
-    codes, best = brute_force_extremizers(6, 5)
-    assert codes == (canonical_code(make_path(5)),)
-    assert abs(best - 0.4) <= 1e-12
+    report = verify_classification(6, 5)
+    assert report.argmax_codes == (canonical_code(make_path(5)),)
+    assert abs(report.argmax_lambda2 - 0.4) <= 1e-12
 
 
 def test_brute_force_small_orders():
-    codes, best = brute_force_extremizers(7, 5)
-    assert codes == (_spider_code(3, 2, 1),)
-    assert abs(best - (6 - math.sqrt(3)) / 11) <= 1e-11
+    report = verify_classification(7, 5)
+    assert report.argmax_codes == (_spider_code(3, 2, 1),)
+    assert abs(report.argmax_lambda2 - (6 - math.sqrt(3)) / 11) <= 1e-11
 
-    codes, _ = brute_force_extremizers(9, 5)
-    assert codes == (_spider_code(3, 2, 1, 1, 1),)
+    assert verify_classification(9, 5).argmax_codes == (_spider_code(3, 2, 1, 1, 1),)
 
 
 def test_brute_force_deterministic_across_jobs():
-    assert brute_force_extremizers(12, 5, jobs=3) == brute_force_extremizers(12, 5, jobs=1)
+    # Every value, not only the maximum, is the same bits for any job count.
+    assert verify_module._evaluate_all(12, 5, 3) == verify_module._evaluate_all(12, 5, 1)
 
 
 def test_brute_force_rejects_bad_jobs():
     with pytest.raises(ValueError):
-        brute_force_extremizers(6, 5, jobs=0)
+        verify_classification(6, 5, jobs=0)
+
+
+@pytest.mark.parametrize("cpus, workers", [(3, [3]), (1, []), (None, [])])
+def test_jobs_are_capped_at_the_cpu_count(monkeypatch, cpus, workers):
+    # A huge job count must not fork that many processes; never run one for real.
+    started = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, chunks):
+            return map(fn, chunks)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(verify_module.os, "cpu_count", lambda: cpus)
+    rows = verify_module._evaluate_all(12, 5, 10**6)
+    assert started == workers
+    assert rows == verify_module._evaluate_all(12, 5, 1)
 
 
 # ------------------------- classification runs -------------------------
@@ -103,8 +128,7 @@ def test_brute_force_winners_are_spiders():
     for d in (3, 5):
         for n in range(d + 1, 11):
             by_code = {canonical_code(t): t for t in enumerate_trees(n, d)}
-            codes, _ = brute_force_extremizers(n, d)
-            for code in codes:
+            for code in verify_classification(n, d).argmax_codes:
                 assert recognize_spider(by_code[code]) is not None
 
 
