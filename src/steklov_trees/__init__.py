@@ -49,7 +49,6 @@ from .flux import (
 from .roots import (
     RootResult,
     ThresholdData,
-    double_spider_maximizer,
     double_spider_rho,
     q_range_integer,
     sigma_rM,
@@ -107,7 +106,6 @@ __all__ = [
     "cut_sums",
     "diameter",
     "dominating_double_spider",
-    "double_spider_maximizer",
     "double_spider_rho",
     "dtn_matrix",
     "enumerate_trees",

@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .roots import q_range_integer, sigma_rM, spider_lambda2, threshold_data
+from .roots import spider_lambda2, threshold_data
 from .trees import ASParams, Tree, make_as_tree, make_path
 
 # Two lambda_2 values this close (relatively) are reported as tied
@@ -80,12 +80,6 @@ def _predicted_counts(r: int, M: int) -> tuple[int, int, int]:
     """s = ceil(r/2) and the two branch counts nearest M/s that can win."""
     s = (r + 1) // 2
     return s, max(1, M // s), math.ceil(M / s)
-
-
-def _sigma_table(r: int, M: int) -> tuple[tuple[int, float], ...]:
-    """(q, Sigma_{r,M}(q)) at every feasible integer branch count q."""
-    lo, hi = q_range_integer(r, M)
-    return tuple((q, sigma_rM(r, M, q).value) for q in range(lo, hi + 1))
 
 
 def _near_argmax(rows: Sequence[tuple[object, float]], rtol: float) -> tuple[tuple, float]:

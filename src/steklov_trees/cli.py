@@ -30,7 +30,7 @@ from .trees import (
     recognize_spider,
     render_shorthand,
 )
-from .verify import _root_routes, verify_classification, verify_unimodality
+from .verify import _root_routes, _unimodality_reports, verify_classification
 
 
 class _UsageError(Exception):
@@ -132,11 +132,7 @@ def _lateral_count(tree: Tree) -> int:
 
 def _cmd_classify(args: argparse.Namespace) -> int:
     result = classify(args.n, args.D)
-    winner_codes = {canonical_code(tree) for tree, _ in result.winners}
-    rows = [
-        (tree, lam, _lateral_count(tree), canonical_code(tree) in winner_codes)
-        for tree, lam in result.candidates
-    ]
+    rows = [(tree, lam, _lateral_count(tree), (tree, lam) in result.winners) for tree, lam in result.candidates]
     if args.format == "text":
         print(f"n={args.n} D={args.D} case={result.case_tag} tie={str(result.tie_flag).lower()}")
         for tree, lam, q, won in rows:
@@ -216,7 +212,7 @@ def _cmd_candidates(args: argparse.Namespace) -> int:
 def _cmd_sweep(args: argparse.Namespace) -> int:
     if args.r < 1 or args.m_max < 1:
         raise ValueError(f"need --r >= 1 and --M-max >= 1, got --r {args.r}, --M-max {args.m_max}")
-    reports = [verify_unimodality(args.r, m) for m in range(1, args.m_max + 1)]
+    reports = _unimodality_reports(args.r, range(1, args.m_max + 1))
     failed = [rep for rep in reports if not rep.passed]
     if args.format == "text":
         for rep in reports:

@@ -8,8 +8,9 @@ balanced candidates.  The one-center equations are all the pole sum
 sum_i w_i/(1 - l_i lambda) with grouped weights, evaluated by one
 helper.  Each equation is strictly increasing on an explicit bracket
 whose endpoints are poles, so plain bisection that never touches the
-endpoints is the one solver; that monotonicity is a property test, not
-a runtime check.
+endpoints is the one solver, run on one root or elementwise over a
+stacked table of balanced-family roots; that monotonicity is a property
+test, not a runtime check.
 """
 
 from __future__ import annotations
@@ -17,7 +18,10 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
+from itertools import islice
 from typing import Callable, Sequence
+
+import numpy as np
 
 from .trees import DoubleSpiderProfile, SpiderProfile
 
@@ -84,8 +88,32 @@ def _bisect(f: Callable[[float], float], lo: float, hi: float) -> RootResult:
     return RootResult(value=value, bracket=(lo, hi), residual=resid)
 
 
+def _bisect_stacked(f: Callable[[np.ndarray], np.ndarray], lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """_bisect run elementwise over arrays of brackets, returning the values.
+
+    Each entry takes _bisect's midpoints and stops by its rule or at its
+    exhausted-bracket break, then keeps its value while the others go
+    on.  f must act elementwise, so every value equals _bisect's on the
+    same bracket bit for bit.
+    """
+    a, b = lo, hi
+    value = 0.5 * (a + b)
+    resid = f(value)
+    active = ((b - a) > _WIDTH_TOL) | (np.abs(resid) > _RESIDUAL_TOL)
+    while active.any():
+        up = resid > 0.0
+        b = np.where(active & up, value, b)
+        a = np.where(active & ~up, value, a)
+        nxt = 0.5 * (a + b)
+        active &= (a < nxt) & (nxt < b)
+        value = np.where(active, nxt, value)
+        resid = f(value)
+        active &= ((b - a) > _WIDTH_TOL) | (np.abs(resid) > _RESIDUAL_TOL)
+    return value
+
+
 def _pole_sum(terms: Sequence[tuple[int, float]], lam: float) -> float:
-    """sum_i w_i / (1 - l_i lam) over (length, weight) pairs, in order."""
+    """sum_i w_i / (1 - l_i lam) over (length, weight) pairs, in order; elementwise on arrays."""
     return sum(w / (1.0 - l * lam) for l, w in terms)
 
 
@@ -150,6 +178,24 @@ def sigma_rM(r: int, M: int, q: float) -> RootResult:
     return _bisect(lambda lam: _pole_sum(terms, lam), 1.0 / (r + 1), 1.0 / r)
 
 
+def _sigma_tables(r: int, masses: Sequence[int]) -> list[tuple[tuple[int, float], ...]]:
+    """(q, sigma_rM(r, M, q).value) at every feasible integer q, for each M in masses.
+
+    One stacked bisection solves every root from sigma_rM's terms, in its
+    order.  Where q divides M the weight on the pole 1/(c+1) is zero
+    instead of dropped; that pole lies outside the open bracket, so the
+    term adds +-0.0 and each value equals sigma_rM's bit for bit.
+    """
+    spans = [q_range_integer(r, M) for M in masses]
+    q = np.concatenate([np.arange(lo, hi + 1) for lo, hi in spans])
+    m = np.repeat(masses, [hi - lo + 1 for lo, hi in spans])
+    c = m // q
+    terms = ((r + 1, 1), (r, 1), (c + 1, m - c * q), (c, (c + 1) * q - m))
+    brackets = np.full(len(q), 1.0 / (r + 1)), np.full(len(q), 1.0 / r)
+    rows = zip(q.tolist(), _bisect_stacked(lambda lam: _pole_sum(terms, lam), *brackets).tolist())
+    return [tuple(islice(rows, hi - lo + 1)) for lo, hi in spans]
+
+
 # ------------------------ double-spider equation -----------------------
 
 
@@ -179,33 +225,6 @@ def double_spider_rho(p: DoubleSpiderProfile) -> RootResult:
         return 1.0 / _resolvent_sum(p.a_lengths, rho) + 1.0 / _resolvent_sum(p.b_lengths, rho) - 1.0
 
     return _bisect(f, r + 1e-9, float(r + total + 1))
-
-
-def double_spider_maximizer(p: DoubleSpiderProfile):
-    """Optimal boundary flux realizing rho as an inverse Rayleigh quotient.
-
-    Positive weights on the a-side leaves summing to 1, negative on the
-    b-side summing to -1, each proportional to 1/(rho - length).  The
-    quotient Q(z)/|z|^2 is recomputed on the actual tree and must land
-    within 1e-9 of rho.
-    """
-    from .flux import BoundaryFlux, q_form
-    from .trees import make_double_spider
-
-    rho = double_spider_rho(p).value
-    a_sum = _resolvent_sum(p.a_lengths, rho)
-    b_sum = _resolvent_sum(p.b_lengths, rho)
-    xs = [(1.0 / a_sum) / (rho - a) for a in p.a_lengths]
-    ys = [-(1.0 / b_sum) / (rho - b) for b in p.b_lengths]
-
-    # Branch leaves are numbered in construction order, a-side then
-    # b-side, so leaf_set order matches this concatenation.
-    z = BoundaryFlux(tuple(xs + ys))
-    tree = make_double_spider(p)
-    quotient = q_form(tree, z) / sum(w * w for w in z.z)
-    if abs(quotient - rho) > 1e-9 * max(1.0, abs(rho)):
-        raise RuntimeError(f"maximizer quotient {quotient} does not match rho {rho}")
-    return z
 
 
 # ------------------------- threshold quadratic -------------------------

@@ -18,18 +18,11 @@ import math
 import os
 import time
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, Sequence
 
-from .classify import (
-    _STRICT_RTOL,
-    _TIE_RTOL,
-    _near_argmax,
-    _predicted_counts,
-    _sigma_table,
-    classify,
-)
+from .classify import _STRICT_RTOL, _TIE_RTOL, _near_argmax, _predicted_counts, classify
 from .reduce import dominating_double_spider
-from .roots import double_spider_rho, spider_lambda2
+from .roots import _sigma_tables, double_spider_rho, spider_lambda2
 from .spectral import _lambda2_batch, lambda2_numeric, steklov_spectrum
 from .trees import (
     Tree,
@@ -173,32 +166,34 @@ def verify_unimodality(r: int, M: int) -> UnimodalityReport:
     1e-12 band and its maximum sits at one of the two branch counts
     nearest M/s.
     """
-    rows = _sigma_table(r, M)
-    vals = [lam for _, lam in rows]
-    peak_q, best = _near_argmax(rows, _STRICT_RTOL)
-    band = _STRICT_RTOL * best
-    i_star = vals.index(best)
+    return _unimodality_reports(r, [M])[0]
 
-    problems = []
-    for i in range(i_star):
-        if vals[i + 1] < vals[i] - band:
-            problems.append(f"drop before the peak at q={rows[i + 1][0]}")
-    for i in range(i_star, len(vals) - 1):
-        if vals[i + 1] > vals[i] + band:
-            problems.append(f"rise after the peak at q={rows[i + 1][0]}")
 
-    predicted = set(_predicted_counts(r, M)[1:])
-    if not predicted.intersection(peak_q):
-        problems.append(f"peak at q={peak_q}, predicted {sorted(predicted)}")
+def _unimodality_reports(r: int, masses: Sequence[int]) -> list[UnimodalityReport]:
+    """verify_unimodality(r, M) for each M in masses, from one stacked bisection."""
+    reports = []
+    for M, rows in zip(masses, _sigma_tables(r, masses)):
+        vals = [lam for _, lam in rows]
+        peak_q, best = _near_argmax(rows, _STRICT_RTOL)
+        band = _STRICT_RTOL * best
+        i_star = vals.index(best)
 
-    return UnimodalityReport(
-        r=r,
-        M=M,
-        rows=rows,
-        peak_q=peak_q,
-        passed=not problems,
-        detail="; ".join(problems),
-    )
+        problems = []
+        for i in range(i_star):
+            if vals[i + 1] < vals[i] - band:
+                problems.append(f"drop before the peak at q={rows[i + 1][0]}")
+        for i in range(i_star, len(vals) - 1):
+            if vals[i + 1] > vals[i] + band:
+                problems.append(f"rise after the peak at q={rows[i + 1][0]}")
+
+        predicted = set(_predicted_counts(r, M)[1:])
+        if not predicted.intersection(peak_q):
+            problems.append(f"peak at q={peak_q}, predicted {sorted(predicted)}")
+
+        reports.append(
+            UnimodalityReport(r=r, M=M, rows=rows, peak_q=peak_q, passed=not problems, detail="; ".join(problems))
+        )
+    return reports
 
 
 def verify_domination(n: int, d: int) -> DominationReport:

@@ -24,7 +24,18 @@ from typing import Iterable, Sequence
 import networkx as nx
 import numpy as np
 
-from steklov_trees import Tree, canonical_code, laplacian_matrix, leaf_set
+from steklov_trees import (
+    BoundaryFlux,
+    DoubleSpiderProfile,
+    Tree,
+    canonical_code,
+    double_spider_rho,
+    laplacian_matrix,
+    leaf_set,
+    make_double_spider,
+    q_form,
+)
+from steklov_trees.roots import _resolvent_sum
 
 # Distinct unlabeled trees on n = 1..16 vertices, frozen by hand.
 FREE_TREE_COUNTS = [1, 1, 1, 2, 3, 6, 11, 23, 47, 106, 235, 551, 1301, 3159, 7741, 19320]
@@ -157,6 +168,30 @@ def double_spider_rho_exact(
 def bracket_contains(bracket: tuple[Fraction, Fraction], x: float, tol: float) -> bool:
     lo, hi = bracket
     return float(lo) - tol <= x <= float(hi) + tol
+
+
+def double_spider_maximizer(p: DoubleSpiderProfile):
+    """Optimal boundary flux realizing rho as an inverse Rayleigh quotient.
+
+    Positive weights on the a-side leaves summing to 1, negative on the
+    b-side summing to -1, each proportional to 1/(rho - length).  The
+    quotient Q(z)/|z|^2 is recomputed on the actual tree and must land
+    within 1e-9 of rho.
+    """
+    rho = double_spider_rho(p).value
+    a_sum = _resolvent_sum(p.a_lengths, rho)
+    b_sum = _resolvent_sum(p.b_lengths, rho)
+    xs = [(1.0 / a_sum) / (rho - a) for a in p.a_lengths]
+    ys = [-(1.0 / b_sum) / (rho - b) for b in p.b_lengths]
+
+    # Branch leaves are numbered in construction order, a-side then
+    # b-side, so leaf_set order matches this concatenation.
+    z = BoundaryFlux(tuple(xs + ys))
+    tree = make_double_spider(p)
+    quotient = q_form(tree, z) / sum(w * w for w in z.z)
+    if abs(quotient - rho) > 1e-9 * max(1.0, abs(rho)):
+        raise RuntimeError(f"maximizer quotient {quotient} does not match rho {rho}")
+    return z
 
 
 # --------------------------- labeled enumeration ---------------------------

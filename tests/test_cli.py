@@ -381,6 +381,7 @@ def test_cli_import_leaves_the_process_pool_unloaded():
         ["classify", "304", "3"],
         ["sweep", "--r", "4", "--M-max", "20", "--format", "csv"],
         ["reduce", "spider:4,1,1", "--format", "csv"],
+        ["sweep", "--r", "8", "--M-max", "82", "--format", "json"],
     ],
 )
 def test_optimized_interpreter_prints_the_same_bytes(capsys, argv):

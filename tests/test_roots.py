@@ -13,7 +13,6 @@ from steklov_trees import (
     DoubleSpiderProfile,
     SpiderProfile,
     candidate_profiles,
-    double_spider_maximizer,
     double_spider_rho,
     lambda2_numeric,
     make_double_spider,
@@ -29,6 +28,7 @@ from steklov_trees.roots import q_range_continuous
 
 from oracles import (
     bracket_contains,
+    double_spider_maximizer,
     double_spider_rho_exact,
     sigma_exact,
     spider_lambda2_exact,
@@ -178,6 +178,40 @@ def test_sigma_continuous_across_block_boundaries(r, m, c):
     assert abs(left - right) <= 1e-6  # continuity; O(eps) slope both sides
     at = sigma_rM(r, m, q).value
     assert abs(at - left) <= 1e-6
+
+
+def test_sigma_tables_equal_sigma_rM_bit_for_bit():
+    masses = range(1, 83)
+    for r in range(1, 10):
+        for m, rows in zip(masses, roots._sigma_tables(r, masses)):
+            lo, hi = q_range_integer(r, m)
+            assert rows == tuple((q, sigma_rM(r, m, q).value) for q in range(lo, hi + 1)), (r, m)
+
+
+@pytest.mark.parametrize("r,m", [(1, 300), (2, 211), (3, 313)])
+def test_sigma_tables_stop_at_exhausted_brackets(monkeypatch, r, m):
+    # The balanced candidates of the former stalls (n, D) = (304, 3), (217, 5),
+    # (321, 7): there some roots end on two adjacent floats with the residual
+    # above tolerance, and only the exhausted-bracket rule stops them.
+    lo, hi = q_range_integer(r, m)
+    scalar = [sigma_rM(r, m, q) for q in range(lo, hi + 1)]
+    assert any(abs(res.residual) > roots._RESIDUAL_TOL for res in scalar)
+
+    # A bracket of relative width 1/r runs out of floats within about 53
+    # halvings, one evaluation each.
+    calls = 0
+    pole_sum = roots._pole_sum
+
+    def counted(terms, lam):
+        nonlocal calls
+        calls += 1
+        if calls > 100:
+            raise AssertionError("stacked bisection did not stop")
+        return pole_sum(terms, lam)
+
+    monkeypatch.setattr(roots, "_pole_sum", counted)
+    (rows,) = roots._sigma_tables(r, [m])
+    assert rows == tuple((q, res.value) for q, res in zip(range(lo, hi + 1), scalar))
 
 
 def test_spider_strictly_below_path_bound():

@@ -1,6 +1,7 @@
 """Certification runs: brute force vs classifier, sweeps, cross-checks."""
 
 import concurrent.futures
+import json
 import math
 
 import pytest
@@ -23,6 +24,7 @@ from steklov_trees import (
     verify_unimodality,
 )
 import steklov_trees.verify as verify_module
+from steklov_trees.cli import run
 
 
 def _spider_code(*lengths):
@@ -162,6 +164,21 @@ def test_unimodality_small_grid():
             report = verify_unimodality(r, m)
             assert report.passed, (r, m, report.detail)
             assert report.detail == ""
+
+
+@pytest.mark.parametrize("r", [1, 4, 8])
+def test_unimodality_rows_are_the_sweep_rows(capsys, r):
+    m_max = 30
+    assert run(["sweep", "--r", str(r), "--M-max", str(m_max), "--format", "json"]) == 0
+    printed = json.loads(capsys.readouterr().out)
+    assert [entry["M"] for entry in printed] == list(range(1, m_max + 1))
+    for entry in printed:
+        report = verify_unimodality(r, entry["M"])
+        assert entry["rows"] == [{"q": q, "sigma": f"{lam:.12g}"} for q, lam in report.rows]
+        assert (entry["peak_q"], entry["passed"]) == (list(report.peak_q), report.passed)
+    # The sweep's one stacked call gives each mass the report of its own call.
+    masses = range(1, m_max + 1)
+    assert verify_module._unimodality_reports(r, masses) == [verify_unimodality(r, m) for m in masses]
 
 
 # ------------------------------ domination ------------------------------
