@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .roots import spider_lambda2, threshold_data
-from .trees import ASParams, Tree, make_as_tree, make_path
+from .trees import ASParams, SpiderProfile
 
 # Two lambda_2 values this close (relatively) are reported as tied
 # rather than ordered; genuine ties exist only at integer kappa.
@@ -49,14 +49,15 @@ class CandidatePair:
 class ClassificationResult:
     """Winner set for (n, D), with the case of the decision recorded.
 
-    candidates holds every candidate tree with its lambda_2; winners is
-    the sublist attaining the maximum, with ties (gap below 1e-9
-    relative) kept whole and flagged.
+    candidates holds every candidate as its branch-length profile with
+    its lambda_2; the path is the two-branch profile (r+1, r).  winners
+    is the sublist attaining the maximum, with ties (gap below 1e-9
+    relative) kept whole and flagged.  make_spider builds the trees.
     """
 
     case_tag: str
-    candidates: tuple[tuple[Tree, float], ...]
-    winners: tuple[tuple[Tree, float], ...]
+    candidates: tuple[tuple[SpiderProfile, float], ...]
+    winners: tuple[tuple[SpiderProfile, float], ...]
     tie_flag: bool
 
 
@@ -127,8 +128,8 @@ def classify(n: int, D: int) -> ClassificationResult:
     pair = candidate_profiles(n, D)
     if pair is None:
         r = (D - 1) // 2
-        lam = spider_lambda2((r + 1, r)).value
-        entry = (make_path(D), lam)
+        path = SpiderProfile((r + 1, r))
+        entry = (path, spider_lambda2(path).value)
         return ClassificationResult(case_tag="path", candidates=(entry,), winners=(entry,), tie_flag=False)
 
     r = (D - 1) // 2
@@ -137,16 +138,14 @@ def classify(n: int, D: int) -> ClassificationResult:
 
     if pair.as_minus == pair.as_plus:
         tag = "single_small" if M < s else "divisible"
-        lam = spider_lambda2(pair.as_minus.spider_profile()).value
-        entry = (make_as_tree(pair.as_minus), lam)
+        profile = pair.as_minus.spider_profile()
+        entry = (profile, spider_lambda2(profile).value)
         return ClassificationResult(case_tag=tag, candidates=(entry,), winners=(entry,), tie_flag=False)
 
-    lam_minus = spider_lambda2(pair.as_minus.spider_profile()).value
-    lam_plus = spider_lambda2(pair.as_plus.spider_profile()).value
-    candidates = (
-        (make_as_tree(pair.as_minus), lam_minus),
-        (make_as_tree(pair.as_plus), lam_plus),
-    )
+    minus, plus = pair.as_minus.spider_profile(), pair.as_plus.spider_profile()
+    lam_minus = spider_lambda2(minus).value
+    lam_plus = spider_lambda2(plus).value
+    candidates = ((minus, lam_minus), (plus, lam_plus))
     tied = _relative_gap(lam_minus, lam_plus) <= _TIE_RTOL
 
     if k >= s:

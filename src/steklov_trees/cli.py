@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -22,12 +23,11 @@ from .reduce import greedy_ascent_trace
 from .spectral import lambda2_numeric, steklov_spectrum
 from .trees import (
     Tree,
+    _spider_shorthand,
     canonical_code,
     format_tree_text,
-    make_as_tree,
     parse_tree,
     parse_tree_text,
-    recognize_spider,
     render_shorthand,
 )
 from .verify import _root_routes, _unimodality_reports, verify_classification
@@ -125,26 +125,18 @@ def _cmd_lambda2(args: argparse.Namespace) -> int:
     return 0
 
 
-def _lateral_count(tree: Tree) -> int:
-    spider = recognize_spider(tree)
-    return max(0, len(spider.lengths) - 2) if spider is not None else 0
-
-
 def _cmd_classify(args: argparse.Namespace) -> int:
     result = classify(args.n, args.D)
-    rows = [(tree, lam, _lateral_count(tree), (tree, lam) in result.winners) for tree, lam in result.candidates]
+    rows = [(_spider_shorthand(p), lam, len(p.lengths) - 2, (p, lam) in result.winners) for p, lam in result.candidates]
     if args.format == "text":
         print(f"n={args.n} D={args.D} case={result.case_tag} tie={str(result.tie_flag).lower()}")
-        for tree, lam, q, won in rows:
+        for name, lam, q, won in rows:
             mark = "winner" if won else "loser"
-            print(f"{mark} q={q} tree={_tree_name(tree)} lambda2={_fmt(lam)}")
+            print(f"{mark} q={q} tree={name} lambda2={_fmt(lam)}")
     elif args.format == "csv":
         _print_csv(
             ["case", "q", "candidate", "lambda2", "winner"],
-            [
-                [result.case_tag, str(q), _tree_name(tree), _fmt(lam), str(won).lower()]
-                for tree, lam, q, won in rows
-            ],
+            [[result.case_tag, str(q), name, _fmt(lam), str(won).lower()] for name, lam, q, won in rows],
         )
     else:
         _print_json(
@@ -155,13 +147,13 @@ def _cmd_classify(args: argparse.Namespace) -> int:
                 "tie": result.tie_flag,
                 "candidates": [
                     {
-                        "tree": _tree_name(tree),
-                        "tree_text": format_tree_text(tree),
+                        "tree": name,
+                        "tree_text": format_tree_text(parse_tree(name)),
                         "q": q,
                         "lambda2": _fmt(lam),
                         "winner": won,
                     }
-                    for tree, lam, q, won in rows
+                    for name, lam, q, won in rows
                 ],
             }
         )
@@ -181,7 +173,7 @@ def _cmd_candidates(args: argparse.Namespace) -> int:
         return 0
 
     slots = [("minus", pair.q_minus, pair.as_minus), ("plus", pair.q_plus, pair.as_plus)]
-    named = [(slot, q, p, _tree_name(make_as_tree(p))) for slot, q, p in slots]
+    named = [(slot, q, p, _spider_shorthand(p.spider_profile())) for slot, q, p in slots]
     if args.format == "text":
         print(f"n={args.n} D={args.D} M={pair.M} s={pair.s} q_minus={pair.q_minus} q_plus={pair.q_plus}")
         for slot, q, p, name in named:
@@ -339,6 +331,7 @@ def _add_format_argument(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--format", choices=["text", "csv", "json"], default="text")
 
 
+@functools.cache  # one parser per process, built on first use; parse_args keeps no state
 def _build_parser() -> _Parser:
     parser = _Parser(prog="steklov", description=__doc__)
     subs = parser.add_subparsers(dest="command")

@@ -527,13 +527,18 @@ def format_tree_text(t: Tree) -> str:
     return "\n".join([str(t.n)] + [f"{u} {v}" for u, v in t.edges]) + "\n"
 
 
+def _spider_shorthand(p: SpiderProfile) -> str:
+    """Shorthand of make_spider(p), read off the profile: a path when it has two branches."""
+    return f"path:{p.diameter}" if len(p.lengths) == 2 else "spider:" + ",".join(str(l) for l in p.lengths)
+
+
 def render_shorthand(t: Tree) -> Optional[str]:
     """Most specific shorthand describing t, or None for other shapes."""
     if all(deg <= 2 for deg in t.degrees):
         return f"path:{t.n - 1}"
     spider = recognize_spider(t)
     if spider is not None:
-        return "spider:" + ",".join(str(l) for l in spider.lengths)
+        return _spider_shorthand(spider)
     ds = recognize_double_spider(t)
     if ds is not None:
         a = ",".join(str(l) for l in ds.a_lengths)

@@ -29,6 +29,7 @@ from .trees import (
     _center_codes,
     canonical_code,
     enumerate_trees,
+    make_spider,
     recognize_double_spider,
     recognize_spider,
 )
@@ -133,7 +134,8 @@ def verify_classification(n: int, d: int, jobs: int | None = None) -> Verificati
     result = classify(n, d)
     rows = _evaluate_all(n, d, jobs)
     argmax, best = _near_argmax(rows, _TIE_RTOL)
-    classifier = tuple(sorted({canonical_code(tree) for tree, _ in result.winners}))
+    winners = tuple(make_spider(profile) for profile, _ in result.winners)
+    classifier = tuple(sorted({canonical_code(tree) for tree in winners}))
 
     # A classifier winner outside the tie band of the brute-force maximum
     # is a mismatch; naming only part of that band leaves a tie unresolved.
@@ -150,7 +152,7 @@ def verify_classification(n: int, d: int, jobs: int | None = None) -> Verificati
         argmax_codes=argmax,
         argmax_lambda2=best,
         classifier_codes=classifier,
-        classifier_winners=tuple(tree for tree, _ in result.winners),
+        classifier_winners=winners,
         verdict=verdict,
         wall_time=time.perf_counter() - start,
     )

@@ -10,7 +10,7 @@ from steklov_trees import (
     canonical_code,
     classify,
     diameter,
-    make_path,
+    make_spider,
     recognize_spider,
     render_shorthand,
     spider_lambda2,
@@ -22,7 +22,7 @@ from oracles import bracket_contains, sigma_exact, spider_lambda2_exact
 
 
 def _winner_names(result):
-    return sorted(render_shorthand(t) for t, _ in result.winners)
+    return sorted(render_shorthand(make_spider(p)) for p, _ in result.winners)
 
 
 # --------------------------- candidate profiles ---------------------------
@@ -122,7 +122,7 @@ def test_classify_rejects_out_of_scope():
     with pytest.raises(ValueError, match="Lin and Zhao"):
         classify(10, 6)
     with pytest.raises(ValueError):
-        classify(4, 3.0 if False else 1)
+        classify(4, 1)
     with pytest.raises(ValueError):
         classify(7, 9)
 
@@ -131,13 +131,14 @@ def test_classify_winners_attain_max():
     for n, d in [(7, 5), (12, 5), (14, 7), (15, 9), (16, 9), (13, 7)]:
         result = classify(n, d)
         best = max(lam for _, lam in result.candidates)
-        for tree, lam in result.winners:
+        for p, lam in result.winners:
+            tree = make_spider(p)
             assert abs(lam - best) <= 1e-9 * max(1.0, best)
             assert tree.n == n
             assert diameter(tree) == d
-        winner_codes = {canonical_code(t) for t, _ in result.winners}
-        for tree, lam in result.candidates:
-            if canonical_code(tree) in winner_codes:
+        winner_codes = {canonical_code(make_spider(p)) for p, _ in result.winners}
+        for p, lam in result.candidates:
+            if canonical_code(make_spider(p)) in winner_codes:
                 continue
             assert lam < best
 
@@ -146,10 +147,11 @@ def test_classify_winner_realizable_grid():
     for d in (3, 5, 7, 9):
         for n in range(d + 1, d + 9):
             result = classify(n, d)
-            for tree, _ in result.winners:
+            for p, _ in result.winners:
+                tree = make_spider(p)
                 assert tree.n == n
                 assert diameter(tree) == d
-                assert recognize_spider(tree) is not None
+                assert recognize_spider(tree) == p
 
 
 @pytest.mark.parametrize("n,d", [(141, 3), (217, 5), (321, 7), (304, 3), (1006, 5), (3042, 41)])

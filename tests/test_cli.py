@@ -8,7 +8,20 @@ from pathlib import Path
 
 import pytest
 
-from steklov_trees import SpiderProfile, canonical_code, format_tree_text, make_spider, parse_tree_text
+from steklov_trees import (
+    SpiderProfile,
+    Tree,
+    candidate_profiles,
+    canonical_code,
+    classify,
+    format_tree_text,
+    make_as_tree,
+    make_path,
+    make_spider,
+    parse_tree_text,
+    recognize_spider,
+    render_shorthand,
+)
 from steklov_trees.cli import run
 from steklov_trees.verify import VerificationReport
 import steklov_trees
@@ -220,6 +233,49 @@ def test_classify_json_floats_are_strings(capsys):
     assert entry["winner"] is True
 
 
+_LARGE_MASS_CASES = [(141, 3), (217, 5), (321, 7), (304, 3), (1006, 5), (3042, 41)]
+_NAMING_GRID = [(n, d) for d in (3, 5, 7, 9, 21) for n in range(d + 1, d + 41)] + _LARGE_MASS_CASES
+
+
+@pytest.mark.parametrize("n,d", _NAMING_GRID)
+def test_candidates_are_named_as_their_trees(capsys, n, d):
+    # classify hands out branch profiles; the names, lateral counts and
+    # tree texts must be those of the path and AS trees they stand for.
+    pair = candidate_profiles(n, d)
+    if pair is None:
+        trees = [make_path(d)]
+    else:
+        params = [pair.as_minus] if pair.as_minus == pair.as_plus else [pair.as_minus, pair.as_plus]
+        trees = [make_as_tree(p) for p in params]
+    code, out, _ = _capture(capsys, ["classify", str(n), str(d), "--format", "json"])
+    assert code == 0
+    entries = json.loads(out)["candidates"]
+    assert len(entries) == len(trees)
+    for entry, tree in zip(entries, trees):
+        assert entry["tree"] == render_shorthand(tree)
+        assert entry["q"] == len(recognize_spider(tree).lengths) - 2
+        assert entry["tree_text"] == format_tree_text(tree)
+    if pair is not None:
+        code, out, _ = _capture(capsys, ["candidates", str(n), str(d), "--format", "json"])
+        assert code == 0
+        named = [entry["tree"] for entry in json.loads(out)["candidates"]]
+        assert named == [render_shorthand(make_as_tree(p)) for p in (pair.as_minus, pair.as_plus)]
+
+
+def test_classify_builds_no_tree(capsys, monkeypatch):
+    built = []
+    real = Tree.__post_init__
+    monkeypatch.setattr(Tree, "__post_init__", lambda self: (built.append(self.n), real(self)))
+    classify(3042, 41)
+    for fmt in ("text", "csv"):
+        code, _, _ = _capture(capsys, ["classify", "3042", "41", "--format", fmt])
+        assert code == 0
+    assert built == []
+    # The counter does see trees: json prints the one candidate's tree text.
+    _capture(capsys, ["classify", "3042", "41", "--format", "json"])
+    assert built == [3042]
+
+
 # ------------------------------ file input ------------------------------
 
 
@@ -352,6 +408,27 @@ def test_output_is_byte_stable(capsys):
     _, first, _ = _capture(capsys, ["classify", "15", "9", "--format", "json"])
     _, second, _ = _capture(capsys, ["classify", "15", "9", "--format", "json"])
     assert first == second
+
+
+def test_shared_parser_keeps_no_state_between_runs(capsys):
+    # The parser is built once per process; no run may leak into the next.
+    sequence = [
+        ["classify", "15", "9"],
+        ["classify", "15", "9", "--format", "csv"],
+        ["classify", "15", "9", "--format", "json"],
+        ["candidates", "6", "5"],
+        ["sweep", "--r", "2", "--M-max", "5"],
+        ["lambda2", "ds:2,1/2", "--method", "root"],
+        ["classify", "x", "5"],
+        ["classify", "10", "6"],
+        ["verify", "9", "5"],
+    ]
+    cli_module._build_parser.cache_clear()  # the first pass starts on a fresh parser
+    first = [_capture(capsys, argv) for argv in sequence]
+    second = [_capture(capsys, argv) for argv in sequence]
+    assert second == first
+    assert [code for code, _, _ in first] == [0, 0, 0, 0, 0, 0, 1, 2, 0]
+    assert cli_module._build_parser() is cli_module._build_parser()
 
 
 def test_verify_jobs_do_not_change_bytes(capsys, monkeypatch):
