@@ -1,9 +1,9 @@
 """Steklov spectra of trees with leaf boundary.
 
-Three routes to the first nonzero eigenvalue, which certify one
-another: the leaf distance form (the production route), the Laplacian
-Schur complement solved by LAPACK, and scalar root equations for
-spiders and double spiders.  Also the classification of the
+The spectrum and its first nonzero eigenvalue come from one form, the
+leaf distance form P(-D/2)P.  Two independent routes certify it: the
+Laplacian Schur complement solved by LAPACK, and scalar root equations
+for spiders and double spiders.  Also the classification of the
 maximizers of that eigenvalue among trees of fixed order and odd
 diameter, and a brute-force enumeration harness that certifies the
 classification at small orders.
@@ -70,13 +70,9 @@ from .reduce import (
     greedy_ascent_trace,
 )
 from .verify import (
-    CrossMethodReport,
-    DominationReport,
     UnimodalityReport,
     VerificationReport,
     verify_classification,
-    verify_cross_methods,
-    verify_domination,
     verify_unimodality,
 )
 
@@ -85,9 +81,7 @@ __all__ = [
     "BoundaryFlux",
     "CandidatePair",
     "ClassificationResult",
-    "CrossMethodReport",
     "CutDecomposition",
-    "DominationReport",
     "DoubleSpiderProfile",
     "RootResult",
     "Spectrum",
@@ -134,7 +128,5 @@ __all__ = [
     "threshold_data",
     "tree_centers",
     "verify_classification",
-    "verify_cross_methods",
-    "verify_domination",
     "verify_unimodality",
 ]

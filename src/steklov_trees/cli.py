@@ -18,9 +18,11 @@ import io
 import json
 import sys
 
+import numpy as np
+
 from .classify import candidate_profiles, classify
 from .reduce import greedy_ascent_trace
-from .spectral import lambda2_numeric, steklov_spectrum
+from .spectral import dtn_matrix, lambda2_numeric, steklov_spectrum
 from .trees import (
     Tree,
     _spider_shorthand,
@@ -100,7 +102,7 @@ def _cmd_lambda2(args: argparse.Namespace) -> int:
     if args.method == "distance":
         lam = lambda2_numeric(tree)
     elif args.method == "matrix":
-        lam = steklov_spectrum(tree).eigenvalues[1]
+        lam = float(np.linalg.eigvalsh(dtn_matrix(tree))[1])
     else:
         route = next(_root_routes(tree), None)
         if route is None:
@@ -347,7 +349,7 @@ def _build_parser() -> _Parser:
         "--method",
         choices=["matrix", "distance", "root"],
         default="distance",
-        help="distance: leaf distance form; matrix: DtN Schur complement, as in spectrum; root: root equation",
+        help="distance: leaf distance form, as in spectrum; matrix: DtN Schur complement; root: root equation",
     )
     _add_format_argument(sub)
     sub.set_defaults(handler=_cmd_lambda2)

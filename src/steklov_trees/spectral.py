@@ -1,20 +1,21 @@
 """Steklov spectrum of a tree with leaf boundary, and its first nonzero eigenvalue.
 
-The boundary is the leaf set.  The Dirichlet-to-Neumann matrix is the
-Schur complement of the graph Laplacian onto the leaf block; its
-eigenvalues, sorted ascending, form the Steklov spectrum
-0 = lambda_1 <= lambda_2 <= ... <= lambda_m with m the number of leaves.
-steklov_spectrum solves that matrix with LAPACK (numpy.linalg.eigvalsh).
-
-The production lambda_2 never builds the n x n Laplacian: the nonzero
-Steklov eigenvalues are the reciprocals of the nonzero eigenvalues of
-P(-D/2)P, with D the leaf distance matrix and P the centering
-projection, so it needs O(n + m^2) memory.  It has two entry points,
+The boundary is the leaf set.  The Steklov eigenvalues, sorted ascending,
+are 0 = lambda_1 <= lambda_2 <= ... <= lambda_m with m the number of
+leaves.  The package computes them from one form, the inverse boundary
+quadratic form on mean-zero leaf fluxes: the nonzero eigenvalues are the
+reciprocals of the nonzero eigenvalues of the Gram matrix P(-D/2)P, with
+D the leaf distance matrix and P the centering projection.  It needs
+O(n + m^2) memory and no n x n Laplacian.  steklov_spectrum takes every
+eigenvalue of the Gram matrix; lambda_2 takes its top, in
 lambda2_numeric for one tree and _lambda2_batch for many canonical codes
-of one order at once, as certification runs it; both build D with one
-stacked kernel, _leaf_distances, from preorder depths and leaf masks.
-The test suite keeps an independent cyclic Jacobi solver and an explicit
-harmonic extension as oracles for the Schur route (tests/oracles.py).
+of one order at once, as certification runs it.  All of them build D
+with one stacked kernel, _leaf_distances, from preorder depths and leaf
+masks.
+
+The Dirichlet-to-Neumann matrix, the Schur complement of the graph
+Laplacian onto the leaf block, is the independent route that
+`lambda2 --method matrix` prints and the test oracles check against.
 """
 
 from __future__ import annotations
@@ -24,9 +25,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .trees import Tree, leaf_set
-
-# |lambda_1| below this is snapped to exactly 0 (it vanishes in theory).
-_ZERO_SNAP = 1e-10
 
 
 @dataclass(frozen=True)
@@ -39,7 +37,7 @@ class Spectrum:
         lams = self.eigenvalues
         if any(b < a for a, b in zip(lams, lams[1:])):
             raise ValueError("eigenvalues must be nondecreasing")
-        if lams and lams[0] < -_ZERO_SNAP:
+        if lams and lams[0] < 0.0:
             raise ValueError(f"negative bottom eigenvalue {lams[0]}")
 
 
@@ -72,14 +70,6 @@ def dtn_matrix(t: Tree) -> np.ndarray:
     l_ii = lap[np.ix_(interior, interior)]
     schur = l_bb - l_bi @ np.linalg.solve(l_ii, l_ib)
     return (schur + schur.T) / 2.0
-
-
-def steklov_spectrum(t: Tree) -> Spectrum:
-    """All Steklov eigenvalues of t, ascending, bottom snapped to 0."""
-    out = np.linalg.eigvalsh(dtn_matrix(t)).tolist()
-    if abs(out[0]) <= _ZERO_SNAP:
-        out[0] = 0.0
-    return Spectrum(tuple(out))
 
 
 def _leaf_distances(depth: np.ndarray, leaf: np.ndarray) -> np.ndarray:
@@ -120,13 +110,18 @@ def leaf_distance_matrix(t: Tree) -> np.ndarray:
     return dmat[np.ix_(rank, rank)]
 
 
-def _distance_lambda2(dmat: np.ndarray) -> np.ndarray:
-    """lambda_2 = 1 / top eigenvalue of P(-D/2)P for each stacked m x m distance matrix."""
+def _gram_eigenvalues(dmat: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of P(-D/2)P for each stacked m x m distance matrix."""
     m = dmat.shape[-1]
     pmat = np.eye(m) - np.full((m, m), 1.0 / m)
     gram = -0.5 * (pmat @ dmat @ pmat)
     gram = (gram + np.swapaxes(gram, -1, -2)) / 2.0
-    top = np.linalg.eigvalsh(gram)[..., -1]
+    return np.linalg.eigvalsh(gram)
+
+
+def _distance_lambda2(dmat: np.ndarray) -> np.ndarray:
+    """lambda_2 = 1 / top eigenvalue of P(-D/2)P for each stacked m x m distance matrix."""
+    top = _gram_eigenvalues(dmat)[..., -1]
     if np.any(top <= 0.0):
         raise RuntimeError(f"centered distance form has no positive eigenvalue (top={np.min(top)})")
     return 1.0 / top
@@ -135,6 +130,21 @@ def _distance_lambda2(dmat: np.ndarray) -> np.ndarray:
 def lambda2_numeric(t: Tree) -> float:
     """First nonzero Steklov eigenvalue, from the leaf distance form."""
     return float(_distance_lambda2(leaf_distance_matrix(t).astype(float)))
+
+
+def steklov_spectrum(t: Tree) -> Spectrum:
+    """All Steklov eigenvalues of t, ascending, from the leaf distance form.
+
+    The smallest Gram eigenvalue, of the constant flux, is zero up to
+    rounding and gives lambda_1 = 0.  Every other one is at least 1 (1/2
+    at n = 2): no two leaves are adjacent, so the DtN matrix lies below
+    the identity.  Their reciprocals are the rest of the spectrum, the
+    first of them lambda2_numeric's value bit for bit.
+    """
+    gram = _gram_eigenvalues(leaf_distance_matrix(t).astype(float))
+    if gram[1] <= 0.0:
+        raise RuntimeError(f"centered distance form has a second eigenvalue {gram[1]} that is not positive")
+    return Spectrum((0.0, *(1.0 / gram[:0:-1]).tolist()))
 
 
 # Trees per stacked batch; bounds the kernel's memory at O(_CHUNK n^2) bytes.

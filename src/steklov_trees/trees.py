@@ -16,7 +16,6 @@ order, so that golden outputs are reproducible.
 from __future__ import annotations
 
 import re
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, Optional
@@ -91,19 +90,6 @@ class Tree:
                     stack.append(y)
         return order, parent, depth
 
-    def bfs_distances(self, start: int) -> list[int]:
-        """Graph distances from start to every vertex."""
-        dist = [-1] * self.n
-        dist[start] = 0
-        queue = deque([start])
-        while queue:
-            x = queue.popleft()
-            for y in self.adjacency[x]:
-                if dist[y] < 0:
-                    dist[y] = dist[x] + 1
-                    queue.append(y)
-        return dist
-
 
 def leaf_set(t: Tree) -> list[int]:
     """All degree-1 vertices, ascending.  For n=2 both vertices are leaves."""
@@ -111,11 +97,13 @@ def leaf_set(t: Tree) -> list[int]:
 
 
 def diameter(t: Tree) -> int:
-    """Longest path length in edges, by the double breadth-first sweep."""
-    d0 = t.bfs_distances(0)
+    """Longest path length in edges, by a double sweep.
+
+    In a tree the depth-first depth from a root is the graph distance.
+    """
+    d0 = t._preorder(0)[2]
     far = max(range(t.n), key=lambda v: (d0[v], -v))
-    d1 = t.bfs_distances(far)
-    return max(d1)
+    return max(t._preorder(far)[2])
 
 
 def tree_centers(t: Tree) -> list[int]:

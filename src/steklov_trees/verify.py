@@ -1,15 +1,14 @@
-"""Brute-force certification of the classification and its supporting claims.
+"""Brute-force certification of the classification and the balanced family.
 
 Everything the classifier claims is checkable at desk scale by exhaustion:
 enumerate every unlabeled tree of a given order and diameter as its
 canonical code, compute lambda_2 in batches from the leaf distance form
 P(-D/2)P straight from those codes (spectral._lambda2_batch, sharded
-over at most one process per CPU), and compare winner sets; sweep the
-balanced family for unimodality; check the double-spider domination
-inequality tree by tree; and cross-check the independent lambda_2
-routes against each other.  Reports never hide a failure: verdicts are
-match / tie_unresolved / mismatch, with ties flagged only below the
-resolution of floating point.
+over at most one process per CPU), and compare winner sets; and sweep
+the balanced family for unimodality.  Reports never hide a failure:
+verdicts are match / tie_unresolved / mismatch, with ties flagged only
+below the resolution of floating point.  The root equations that a
+tree's shape admits are listed here too, for `lambda2 --method root`.
 """
 
 from __future__ import annotations
@@ -21,21 +20,9 @@ from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from .classify import _STRICT_RTOL, _TIE_RTOL, _near_argmax, _predicted_counts, classify
-from .reduce import dominating_double_spider
 from .roots import _sigma_tables, double_spider_rho, spider_lambda2
-from .spectral import _lambda2_batch, lambda2_numeric, steklov_spectrum
-from .trees import (
-    Tree,
-    _center_codes,
-    canonical_code,
-    enumerate_trees,
-    make_spider,
-    recognize_double_spider,
-    recognize_spider,
-)
-
-# Pairwise agreement required between independent lambda_2 routes.
-_CROSS_RTOL = 1e-10
+from .spectral import _lambda2_batch
+from .trees import Tree, _center_codes, canonical_code, make_spider, recognize_double_spider, recognize_spider
 
 # Sharding below this many trees costs more than it saves.
 _MIN_SHARD_SIZE = 64
@@ -64,28 +51,6 @@ class UnimodalityReport:
     M: int
     rows: tuple[tuple[int, float], ...]
     peak_q: tuple[int, ...]
-    passed: bool
-    detail: str
-
-
-@dataclass(frozen=True)
-class DominationReport:
-    """Per-(n, D) outcome of the double-spider domination inequality."""
-
-    n: int
-    D: int
-    trees_checked: int
-    worst_margin: float
-    equality_count: int
-    passed: bool
-    detail: str
-
-
-@dataclass(frozen=True)
-class CrossMethodReport:
-    """Agreement of every applicable lambda_2 route on one tree."""
-
-    values: tuple[tuple[str, float], ...]
     passed: bool
     detail: str
 
@@ -198,41 +163,7 @@ def _unimodality_reports(r: int, masses: Sequence[int]) -> list[UnimodalityRepor
     return reports
 
 
-def verify_domination(n: int, d: int) -> DominationReport:
-    """Dominate every tree of order n, odd diameter d, and keep the margins.
-
-    Passes iff no tree beats its dominating double spider by more than
-    1e-9 and every equality case is itself a double spider.
-    """
-    worst = math.inf
-    equalities = 0
-    count = 0
-    problems = []
-    for t in enumerate_trees(n, d):
-        count += 1
-        lam_tree = lambda2_numeric(t)
-        profile = dominating_double_spider(t)
-        lam_ds = 1.0 / double_spider_rho(profile).value
-        margin = lam_ds - lam_tree
-        worst = min(worst, margin)
-        if margin < -_TIE_RTOL:
-            problems.append(f"domination fails by {-margin} on {canonical_code(t).decode()}")
-        elif abs(margin) <= _TIE_RTOL:
-            equalities += 1
-            if recognize_double_spider(t) is None:
-                problems.append(f"equality on non-double-spider {canonical_code(t).decode()}")
-    return DominationReport(
-        n=n,
-        D=d,
-        trees_checked=count,
-        worst_margin=worst,
-        equality_count=equalities,
-        passed=not problems,
-        detail="; ".join(problems),
-    )
-
-
-# -------------------------- method agreement ---------------------------
+# ----------------------------- root routes -----------------------------
 
 
 def _root_routes(t: Tree) -> Iterator[tuple[str, float]]:
@@ -247,26 +178,3 @@ def _root_routes(t: Tree) -> Iterator[tuple[str, float]]:
     double = recognize_double_spider(t)
     if double is not None and double.a_lengths[0] == double.b_lengths[0]:
         yield "double_spider_root", 1.0 / double_spider_rho(double).value
-
-
-def verify_cross_methods(t: Tree) -> CrossMethodReport:
-    """Compute lambda_2 by every route the tree's shape supports.
-
-    The boundary-operator (Schur complement) and leaf distance routes
-    always apply; the spider and double-spider root equations join in
-    when the shape matches.  Passes iff all pairs agree within 1e-10
-    relative.
-    """
-    values = [
-        ("matrix", steklov_spectrum(t).eigenvalues[1]),
-        ("distance", lambda2_numeric(t)),
-        *_root_routes(t),
-    ]
-
-    problems = []
-    for i in range(len(values)):
-        for j in range(i + 1, len(values)):
-            (name_a, lam_a), (name_b, lam_b) = values[i], values[j]
-            if abs(lam_a - lam_b) > _CROSS_RTOL * max(abs(lam_a), abs(lam_b)):
-                problems.append(f"{name_a}={lam_a!r} vs {name_b}={lam_b!r}")
-    return CrossMethodReport(values=tuple(values), passed=not problems, detail="; ".join(problems))

@@ -9,12 +9,15 @@ LAPACK, an explicit harmonic extension instead of the Schur complement,
 one breadth-first search per leaf instead of the one-traversal leaf
 distance matrix.
 Keep this module free of imports from the package except where a test
-explicitly certifies one route against the other.
+explicitly certifies one route against the other, as the certification
+harness at the end does: the double-spider domination inequality tree by
+tree, and every applicable lambda_2 route against the others.
 """
 
 from __future__ import annotations
 
 import heapq
+import math
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
@@ -29,18 +32,28 @@ from steklov_trees import (
     DoubleSpiderProfile,
     Tree,
     canonical_code,
+    dominating_double_spider,
     double_spider_rho,
+    dtn_matrix,
+    enumerate_trees,
+    lambda2_numeric,
     laplacian_matrix,
     leaf_set,
     make_double_spider,
     q_form,
+    recognize_double_spider,
 )
+from steklov_trees.classify import _TIE_RTOL
 from steklov_trees.roots import _resolvent_sum
+from steklov_trees.verify import _root_routes
 
 # Distinct unlabeled trees on n = 1..16 vertices, frozen by hand.
 FREE_TREE_COUNTS = [1, 1, 1, 2, 3, 6, 11, 23, 47, 106, 235, 551, 1301, 3159, 7741, 19320]
 
 _BRACKET_BITS = 90
+
+# Pairwise agreement required between independent lambda_2 routes.
+_CROSS_RTOL = 1e-10
 
 # Off-diagonal Frobenius norm below which a Jacobi sweep stops.
 _JACOBI_TOL = 1e-13
@@ -418,3 +431,85 @@ def harmonic_extension(t: Tree, g: BoundaryValues | np.ndarray) -> np.ndarray:
         rhs = -lap[np.ix_(interior, boundary)] @ g
         values[interior] = np.linalg.solve(lap[np.ix_(interior, interior)], rhs)
     return values
+
+
+# ------------------------ certification harness ---------------------------
+
+
+@dataclass(frozen=True)
+class DominationReport:
+    """Per-(n, D) outcome of the double-spider domination inequality."""
+
+    n: int
+    D: int
+    trees_checked: int
+    worst_margin: float
+    equality_count: int
+    passed: bool
+    detail: str
+
+
+@dataclass(frozen=True)
+class CrossMethodReport:
+    """Agreement of every applicable lambda_2 route on one tree."""
+
+    values: tuple[tuple[str, float], ...]
+    passed: bool
+    detail: str
+
+
+def verify_domination(n: int, d: int) -> DominationReport:
+    """Dominate every tree of order n, odd diameter d, and keep the margins.
+
+    Passes iff no tree beats its dominating double spider by more than
+    1e-9 and every equality case is itself a double spider.
+    """
+    worst = math.inf
+    equalities = 0
+    count = 0
+    problems = []
+    for t in enumerate_trees(n, d):
+        count += 1
+        lam_tree = lambda2_numeric(t)
+        profile = dominating_double_spider(t)
+        lam_ds = 1.0 / double_spider_rho(profile).value
+        margin = lam_ds - lam_tree
+        worst = min(worst, margin)
+        if margin < -_TIE_RTOL:
+            problems.append(f"domination fails by {-margin} on {canonical_code(t).decode()}")
+        elif abs(margin) <= _TIE_RTOL:
+            equalities += 1
+            if recognize_double_spider(t) is None:
+                problems.append(f"equality on non-double-spider {canonical_code(t).decode()}")
+    return DominationReport(
+        n=n,
+        D=d,
+        trees_checked=count,
+        worst_margin=worst,
+        equality_count=equalities,
+        passed=not problems,
+        detail="; ".join(problems),
+    )
+
+
+def verify_cross_methods(t: Tree) -> CrossMethodReport:
+    """Compute lambda_2 by every route the tree's shape supports.
+
+    The boundary-operator (Schur complement) and leaf distance routes
+    always apply; the spider and double-spider root equations join in
+    when the shape matches.  Passes iff all pairs agree within 1e-10
+    relative.
+    """
+    values = [
+        ("matrix", float(np.linalg.eigvalsh(dtn_matrix(t))[1])),
+        ("distance", lambda2_numeric(t)),
+        *_root_routes(t),
+    ]
+
+    problems = []
+    for i in range(len(values)):
+        for j in range(i + 1, len(values)):
+            (name_a, lam_a), (name_b, lam_b) = values[i], values[j]
+            if abs(lam_a - lam_b) > _CROSS_RTOL * max(abs(lam_a), abs(lam_b)):
+                problems.append(f"{name_a}={lam_a!r} vs {name_b}={lam_b!r}")
+    return CrossMethodReport(values=tuple(values), passed=not problems, detail="; ".join(problems))

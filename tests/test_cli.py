@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -28,6 +29,8 @@ import steklov_trees
 import steklov_trees.cli as cli_module
 import steklov_trees.verify as verify_module
 
+from oracles import spider_lambda2_exact
+
 
 def _capture(capsys, argv):
     code = run(argv)
@@ -49,23 +52,30 @@ def test_lambda2_path_golden(capsys):
     [("path:3003", "0.000666000666001"), ("path:3019", "0.000662471016893")],
 )
 def test_lambda2_long_path_goldens(capsys, tree, value):
-    # 2/L to the last printed digit; the Schur complement's dense solve misses it.
+    # 2/L to the last printed digit, also as the spectrum's second line; the
+    # Schur complement's dense solve misses it.
     code, out, _ = _capture(capsys, ["lambda2", tree])
     assert code == 0
     assert out == value + "\n"
+    code, out, _ = _capture(capsys, ["spectrum", tree])
+    assert code == 0
+    assert out.splitlines()[:2] == ["0", value]
 
 
-def test_lambda2_default_method_is_distance_and_matrix_is_the_spectrum(capsys):
+def test_lambda2_default_method_is_distance_as_in_the_spectrum(capsys):
     code, out, _ = _capture(capsys, ["lambda2", "path:5", "--format", "csv"])
     assert code == 0
     assert out == "method,lambda2\ndistance,0.4\n"
     # Exactly 0.04870631197095005...: the two routes round to different last digits.
-    tree = "spider:21,20,6,5,4,3"
+    lengths = (21, 20, 6, 5, 4, 3)
+    tree = "spider:" + ",".join(map(str, lengths))
     _, distance, _ = _capture(capsys, ["lambda2", tree])
     _, spectrum, _ = _capture(capsys, ["spectrum", tree])
     _, matrix, _ = _capture(capsys, ["lambda2", tree, "--method", "matrix"])
+    lo, hi = spider_lambda2_exact(lengths)
+    assert Fraction("0.04870631197095") <= lo <= hi < Fraction("0.04870631197105")  # the digits of 0.048706311971
     assert distance == "0.048706311971\n"
-    assert matrix == spectrum.splitlines(keepends=True)[1] != distance
+    assert distance == spectrum.splitlines(keepends=True)[1] != matrix
 
 
 @pytest.mark.parametrize("method", ["matrix", "distance", "root"])
@@ -441,15 +451,18 @@ def test_verify_jobs_do_not_change_bytes(capsys, monkeypatch):
 
 
 def test_cli_import_leaves_the_process_pool_unloaded():
-    # Only `verify --jobs N` with N > 1 needs it; every other start-up would pay for it.
+    # Only `verify --jobs N` with N > 1 needs the pool; every other start-up would pay for it.
+    # numpy is the one runtime dependency: the test oracles' networkx, scipy and
+    # hypothesis must stay out of the package.
     src = str(Path(steklov_trees.__file__).resolve().parents[1])
+    unloaded = ["concurrent.futures.process", "networkx", "scipy", "hypothesis"]
     proc = subprocess.run(
-        [sys.executable, "-c", "import sys, steklov_trees.cli; print('concurrent.futures.process' in sys.modules)"],
+        [sys.executable, "-c", f"import sys, steklov_trees.cli; print([m for m in {unloaded} if m in sys.modules])"],
         capture_output=True,
         env={**os.environ, "PYTHONPATH": src},
         check=True,
     )
-    assert proc.stdout == b"False\n"
+    assert proc.stdout == b"[]\n"
 
 
 @pytest.mark.parametrize(

@@ -27,6 +27,7 @@ from steklov_trees import (
     steklov_spectrum,
 )
 
+import steklov_trees.spectral as spectral
 from steklov_trees.spectral import _code_depths, _leaf_distances
 from steklov_trees.trees import _center_codes, _code_tree
 
@@ -266,6 +267,7 @@ def test_lambda2_and_reduce_allocate_no_n_by_n_array():
     assert _transient_mb(lambda: laplacian_matrix(make_path(1000)).sum()) >= 7.6
     # The Schur complement needs a 3001 x 3001 Laplacian (72 MB) here.
     assert _transient_mb(lambda: lambda2_numeric(make_path(3000))) < 2.0
+    assert _transient_mb(lambda: steklov_spectrum(make_path(3000))) < 2.0
     # Order 400 with 40 leaves: the Schur route allocates about 2.5 MB a step.
     rng = random.Random(400)
     while True:
@@ -291,6 +293,19 @@ def test_path_spectrum(d):
 def test_star_spectrum():
     spec = steklov_spectrum(make_spider(SpiderProfile((1, 1, 1)))).eigenvalues
     assert np.allclose(spec, [0.0, 1.0, 1.0], atol=1e-12)
+
+
+def test_spectrum_second_value_is_lambda2_bit_for_bit():
+    for n in range(2, 13):
+        for d in range(1, n):
+            for t in enumerate_trees(n, d):
+                assert steklov_spectrum(t).eigenvalues[1] == lambda2_numeric(t), (n, d, t.edges)
+
+
+def test_spectrum_rejects_a_second_gram_eigenvalue_that_is_not_positive(monkeypatch):
+    monkeypatch.setattr(spectral, "_gram_eigenvalues", lambda dmat: np.array([-1e-16, 0.0, 0.5]))
+    with pytest.raises(RuntimeError, match="not positive"):
+        steklov_spectrum(make_spider(SpiderProfile((1, 1, 1))))
 
 
 def test_spectrum_type_validates():

@@ -4,6 +4,7 @@ import concurrent.futures
 import json
 import math
 
+import numpy as np
 import pytest
 
 from steklov_trees import (
@@ -11,20 +12,21 @@ from steklov_trees import (
     SpiderProfile,
     Tree,
     canonical_code,
+    dtn_matrix,
     enumerate_trees,
     lambda2_numeric,
     make_double_spider,
     make_path,
     make_spider,
     recognize_spider,
-    steklov_spectrum,
     verify_classification,
-    verify_cross_methods,
-    verify_domination,
     verify_unimodality,
 )
 import steklov_trees.verify as verify_module
 from steklov_trees.cli import run
+
+import oracles
+from oracles import verify_cross_methods, verify_domination
 
 
 def _spider_code(*lengths):
@@ -241,14 +243,14 @@ def test_cross_methods_pass_on_catalog():
                 assert report.passed, (n, report.detail)
 
 
-def test_cross_methods_take_the_schur_value_from_the_spectrum(monkeypatch):
-    # The "matrix" entry must not come from lambda2_numeric, or the check
-    # would compare the distance route with itself.
+def test_cross_methods_take_the_schur_value_from_the_dtn_matrix(monkeypatch):
+    # The "matrix" entry must come from neither lambda2_numeric nor
+    # steklov_spectrum, or the check would compare the distance form with itself.
     t = make_spider(SpiderProfile((5, 4, 3, 2)))
     values = dict(verify_cross_methods(t).values)
-    assert values["matrix"] == steklov_spectrum(t).eigenvalues[1]
+    assert values["matrix"] == np.linalg.eigvalsh(dtn_matrix(t))[1]
     assert values["distance"] == lambda2_numeric(t)
-    monkeypatch.setattr(verify_module, "lambda2_numeric", lambda tree: 2.0 * lambda2_numeric(tree))
+    monkeypatch.setattr(oracles, "lambda2_numeric", lambda tree: 2.0 * lambda2_numeric(tree))
     report = verify_cross_methods(t)
     assert not report.passed
     assert dict(report.values)["matrix"] == values["matrix"]
