@@ -24,10 +24,15 @@ from .classify import candidate_profiles, classify
 from .reduce import greedy_ascent_trace
 from .spectral import dtn_matrix, lambda2_numeric, steklov_spectrum
 from .trees import (
+    DoubleSpiderProfile,
+    SpiderProfile,
     Tree,
+    _double_spider_shorthand,
     _spider_shorthand,
     canonical_code,
     format_tree_text,
+    make_double_spider,
+    make_spider,
     parse_tree,
     parse_tree_text,
     render_shorthand,
@@ -62,6 +67,14 @@ def _print_json(obj: object) -> None:
 
 def _tree_name(t: Tree) -> str:
     return render_shorthand(t) or canonical_code(t).decode("ascii")
+
+
+# How `reduce` names a trace step's shape, and builds its tree for json's tree_text.
+_REDUCE_SHAPES = {
+    Tree: (_tree_name, lambda t: t),
+    SpiderProfile: (_spider_shorthand, make_spider),
+    DoubleSpiderProfile: (_double_spider_shorthand, make_double_spider),
+}
 
 
 def _load_tree(args: argparse.Namespace) -> Tree:
@@ -246,16 +259,15 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_reduce(args: argparse.Namespace) -> int:
-    tree = _load_tree(args)
-    trace = greedy_ascent_trace(tree)
-    steps = [(i, move, t, lambda2_numeric(t)) for i, (move, t) in enumerate(trace)]
+    trace = greedy_ascent_trace(_load_tree(args))
+    steps = [(i, move, shape, _REDUCE_SHAPES[type(shape)][0](shape), lam) for i, (move, shape, lam) in enumerate(trace)]
     if args.format == "text":
-        for i, move, t, lam in steps:
-            print(f"step={i} move={move} tree={_tree_name(t)} lambda2={_fmt(lam)}")
+        for i, move, _, name, lam in steps:
+            print(f"step={i} move={move} tree={name} lambda2={_fmt(lam)}")
     elif args.format == "csv":
         _print_csv(
             ["step", "move", "tree", "lambda2"],
-            [[str(i), move, _tree_name(t), _fmt(lam)] for i, move, t, lam in steps],
+            [[str(i), move, name, _fmt(lam)] for i, move, _, name, lam in steps],
         )
     else:
         _print_json(
@@ -264,11 +276,11 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
                     {
                         "step": i,
                         "move": move,
-                        "tree": _tree_name(t),
-                        "tree_text": format_tree_text(t),
+                        "tree": name,
+                        "tree_text": format_tree_text(_REDUCE_SHAPES[type(shape)][1](shape)),
                         "lambda2": _fmt(lam),
                     }
-                    for i, move, t, lam in steps
+                    for i, move, shape, name, lam in steps
                 ]
             }
         )

@@ -3,30 +3,50 @@
 Three mechanisms: replacing an odd-diameter tree by the double spider
 that dominates it edge-for-edge, transferring a branch between the two
 hubs of a double spider, and the two balancing moves on spider branch
-lengths.  Each move checks the strict spectral increase it promises;
-chaining them in greedy_ascent walks any odd-diameter tree to an almost
-seesaw tree without ever decreasing lambda_2.
+lengths.  One check guards every move: it raises only on a decrease of
+lambda_2 that exact signs of the two root equations certify.  Chaining
+the moves, greedy_ascent walks any odd-diameter tree to an almost seesaw
+tree, pricing each profile on the way by its own root, solved once.
 """
 
 from __future__ import annotations
 
-from .roots import _resolvent_sum, double_spider_rho, spider_lambda2
-from .spectral import lambda2_numeric
-from .trees import (
-    DoubleSpiderProfile,
-    SpiderProfile,
-    Tree,
-    diameter,
-    make_double_spider,
-    make_spider,
-    tree_centers,
-)
+from collections import Counter
+from numbers import Rational
 
-# Every move must beat its input by at least this much.
-_INCREASE_MARGIN = 1e-10
+from .roots import _double_spider_equation, _pole_sum, _resolvent_sum, double_spider_rho, spider_lambda2
+from .spectral import lambda2_numeric
+from .trees import DoubleSpiderProfile, SpiderProfile, Tree, _double_sweep, diameter, make_spider
+
+Profile = SpiderProfile | DoubleSpiderProfile
 
 # Slack allowed in the domination inequality when checked numerically.
 _DOMINATION_SLACK = 1e-9
+
+
+def _equation(p: Profile, x: Rational) -> Rational:
+    if isinstance(p, SpiderProfile):
+        return _pole_sum(tuple(Counter(p.lengths).items()), x)
+    return _double_spider_equation(p, x)
+
+
+def _checked_root(before: Profile, x_before: float, after: Profile) -> float:
+    """Root of `after` (lambda_2, or rho = 1/lambda_2 for a double spider), checked against `before`'s.
+
+    Both equations increase on a bracket that the moves share: (r, inf) in
+    rho for arm transfers, (1/(r+1), 1/r) for side steps.  Roots that tie
+    or order as an increase pass; otherwise both equations' exact signs
+    midway between the roots decide, and only a certified decrease raises.
+    """
+    spider = isinstance(after, SpiderProfile)
+    x_after = spider_lambda2(after).value if spider else double_spider_rho(after).value
+    down = 1 if spider else -1  # lambda_2 falls with a spider's root, rises with rho
+    if down * (x_before - x_after) > 0:
+        from fractions import Fraction  # only this rare path needs it; importing it costs every command ~3 ms
+        mid = (Fraction(x_before) + Fraction(x_after)) / 2
+        if down * _equation(after, mid) > 0 > down * _equation(before, mid):
+            raise RuntimeError(f"move lowers lambda_2: {before} -> {after}")
+    return x_after
 
 
 # --------------------------- domination -------------------------------
@@ -68,13 +88,13 @@ def dominating_double_spider(t: Tree) -> DoubleSpiderProfile:
     boundary leaf.  Equality of the two lambda_2 values forces t to be
     a double spider already.
     """
-    d = diameter(t)
+    d, centers = _double_sweep(t)
     if d % 2 == 0:
         raise ValueError(f"diameter {d} is even; the two-sided split needs an odd diameter")
     if d < 3:
         raise ValueError("a single edge has no central structure to split")
     r = (d - 1) // 2
-    u, v = tree_centers(t)
+    u, v = centers
 
     # The profile canonicalizes its sides, so naming the centers is free.
     profile = DoubleSpiderProfile(_side_arm_lengths(t, u, v), _side_arm_lengths(t, v, u))
@@ -86,17 +106,10 @@ def dominating_double_spider(t: Tree) -> DoubleSpiderProfile:
 # --------------------------- arm transfer ------------------------------
 
 
-def arm_transfer(p: DoubleSpiderProfile, k: int = 2) -> DoubleSpiderProfile:
-    """Move the k-th branch of the spectrally lighter side to the other.
-
-    The donor is the side whose resolvent sum at rho = 1/lambda_2 is
-    smaller (ties donate from the b-side); it must keep its principal
-    branch, so k starts at 2 and the donor needs at least two branches.
-    The strict lambda_2 increase is checked numerically.
-    """
-    rho_old = double_spider_rho(p).value
-    a_sum = _resolvent_sum(p.a_lengths, rho_old)
-    b_sum = _resolvent_sum(p.b_lengths, rho_old)
+def _transfer(p: DoubleSpiderProfile, rho: float, k: int) -> DoubleSpiderProfile:
+    """arm_transfer's result, given rho = 1/lambda_2 of p."""
+    a_sum = _resolvent_sum(p.a_lengths, rho)
+    b_sum = _resolvent_sum(p.b_lengths, rho)
     if a_sum < b_sum:
         donor, receiver = p.a_lengths, p.b_lengths
     else:
@@ -112,9 +125,20 @@ def arm_transfer(p: DoubleSpiderProfile, k: int = 2) -> DoubleSpiderProfile:
     principals = (result.a_lengths[0], result.b_lengths[0])
     if result.order != p.order or principals != (p.a_lengths[0], p.b_lengths[0]):
         raise RuntimeError(f"arm transfer changed order or principal branches: {p} -> {result}")
-    rho_new = double_spider_rho(result).value
-    if 1.0 / rho_new - 1.0 / rho_old <= _INCREASE_MARGIN:
-        raise RuntimeError(f"arm transfer failed to increase lambda_2: {p} -> {result}")
+    return result
+
+
+def arm_transfer(p: DoubleSpiderProfile, k: int = 2) -> DoubleSpiderProfile:
+    """Move the k-th branch of the spectrally lighter side to the other.
+
+    The donor is the side whose resolvent sum at rho = 1/lambda_2 is
+    smaller (ties donate from the b-side); it must keep its principal
+    branch, so k starts at 2 and the donor needs at least two branches.
+    The lambda_2 increase is checked by _checked_root.
+    """
+    rho = double_spider_rho(p).value
+    result = _transfer(p, rho, k)
+    _checked_root(p, rho, result)
     return result
 
 
@@ -138,23 +162,15 @@ def balance_main_step(p: SpiderProfile) -> SpiderProfile:
     if (l1 + l2) % 2 == 0:
         raise ValueError(f"main branches {l1}, {l2} must have odd total")
 
-    before = spider_lambda2(p).value
     result = SpiderProfile((l1 - 1, l2 + 1) + sides)
     if result.order != p.order or result.diameter != p.diameter:
         raise RuntimeError(f"main balance changed order or diameter: {p} -> {result}")
-    after = spider_lambda2(result).value
-    if after - before <= _INCREASE_MARGIN:
-        raise RuntimeError(f"main balance failed to increase lambda_2: {p} -> {result}")
+    _checked_root(p, spider_lambda2(p).value, result)
     return result
 
 
-def balance_side_step(p: SpiderProfile) -> SpiderProfile:
-    """Shift one vertex from the longest side branch to the shortest.
-
-    Requires principal branches exactly (r+1, r) and a side pair
-    differing by at least 2; then (u, v) -> (u - 1, v + 1) strictly
-    increases lambda_2, keeping order and diameter.
-    """
+def _side_step(p: SpiderProfile) -> SpiderProfile:
+    """balance_side_step's result, unchecked."""
     r = p.lengths[1]
     if p.lengths[0] != r + 1:
         raise ValueError(f"principal branches must be (r+1, r), got {p.lengths[:2]}")
@@ -165,72 +181,63 @@ def balance_side_step(p: SpiderProfile) -> SpiderProfile:
     if u < v + 2:
         raise ValueError(f"no side pair differs by 2: sides {sides}")
 
-    before = spider_lambda2(p).value
     result = SpiderProfile((r + 1, r, u - 1) + sides[1:-1] + (v + 1,))
     if result.order != p.order or result.diameter != p.diameter:
         raise RuntimeError(f"side balance changed order or diameter: {p} -> {result}")
-    after = spider_lambda2(result).value
-    if after - before <= _INCREASE_MARGIN:
-        raise RuntimeError(f"side balance failed to increase lambda_2: {p} -> {result}")
+    return result
+
+
+def balance_side_step(p: SpiderProfile) -> SpiderProfile:
+    """Shift one vertex from the longest side branch to the shortest.
+
+    Requires principal branches exactly (r+1, r) and a side pair
+    differing by at least 2; then (u, v) -> (u - 1, v + 1) strictly
+    increases lambda_2, keeping order and diameter.
+    """
+    result = _side_step(p)
+    _checked_root(p, spider_lambda2(p).value, result)
     return result
 
 
 # --------------------------- greedy ascent -----------------------------
 
 
-def _spider_from_one_sided(p: DoubleSpiderProfile) -> SpiderProfile:
-    """Collapse a double spider whose b-side is a single branch.
+def greedy_ascent_trace(t: Tree) -> tuple[tuple[str, Tree | Profile, float], ...]:
+    """Every step of the ascent as (move, shape, lambda_2), from ("input", t, lambda2_numeric(t)) to "result".
 
-    The lone b-branch plus the central edge form one branch of length
-    r+1 hanging off the a-hub, so the tree is the spider (r+1, a-side).
-    Side canonicalization guarantees the single side is the b-side.
-    """
-    if len(p.b_lengths) != 1:
-        raise RuntimeError(f"double spider {p} is not one-sided")
-    return SpiderProfile((p.b_lengths[0] + 1,) + p.a_lengths)
-
-
-def greedy_ascent_trace(t: Tree) -> tuple[tuple[str, Tree], ...]:
-    """Every intermediate tree of the ascent, labeled by the move taken.
-
-    Starts at ("input", t) and ends at the almost seesaw fixpoint; the
-    final comparison against the input's lambda_2 guards the whole chain.
+    Every later shape is the profile a move produced, priced by its own
+    root, solved once; each move passes _checked_root, and the final
+    comparison against the input's lambda_2 guards the whole chain.
     """
     d = diameter(t)
     if d % 2 == 0:
         raise ValueError(f"diameter {d} is even; ascent is defined for odd diameters")
+    trace: list[tuple[str, Tree | Profile, float]] = [("input", t, lambda2_numeric(t))]
     if d < 3:
-        return (("input", t), ("result", t))
+        return (trace[0], ("result", t, trace[0][2]))
 
-    trace: list[tuple[str, Tree]] = [("input", t)]
     profile = dominating_double_spider(t)
-    trace.append(("dominate", make_double_spider(profile)))
+    rho = double_spider_rho(profile).value
+    trace.append(("dominate", profile, 1.0 / rho))
     budget = t.n * t.n
     while len(profile.a_lengths) >= 2 and len(profile.b_lengths) >= 2:
-        profile = arm_transfer(profile, 2)
-        trace.append(("arm_transfer", make_double_spider(profile)))
+        nxt = _transfer(profile, rho, 2)
+        profile, rho = nxt, _checked_root(profile, rho, nxt)
+        trace.append(("arm_transfer", profile, 1.0 / rho))
         if len(trace) > budget:
             raise RuntimeError(f"ascent exceeded its budget of {budget} moves")
 
-    spider = _spider_from_one_sided(profile)
-    while True:
-        l1, l2 = spider.lengths[0], spider.lengths[1]
-        sides = spider.lengths[2:]
-        if sides and l1 >= l2 + 2 and (l1 + l2) % 2 == 1:
-            spider = balance_main_step(spider)
-            trace.append(("balance_main", make_spider(spider)))
-        elif len(sides) >= 2 and l1 == l2 + 1 and sides[0] >= sides[-1] + 2:
-            spider = balance_side_step(spider)
-            trace.append(("balance_side", make_spider(spider)))
-        else:
-            break
-        if len(trace) > budget:
-            raise RuntimeError(f"ascent exceeded its budget of {budget} moves")
+    # The lone branch is the b-side one; with the central edge it is the same tree's spider branch r+1.
+    spider = SpiderProfile((profile.b_lengths[0] + 1,) + profile.a_lengths)
+    lam = spider_lambda2(spider).value
+    while len(spider.lengths) >= 4 and spider.lengths[2] >= spider.lengths[-1] + 2:
+        nxt = _side_step(spider)
+        spider, lam = nxt, _checked_root(spider, lam, nxt)
+        trace.append(("balance_side", spider, lam))  # ends: each step lowers the sum of squared sides
 
-    trace.append(("result", make_spider(spider)))
-    low, high = lambda2_numeric(t), lambda2_numeric(trace[-1][1])
-    if low > high + _DOMINATION_SLACK:
-        raise RuntimeError(f"ascent lost ground: lambda_2 fell from {low} to {high}")
+    trace.append(("result", spider, lam))
+    if trace[0][2] > lam + _DOMINATION_SLACK:
+        raise RuntimeError(f"ascent lost ground: lambda_2 fell from {trace[0][2]} to {lam}")
     return tuple(trace)
 
 
@@ -242,4 +249,5 @@ def greedy_ascent(t: Tree) -> Tree:
     Every step weakly increases lambda_2 (strictly after domination),
     and the walk is bounded by n^2 moves.
     """
-    return greedy_ascent_trace(t)[-1][1]
+    shape = greedy_ascent_trace(t)[-1][1]
+    return make_spider(shape) if isinstance(shape, SpiderProfile) else shape

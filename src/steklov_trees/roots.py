@@ -7,10 +7,10 @@ double spiders, and the threshold quadratic that orders the two
 balanced candidates.  The one-center equations are all the pole sum
 sum_i w_i/(1 - l_i lambda) with grouped weights, evaluated by one
 helper.  Each equation is strictly increasing on an explicit bracket
-whose endpoints are poles, so plain bisection that never touches the
-endpoints is the one solver, run on one root or elementwise over a
-stacked table of balanced-family roots; that monotonicity is a property
-test, not a runtime check.
+whose endpoints are poles, so the one solver is plain bisection down to
+two adjacent floats, with no tolerance and never touching the endpoints,
+run on one root or elementwise over a stacked table of balanced-family
+roots; that monotonicity is a property test, not a runtime check.
 """
 
 from __future__ import annotations
@@ -24,11 +24,6 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .trees import DoubleSpiderProfile, SpiderProfile
-
-# Bisection stops once the bracket is this narrow and the residual small,
-# or once no float is left strictly inside the bracket.
-_WIDTH_TOL = 1e-14
-_RESIDUAL_TOL = 1e-11
 
 
 @dataclass(frozen=True)
@@ -66,55 +61,49 @@ def _bisect(f: Callable[[float], float], lo: float, hi: float) -> RootResult:
 
     The endpoints are typically poles of f and are never evaluated, nor
     is monotonicity: the callers' equations are property-tested to be
-    increasing on their brackets.  Iterates until the bracket width is
-    below _WIDTH_TOL and the residual below _RESIDUAL_TOL, or the floats
-    are exhausted.  Near a steep pole no float may reach that residual;
-    the bracket is then two adjacent floats across which f changes sign,
-    which certifies the root to one ulp.
+    increasing on their brackets.  Halves until no float is left strictly
+    inside the bracket, so it ends on two adjacent floats across which f
+    changes sign and returns the one it evaluated last: the root to one
+    ulp, with no tolerance to scale.
     """
     a, b = lo, hi
     value = 0.5 * (a + b)
-    resid = f(value)
-    while (b - a) > _WIDTH_TOL or abs(resid) > _RESIDUAL_TOL:
+    while True:
+        resid = f(value)
         if resid > 0.0:
             b = value
         else:
             a = value
         nxt = 0.5 * (a + b)
-        if nxt <= a or nxt >= b:
-            break
+        if not a < nxt < b:
+            return RootResult(value=value, bracket=(lo, hi), residual=resid)
         value = nxt
-        resid = f(value)
-    return RootResult(value=value, bracket=(lo, hi), residual=resid)
 
 
 def _bisect_stacked(f: Callable[[np.ndarray], np.ndarray], lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """_bisect run elementwise over arrays of brackets, returning the values.
 
-    Each entry takes _bisect's midpoints and stops by its rule or at its
-    exhausted-bracket break, then keeps its value while the others go
-    on.  f must act elementwise, so every value equals _bisect's on the
-    same bracket bit for bit.
+    Each entry takes _bisect's midpoints and stops when its bracket holds
+    no float, then keeps its value while the others go on.  f must act
+    elementwise, so every value equals _bisect's on the same bracket bit
+    for bit.
     """
     a, b = lo, hi
     value = 0.5 * (a + b)
-    resid = f(value)
-    active = ((b - a) > _WIDTH_TOL) | (np.abs(resid) > _RESIDUAL_TOL)
+    active = np.ones(value.shape, dtype=bool)
     while active.any():
-        up = resid > 0.0
+        up = f(value) > 0.0
         b = np.where(active & up, value, b)
         a = np.where(active & ~up, value, a)
         nxt = 0.5 * (a + b)
         active &= (a < nxt) & (nxt < b)
         value = np.where(active, nxt, value)
-        resid = f(value)
-        active &= ((b - a) > _WIDTH_TOL) | (np.abs(resid) > _RESIDUAL_TOL)
     return value
 
 
 def _pole_sum(terms: Sequence[tuple[int, float]], lam: float) -> float:
-    """sum_i w_i / (1 - l_i lam) over (length, weight) pairs, in order; elementwise on arrays."""
-    return sum(w / (1.0 - l * lam) for l, w in terms)
+    """sum_i w_i / (1 - l_i lam) over (length, weight) pairs, in order; elementwise on arrays, exact on Fractions."""
+    return sum(w / (1 - l * lam) for l, w in terms)
 
 
 # --------------------------- spider equation --------------------------
@@ -200,15 +189,13 @@ def _sigma_tables(r: int, masses: Sequence[int]) -> list[tuple[tuple[int, float]
 
 
 def _resolvent_sum(lengths: Sequence[int], rho: float) -> float:
-    """sum_i 1/(rho - l_i), one side's term in the double-spider equation."""
-    return sum(1.0 / (rho - l) for l in lengths)
+    """sum_i 1/(rho - l_i), one side's term in the double-spider equation; exact on a Fraction rho."""
+    return sum(1 / (rho - l) for l in lengths)
 
 
-def _principal_radius(p: DoubleSpiderProfile) -> int:
-    r = p.a_lengths[0]
-    if p.b_lengths[0] != r:
-        raise ValueError(f"both sides must share the longest length, got {p.a_lengths[0]} and {p.b_lengths[0]}")
-    return r
+def _double_spider_equation(p: DoubleSpiderProfile, rho: float) -> float:
+    """1/A(rho) + 1/B(rho) - 1, increasing in rho above the longest length; exact on a Fraction rho."""
+    return 1 / _resolvent_sum(p.a_lengths, rho) + 1 / _resolvent_sum(p.b_lengths, rho) - 1
 
 
 def double_spider_rho(p: DoubleSpiderProfile) -> RootResult:
@@ -218,13 +205,11 @@ def double_spider_rho(p: DoubleSpiderProfile) -> RootResult:
     A(rho) = sum_i 1/(rho - a_i) and B likewise; the left side climbs
     from 0 at rho -> r+ to infinity, so it crosses 1 exactly once.
     """
-    r = _principal_radius(p)
+    r = p.a_lengths[0]
+    if p.b_lengths[0] != r:
+        raise ValueError(f"both sides must share the longest length, got {p.a_lengths[0]} and {p.b_lengths[0]}")
     total = sum(p.a_lengths) + sum(p.b_lengths)
-
-    def f(rho: float) -> float:
-        return 1.0 / _resolvent_sum(p.a_lengths, rho) + 1.0 / _resolvent_sum(p.b_lengths, rho) - 1.0
-
-    return _bisect(f, r + 1e-9, float(r + total + 1))
+    return _bisect(lambda rho: _double_spider_equation(p, rho), r + 1e-9, float(r + total + 1))
 
 
 # ------------------------- threshold quadratic -------------------------

@@ -96,35 +96,26 @@ def leaf_set(t: Tree) -> list[int]:
     return [v for v in range(t.n) if t.degrees[v] == 1]
 
 
-def diameter(t: Tree) -> int:
-    """Longest path length in edges, by a double sweep.
-
-    In a tree the depth-first depth from a root is the graph distance.
-    """
+def _double_sweep(t: Tree) -> tuple[int, list[int]]:
+    """Diameter and center(s), the middle of a longest path, by a double sweep: in a tree depth is distance."""
     d0 = t._preorder(0)[2]
     far = max(range(t.n), key=lambda v: (d0[v], -v))
-    return max(t._preorder(far)[2])
+    _, parent, depth = t._preorder(far)
+    end = max(range(t.n), key=lambda v: (depth[v], -v))
+    mid = end
+    for _ in range(depth[end] // 2):
+        mid = parent[mid]
+    return depth[end], sorted({mid, parent[mid]} if depth[end] % 2 else {mid})
+
+
+def diameter(t: Tree) -> int:
+    """Longest path length in edges, by a double sweep."""
+    return _double_sweep(t)[0]
 
 
 def tree_centers(t: Tree) -> list[int]:
-    """The one or two middle vertices, found by stripping leaves in rounds."""
-    if t.n <= 2:
-        return list(range(t.n))
-    deg = list(t.degrees)
-    layer = [v for v in range(t.n) if deg[v] == 1]
-    remaining = t.n
-    while remaining > 2:
-        nxt = []
-        for v in layer:
-            deg[v] = 0
-            for w in t.adjacency[v]:
-                if deg[w] > 1:
-                    deg[w] -= 1
-                    if deg[w] == 1:
-                        nxt.append(w)
-        remaining -= len(layer)
-        layer = nxt
-    return sorted(layer)
+    """The one or two middle vertices of a longest path, ascending."""
+    return _double_sweep(t)[1]
 
 
 # ------------------------------ profiles ------------------------------
@@ -520,6 +511,14 @@ def _spider_shorthand(p: SpiderProfile) -> str:
     return f"path:{p.diameter}" if len(p.lengths) == 2 else "spider:" + ",".join(str(l) for l in p.lengths)
 
 
+def _double_spider_shorthand(p: DoubleSpiderProfile) -> str:
+    """Shorthand of make_double_spider(p), read off the profile: a spider or path when a side has one branch."""
+    for lone, hub in ((p.b_lengths, p.a_lengths), (p.a_lengths, p.b_lengths)):
+        if len(lone) == 1:
+            return _spider_shorthand(SpiderProfile(hub + (lone[0] + 1,)))
+    return "ds:" + ",".join(str(l) for l in p.a_lengths) + "/" + ",".join(str(l) for l in p.b_lengths)
+
+
 def render_shorthand(t: Tree) -> Optional[str]:
     """Most specific shorthand describing t, or None for other shapes."""
     if all(deg <= 2 for deg in t.degrees):
@@ -528,8 +527,4 @@ def render_shorthand(t: Tree) -> Optional[str]:
     if spider is not None:
         return _spider_shorthand(spider)
     ds = recognize_double_spider(t)
-    if ds is not None:
-        a = ",".join(str(l) for l in ds.a_lengths)
-        b = ",".join(str(l) for l in ds.b_lengths)
-        return f"ds:{a}/{b}"
-    return None
+    return None if ds is None else _double_spider_shorthand(ds)

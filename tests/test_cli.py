@@ -1,7 +1,9 @@
 """End-to-end command-line checks: goldens, exit codes, determinism."""
 
 import json
+import math
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -15,6 +17,7 @@ from steklov_trees import (
     candidate_profiles,
     canonical_code,
     classify,
+    diameter,
     format_tree_text,
     make_as_tree,
     make_path,
@@ -29,13 +32,20 @@ import steklov_trees
 import steklov_trees.cli as cli_module
 import steklov_trees.verify as verify_module
 
-from oracles import spider_lambda2_exact
+from oracles import prufer_to_edges, sigma_exact, spider_lambda2_exact
 
 
 def _capture(capsys, argv):
     code = run(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _rounds_to(bracket, printed):
+    """Whether every number in the exact bracket prints as `printed` at 12 significant digits."""
+    lo, hi = bracket
+    half = Fraction(10) ** (math.floor(math.log10(lo)) - 11) / 2
+    return Fraction(printed) - half <= lo <= hi < Fraction(printed) + half
 
 
 # ------------------------------- goldens -------------------------------
@@ -151,6 +161,52 @@ def test_reduce_csv_golden(capsys):
         '1,dominate,"spider:3,2,1",0.38799538113\n'
         '2,result,"spider:3,2,1",0.38799538113\n'
     )
+
+
+@pytest.mark.parametrize(
+    "groups",
+    [
+        # The 741-branch spider of order 2000, and the spider of order 1000 that
+        # reducing a seeded Pruefer tree reaches: a side step gains about 1e-10.
+        [(70, 1), (69, 1), (11, 22), (10, 3), (9, 3), (8, 9), (7, 9), (6, 20), (5, 26), (4, 30), (3, 74), (2, 291), (1, 252)],
+        [(52, 1), (51, 1), (4, 55), (3, 44), (2, 272)],
+    ],
+)
+def test_reduce_takes_side_steps_of_tiny_gain(capsys, groups):
+    tree = "spider:" + ",".join(str(length) for length, count in groups for _ in range(count))
+    code, out, err = _capture(capsys, ["reduce", tree])
+    assert (code, err) == (0, "")
+    values = [float(line.rpartition(" lambda2=")[2]) for line in out.splitlines()]
+    assert len(values) > 3
+    assert values == sorted(values)
+
+
+@pytest.mark.parametrize(
+    "r, m, q, sigma",
+    [
+        (2, 32, 22, "0.339684889735"),
+        (3, 25, 16, "0.257713343622"),
+        (6, 60, 26, "0.145855460961"),
+        (7, 73, 46, "0.126869120737"),
+        (9, 64, 31, "0.101944413262"),
+    ],
+)
+def test_sweep_rows_are_correctly_rounded(capsys, r, m, q, sigma):
+    # Each root lies within a few ulps of a rounding boundary of the 12th digit.
+    code, out, _ = _capture(capsys, ["sweep", "--r", str(r), "--M-max", str(m), "--format", "csv"])
+    assert code == 0
+    (row,) = [line for line in out.splitlines() if line.startswith(f"{r},{m},{q},")]
+    assert row.split(",")[3] == sigma
+    assert _rounds_to(sigma_exact(r, m, q), sigma)
+
+
+def test_lambda2_root_is_correctly_rounded(capsys):
+    # Exactly 0.0638708527850499973...: a float root one ulp high prints 0.0638708527851.
+    code, out, _ = _capture(
+        capsys, ["lambda2", "--method", "root", "spider:16,15,4,4,4,2,2,2,2,2,2,2,2,1,1,1,1,1,1,1,1"]
+    )
+    assert (code, out) == (0, "0.063870852785\n")
+    assert _rounds_to(spider_lambda2_exact((16, 15, 4, 4, 4) + (2,) * 8 + (1,) * 8), "0.063870852785")
 
 
 def test_verify_text_golden(capsys):
@@ -284,6 +340,30 @@ def test_classify_builds_no_tree(capsys, monkeypatch):
     # The counter does see trees: json prints the one candidate's tree text.
     _capture(capsys, ["classify", "3042", "41", "--format", "json"])
     assert built == [3042]
+
+
+def test_reduce_builds_only_its_input(capsys, monkeypatch, tmp_path):
+    rng = random.Random(100)
+    while True:
+        t = Tree(100, tuple(prufer_to_edges([rng.randrange(100) for _ in range(98)], 100)))
+        if diameter(t) % 2:
+            break
+    path = tmp_path / "tree.txt"
+    path.write_text(format_tree_text(t), encoding="utf-8")
+    built = []
+    real = Tree.__post_init__
+    monkeypatch.setattr(Tree, "__post_init__", lambda self: (built.append(self.n), real(self)))
+    for fmt in ("text", "csv"):
+        code, _, _ = _capture(capsys, ["reduce", "--file", str(path), "--format", fmt])
+        assert code == 0
+        assert built == [100]
+        built.clear()
+    # The counter does see trees: json prints every step's tree text.
+    code, out, _ = _capture(capsys, ["reduce", "--file", str(path), "--format", "json"])
+    assert code == 0
+    steps = json.loads(out)["steps"]
+    assert len(steps) > 3
+    assert built == [100] * len(steps)
 
 
 # ------------------------------ file input ------------------------------
@@ -452,10 +532,11 @@ def test_verify_jobs_do_not_change_bytes(capsys, monkeypatch):
 
 def test_cli_import_leaves_the_process_pool_unloaded():
     # Only `verify --jobs N` with N > 1 needs the pool; every other start-up would pay for it.
+    # Likewise only a move whose float roots order as a decrease needs `fractions`.
     # numpy is the one runtime dependency: the test oracles' networkx, scipy and
     # hypothesis must stay out of the package.
     src = str(Path(steklov_trees.__file__).resolve().parents[1])
-    unloaded = ["concurrent.futures.process", "networkx", "scipy", "hypothesis"]
+    unloaded = ["concurrent.futures.process", "fractions", "networkx", "scipy", "hypothesis"]
     proc = subprocess.run(
         [sys.executable, "-c", f"import sys, steklov_trees.cli; print([m for m in {unloaded} if m in sys.modules])"],
         capture_output=True,
@@ -472,6 +553,17 @@ def test_cli_import_leaves_the_process_pool_unloaded():
         ["sweep", "--r", "4", "--M-max", "20", "--format", "csv"],
         ["reduce", "spider:4,1,1", "--format", "csv"],
         ["sweep", "--r", "8", "--M-max", "82", "--format", "json"],
+        [
+            "reduce",
+            "spider:52,51,4,4,4,4,4,4,4,4,4,4,4,4,4,4,4,4,4,4,4,4,4,4,4,4,4,4,4,4,4,4,4,4,4,4,4,4,4,4,4,4,4,4"
+            ",4,4,4,4,4,4,4,4,4,4,4,4,4,3,3,3,3,3,3,3,3,3,3,3,3,3,3,3,3,3,3,3,3,3,3,3,3,3,3,3,3,3,3,3,3,3,3,3"
+            ",3,3,3,3,3,3,3,3,3,2,2,2,2,2,2,2,2,2,2,2,2,2,2,2,2,2,2,2,2,2,2,2,2,2,2,2,2,2,2,2,2,2,2,2,2,2,2,2"
+            ",2,2,2,2,2,2,2,2,2,2,2,2,2,2,2,2,2,2,2,2,2,2,2,2,2,2,2,2,2,2,2,2,2,2,2,2,2,2,2,2,2,2,2,2,2,2,2,2"
+            ",2,2,2,2,2,2,2,2,2,2,2,2,2,2,2,2,2,2,2,2,2,2,2,2,2,2,2,2,2,2,2,2,2,2,2,2,2,2,2,2,2,2,2,2,2,2,2,2"
+            ",2,2,2,2,2,2,2,2,2,2,2,2,2,2,2,2,2,2,2,2,2,2,2,2,2,2,2,2,2,2,2,2,2,2,2,2,2,2,2,2,2,2,2,2,2,2,2,2"
+            ",2,2,2,2,2,2,2,2,2,2,2,2,2,2,2,2,2,2,2,2,2,2,2,2,2,2,2,2,2,2,2,2,2,2,2,2,2,2,2,2,2,2,2,2,2,2,2,2"
+            ",2,2,2,2,2,2,2,2,2,2,2,2,2,2,2,2,2,2,2,2,2,2,2,2,2,2,2,2,2,2,2,2,2,2,2,2,2,2,2,2,2",
+        ],
     ],
 )
 def test_optimized_interpreter_prints_the_same_bytes(capsys, argv):

@@ -30,6 +30,8 @@ from steklov_trees import (
     spider_lambda2,
 )
 
+import steklov_trees.reduce as reduce_module
+
 from oracles import prufer_to_edges
 
 INCREASE_MARGIN = 1e-10
@@ -194,12 +196,43 @@ def test_greedy_ascent_balances_spider():
 def test_greedy_ascent_trace_shape():
     t = make_double_spider(DoubleSpiderProfile((2, 1), (2, 1)))
     trace = greedy_ascent_trace(t)
-    labels = [label for label, _ in trace]
+    labels = [label for label, _, _ in trace]
     assert labels[0] == "input"
     assert labels[-1] == "result"
     assert len(trace) <= t.n * t.n
-    lams = [lambda2_numeric(step) for _, step in trace]
+    lams = [lam for _, _, lam in trace]
     assert all(b >= a - 1e-9 for a, b in zip(lams, lams[1:]))
+    # The input is priced by the distance form, every later profile by its own root.
+    assert trace[0][1:] == (t, lambda2_numeric(t))
+    for _, shape, lam in trace[1:]:
+        if isinstance(shape, SpiderProfile):
+            assert lam == spider_lambda2(shape).value
+        else:
+            assert lam == 1.0 / double_spider_rho(shape).value
+    assert [shape for _, shape, _ in trace[1:]] == [
+        DoubleSpiderProfile((2, 1), (2, 1)),
+        DoubleSpiderProfile((2, 1, 1), (2,)),
+        SpiderProfile((3, 2, 1, 1)),
+    ]
+
+
+def test_increase_check_raises_only_on_a_certified_decrease():
+    # The reverse of a legal side step, and of a legal arm transfer.
+    p, q = SpiderProfile((4, 3, 2, 2)), SpiderProfile((4, 3, 3, 1))
+    assert balance_side_step(q) == p
+    x = spider_lambda2(p).value
+    with pytest.raises(RuntimeError, match="lowers lambda_2"):
+        reduce_module._checked_root(p, x, q)
+    a, b = DoubleSpiderProfile((2, 1, 1), (2,)), DoubleSpiderProfile((2, 1), (2, 1))
+    assert arm_transfer(b) == a
+    rho = double_spider_rho(a).value
+    with pytest.raises(RuntimeError, match="lowers lambda_2"):
+        reduce_module._checked_root(a, rho, b)
+    # An identical pair passes, also when the floats disagree by an ulp.
+    assert reduce_module._checked_root(p, x, p) == x
+    assert reduce_module._checked_root(p, math.nextafter(x, 1.0), p) == x
+    assert reduce_module._checked_root(a, rho, a) == rho
+    assert reduce_module._checked_root(a, math.nextafter(rho, 0.0), a) == rho
 
 
 @settings(max_examples=60, deadline=None)

@@ -191,11 +191,11 @@ def test_sigma_tables_equal_sigma_rM_bit_for_bit():
 @pytest.mark.parametrize("r,m", [(1, 300), (2, 211), (3, 313)])
 def test_sigma_tables_stop_at_exhausted_brackets(monkeypatch, r, m):
     # The balanced candidates of the former stalls (n, D) = (304, 3), (217, 5),
-    # (321, 7): there some roots end on two adjacent floats with the residual
-    # above tolerance, and only the exhausted-bracket rule stops them.
+    # (321, 7): there some roots end on two adjacent floats with a residual
+    # above 1e-11, so no residual tolerance could have stopped them.
     lo, hi = q_range_integer(r, m)
     scalar = [sigma_rM(r, m, q) for q in range(lo, hi + 1)]
-    assert any(abs(res.residual) > roots._RESIDUAL_TOL for res in scalar)
+    assert any(abs(res.residual) > 1e-11 for res in scalar)
 
     # A bracket of relative width 1/r runs out of floats within about 53
     # halvings, one evaluation each.
