@@ -7,10 +7,12 @@ double spiders, and the threshold quadratic that orders the two
 balanced candidates.  The one-center equations are all the pole sum
 sum_i w_i/(1 - l_i lambda) with grouped weights, evaluated by one
 helper.  Each equation is strictly increasing on an explicit bracket
-whose endpoints are poles, so the one solver is plain bisection down to
-two adjacent floats, with no tolerance and never touching the endpoints,
+whose endpoints are poles, so the one solver is bisection down to two
+adjacent floats, with no tolerance and never touching the endpoints,
 run on one root or elementwise over a stacked table of balanced-family
-roots; that monotonicity is a property test, not a runtime check.
+roots; that monotonicity is a property test, not a runtime check.  On
+one root it skips, bit for bit, each midpoint whose sign the monotone
+float equation and a Newton estimate already fix.
 """
 
 from __future__ import annotations
@@ -56,28 +58,65 @@ class ThresholdData:
 # ----------------------------- bisection ------------------------------
 
 
-def _bisect(f: Callable[[float], float], lo: float, hi: float) -> RootResult:
+# _bisect evaluates every midpoint this many ulps or fewer from an endpoint:
+# within three ulps of fl(1/l), 1 - fl(l * x) can be zero or of either sign.
+_POLE_ULPS = 4
+
+_NEWTON_PASSES = 30  # cap on an estimate's Newton passes; about four converge
+
+
+def _bisect(f: Callable[[float], float], lo: float, hi: float, estimate: float | None = None) -> RootResult:
     """Unique zero of a strictly increasing f on (lo, hi).
 
     The endpoints are typically poles of f and are never evaluated, nor
     is monotonicity: the callers' equations are property-tested to be
     increasing on their brackets.  Halves until no float is left strictly
     inside the bracket, so it ends on two adjacent floats across which f
-    changes sign and returns the one it evaluated last: the root to one
+    changes sign and returns the one it reached last: the root to one
     ulp, with no tolerance to scale.
+
+    An estimate only saves evaluations: walking out from it finds the
+    innermost points with f <= 0 and f > 0, and a midpoint outside them
+    takes the sign they imply.  This is exact if f's float evaluation is
+    non-decreasing more than _POLE_ULPS ulps inside the endpoints, as
+    the callers' is: IEEE operations monotone in the unknown there (l*x,
+    1 - y, w/d with d of fixed sign, sums, 1/A with A > 0) under monotone
+    rounding.  Midpoints nearer an endpoint are always evaluated.  So
+    midpoints, stop, value and residual are plain bisection's bit for
+    bit; a NaN or out-of-bracket estimate gives plain bisection.
     """
+    inner_lo, inner_hi = lo + _POLE_ULPS * math.ulp(lo), hi - _POLE_ULPS * math.ulp(hi)
+    seen = _walk_out(f, estimate, inner_lo, inner_hi) if estimate is not None and inner_lo < estimate < inner_hi else {}
+    below = max((x for x, y in seen.items() if y <= 0.0), default=lo)
+    above = min((x for x, y in seen.items() if y > 0.0), default=hi)
     a, b = lo, hi
     value = 0.5 * (a + b)
     while True:
-        resid = f(value)
-        if resid > 0.0:
-            b = value
+        if inner_lo < value <= below or above <= value < inner_hi:
+            up = value >= above
         else:
-            a = value
+            seen[value] = f(value)
+            up = seen[value] > 0.0
+        a, b = (a, value) if up else (value, b)
         nxt = 0.5 * (a + b)
         if not a < nxt < b:
+            resid = seen[value] if value in seen else f(value)
             return RootResult(value=value, bracket=(lo, hi), residual=resid)
         value = nxt
+
+
+def _walk_out(f: Callable[[float], float], x: float, inner_lo: float, inner_hi: float) -> dict[float, float]:
+    """f at x and at x -+ 1, 2, 4, ... ulps toward the root, until its sign flips or the walk leaves (inner_lo, inner_hi)."""
+    seen = {x: f(x)}
+    step = -math.ulp(x) if seen[x] > 0.0 else math.ulp(x)
+    y = x + step
+    while inner_lo < y < inner_hi:
+        seen[y] = f(y)
+        if (seen[y] > 0.0) != (step < 0.0):
+            break
+        step *= 2
+        y = x + step
+    return seen
 
 
 def _bisect_stacked(f: Callable[[np.ndarray], np.ndarray], lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -106,6 +145,35 @@ def _pole_sum(terms: Sequence[tuple[int, float]], lam: float) -> float:
     return sum(w / (1 - l * lam) for l, w in terms)
 
 
+def _pole_sum_estimate(terms: Sequence[tuple[int, float]], l1: int, l2: int) -> float:
+    """Newton estimate of the pole sum's zero in (1/l1, 1/l2), for _bisect.
+
+    h(x) = (1 - l1 x) sum w/(1 - l x) = w1 + (1 - l1 x) g(x) is concave
+    and decreasing there, as g is positive, increasing and convex.  Each
+    term of g with l < l2 is at least its value at 1/l1, so with those
+    constants h's two-pole model lies above h: Newton descends from its root.
+    """
+    w1 = sum(w for l, w in terms if l == l1)
+    rest = [(l, w) for l, w in terms if l != l1]
+    w2 = sum(w for l, w in rest if l == l2)
+    lateral = sum(w * l1 / (l1 - l) for l, w in rest if l != l2)
+    # The model times (1 - l2 x): lateral l1 l2 x^2 - p x + q, positive at 1/l1 and negative at 1/l2.
+    p = w1 * l2 + (w2 + lateral) * l1 + lateral * l2
+    q = w1 + w2 + lateral
+    x = 2 * q / (p + math.sqrt(max(p * p - 4 * lateral * l1 * l2 * q, 0.0)))
+    for _ in range(_NEWTON_PASSES):
+        g = slope = 0.0
+        for l, w in rest:
+            d = 1 - l * x
+            g += w / d
+            slope += w * l / (d * d)
+        nxt = x - (w1 + (1 - l1 * x) * g) / ((1 - l1 * x) * slope - l1 * g)
+        if not nxt < x:
+            break
+        x = nxt
+    return x
+
+
 # --------------------------- spider equation --------------------------
 
 
@@ -122,7 +190,7 @@ def spider_lambda2(lengths: SpiderProfile | Sequence[int]) -> RootResult:
     if ls[0] == ls[1]:
         raise ValueError(f"longest branch must be strict, got lengths {ls}")
     terms = tuple(Counter(ls).items())
-    return _bisect(lambda lam: _pole_sum(terms, lam), 1.0 / ls[0], 1.0 / ls[1])
+    return _bisect(lambda lam: _pole_sum(terms, lam), 1.0 / ls[0], 1.0 / ls[1], _pole_sum_estimate(terms, ls[0], ls[1]))
 
 
 # ------------------------- balanced family ----------------------------
@@ -164,7 +232,7 @@ def sigma_rM(r: int, M: int, q: float) -> RootResult:
     w_hi = max(M - c * q, 0.0)
     w_lo = max((c + 1) * q - M, 0.0)
     terms = tuple((l, w) for l, w in ((r + 1, 1), (r, 1), (c + 1, w_hi), (c, w_lo)) if w > 0.0)
-    return _bisect(lambda lam: _pole_sum(terms, lam), 1.0 / (r + 1), 1.0 / r)
+    return _bisect(lambda lam: _pole_sum(terms, lam), 1.0 / (r + 1), 1.0 / r, _pole_sum_estimate(terms, r + 1, r))
 
 
 def _sigma_tables(r: int, masses: Sequence[int]) -> list[tuple[tuple[int, float], ...]]:
@@ -198,6 +266,32 @@ def _double_spider_equation(p: DoubleSpiderProfile, rho: float) -> float:
     return 1 / _resolvent_sum(p.a_lengths, rho) + 1 / _resolvent_sum(p.b_lengths, rho) - 1
 
 
+def _rho_estimate(p: DoubleSpiderProfile, r: int) -> float:
+    """Newton estimate of double_spider_rho's root, for _bisect.
+
+    F = 1/A + 1/B - 1 is increasing and (Cauchy-Schwarz) concave above r,
+    so Newton climbs to the root from where 1/A <= (rho - r)/ka and its
+    b-side twin give F <= 0, ka and kb counting the branches of length r.
+    """
+    ka, kb = p.a_lengths.count(r), p.b_lengths.count(r)
+    rho = r + ka * kb / (ka + kb)
+    for _ in range(_NEWTON_PASSES):
+        value, slope = -1.0, 0.0
+        for side in (p.a_lengths, p.b_lengths):
+            total = squares = 0.0
+            for l in side:
+                inv = 1 / (rho - l)
+                total += inv
+                squares += inv * inv
+            value += 1 / total
+            slope += squares / (total * total)
+        nxt = rho - value / slope
+        if not nxt > rho:
+            break
+        rho = nxt
+    return rho
+
+
 def double_spider_rho(p: DoubleSpiderProfile) -> RootResult:
     """Reciprocal 1/lambda_2 for a double spider with equal longest sides.
 
@@ -209,7 +303,7 @@ def double_spider_rho(p: DoubleSpiderProfile) -> RootResult:
     if p.b_lengths[0] != r:
         raise ValueError(f"both sides must share the longest length, got {p.a_lengths[0]} and {p.b_lengths[0]}")
     total = sum(p.a_lengths) + sum(p.b_lengths)
-    return _bisect(lambda rho: _double_spider_equation(p, rho), r + 1e-9, float(r + total + 1))
+    return _bisect(lambda rho: _double_spider_equation(p, rho), r + 1e-9, float(r + total + 1), _rho_estimate(p, r))
 
 
 # ------------------------- threshold quadratic -------------------------

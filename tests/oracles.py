@@ -2,7 +2,9 @@
 
 Everything here recomputes expected values through a different route
 than the code under test: exact rational bisection of cleared
-denominators instead of float bisection, Prufer sequences, the networkx
+denominators instead of float bisection, plain float bisection that
+evaluates every midpoint instead of the one that skips midpoints whose
+sign is already fixed, Prufer sequences, the networkx
 tree generator and a count recurrence instead of the center-rooted
 tree generator, cyclic Jacobi rotations instead of
 LAPACK, an explicit harmonic extension instead of the Schur complement,
@@ -22,7 +24,7 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import networkx as nx
 import numpy as np
@@ -30,6 +32,7 @@ import numpy as np
 from steklov_trees import (
     BoundaryFlux,
     DoubleSpiderProfile,
+    RootResult,
     Tree,
     canonical_code,
     dominating_double_spider,
@@ -111,6 +114,27 @@ def rational_root_bracket(
         else:
             hi = mid
     return lo, hi
+
+
+def bisect_reference(f: Callable[[float], float], lo: float, hi: float) -> RootResult:
+    """Float bisection of an increasing f on (lo, hi) that evaluates every midpoint.
+
+    roots._bisect without its skip rule: it halves until no float is left
+    strictly inside the bracket and returns the midpoint it evaluated
+    last, with that evaluation as the residual.
+    """
+    a, b = lo, hi
+    value = 0.5 * (a + b)
+    while True:
+        resid = f(value)
+        if resid > 0.0:
+            b = value
+        else:
+            a = value
+        nxt = 0.5 * (a + b)
+        if not a < nxt < b:
+            return RootResult(value=value, bracket=(lo, hi), residual=resid)
+        value = nxt
 
 
 def spider_lambda2_exact(lengths: Iterable[int]) -> tuple[Fraction, Fraction]:

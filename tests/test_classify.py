@@ -156,8 +156,8 @@ def test_classify_winner_realizable_grid():
 
 @pytest.mark.parametrize("n,d", [(141, 3), (217, 5), (321, 7), (304, 3), (1006, 5), (3042, 41)])
 def test_classify_large_lateral_mass_matches_exact_root(n, d):
-    # Near a steep pole no float reaches the bisection's residual target;
-    # the exhausted bracket must still certify the root to an ulp.
+    # Near a steep pole even the float closest to the root leaves a
+    # residual far from zero; the root must still be certified to an ulp.
     result = classify(n, d)
     pair = candidate_profiles(n, d)
     params = [pair.as_minus] if pair.as_minus == pair.as_plus else [pair.as_minus, pair.as_plus]

@@ -1,8 +1,10 @@
 """Scalar root equations: spider, balanced family, double spider, thresholds."""
 
 import math
-from collections import Counter
+import random
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -13,10 +15,13 @@ from steklov_trees import (
     DoubleSpiderProfile,
     SpiderProfile,
     candidate_profiles,
+    classify,
     double_spider_rho,
+    greedy_ascent_trace,
     lambda2_numeric,
     make_double_spider,
     make_spider,
+    parse_tree_text,
     q_form,
     q_range_integer,
     sigma_rM,
@@ -27,6 +32,7 @@ from steklov_trees import roots
 from steklov_trees.roots import q_range_continuous
 
 from oracles import (
+    bisect_reference,
     bracket_contains,
     double_spider_maximizer,
     double_spider_rho_exact,
@@ -352,16 +358,40 @@ def test_threshold_sign_predicts_comparison():
 
 # ---------------------- monotonicity of the equations ----------------------
 
-# Bisection trusts each equation to increase across its bracket; these
-# properties probe that at evenly spaced interior points.
+# Bisection trusts each equation to increase across its bracket, and its
+# skip rule trusts the float evaluation never to decrease from one float
+# to the next outside the pole bands; these properties probe evenly spaced
+# interior points, then consecutive floats on each side of the root and
+# just inside each pole band.
 _MONOTONE_SAMPLES = 100
+_FLOAT_WALK = 64
 
 
-def _assert_sampled_increasing(f, lo, hi):
+def _floats(x, toward, count):
+    """The count floats after x in the direction of toward."""
+    out = []
+    for _ in range(count):
+        x = math.nextafter(x, toward)
+        out.append(x)
+    return out
+
+
+def _assert_increasing(f, lo, hi, root):
     step = (hi - lo) / (_MONOTONE_SAMPLES + 1)
     values = [f(lo + i * step) for i in range(1, _MONOTONE_SAMPLES + 1)]
     for i, (prev, cur) in enumerate(zip(values, values[1:]), start=2):
         assert cur > prev, f"not strictly increasing near {lo + i * step}"
+
+    inner_lo, inner_hi = lo + roots._POLE_ULPS * math.ulp(lo), hi - roots._POLE_ULPS * math.ulp(hi)
+    for run in (
+        _floats(root, lo, _FLOAT_WALK)[::-1] + [root] + _floats(root, hi, _FLOAT_WALK),
+        _floats(inner_lo, hi, _FLOAT_WALK),
+        _floats(inner_hi, lo, _FLOAT_WALK)[::-1],
+    ):
+        xs = [x for x in run if inner_lo < x < inner_hi]
+        values = [f(x) for x in xs]
+        for x, prev, cur in zip(xs[1:], values, values[1:]):
+            assert cur >= prev, f"float evaluation decreases at {x!r}"
 
 
 @settings(max_examples=200, deadline=None)
@@ -371,8 +401,8 @@ def _assert_sampled_increasing(f, lo, hi):
 )
 def test_spider_equation_increases_on_its_bracket(rest, gap):
     ls = sorted([max(rest) + gap, *rest], reverse=True)
-    terms = tuple(Counter(ls).items())
-    _assert_sampled_increasing(lambda lam: roots._pole_sum(terms, lam), 1.0 / ls[0], 1.0 / ls[1])
+    ((f, lo, hi, root, _),) = _bisect_calls(spider_lambda2, ls)
+    _assert_increasing(f, lo, hi, root)
 
 
 @st.composite
@@ -387,10 +417,8 @@ def _balanced_triples(draw):
 @settings(max_examples=200, deadline=None)
 @given(triple=_balanced_triples())
 def test_balanced_equation_increases_on_its_bracket(triple):
-    r, m, q = triple
-    c = min(max(math.floor(m / q), 1), r)
-    terms = ((r + 1, 1), (r, 1), (c + 1, max(m - c * q, 0.0)), (c, max((c + 1) * q - m, 0.0)))
-    _assert_sampled_increasing(lambda lam: roots._pole_sum(terms, lam), 1.0 / (r + 1), 1.0 / r)
+    ((f, lo, hi, root, _),) = _bisect_calls(sigma_rM, *triple)
+    _assert_increasing(f, lo, hi, root)
 
 
 @settings(max_examples=200, deadline=None)
@@ -400,7 +428,142 @@ def test_balanced_equation_increases_on_its_bracket(triple):
     b_extra=st.lists(st.integers(min_value=1, max_value=12), max_size=30),
 )
 def test_double_spider_equation_increases_on_its_bracket(r, a_extra, b_extra):
-    a = (r, *[min(x, r) for x in a_extra])
-    b = (r, *[min(x, r) for x in b_extra])
-    f = lambda rho: 1.0 / roots._resolvent_sum(a, rho) + 1.0 / roots._resolvent_sum(b, rho)
-    _assert_sampled_increasing(f, r + 1e-9, float(r + sum(a) + sum(b) + 1))
+    p = DoubleSpiderProfile((r, *[min(x, r) for x in a_extra]), (r, *[min(x, r) for x in b_extra]))
+    ((_, lo, hi, root, _),) = _bisect_calls(double_spider_rho, p)
+    _assert_increasing(lambda rho: roots._double_spider_equation(p, rho), lo, hi, root)
+
+
+# --------------------- skipped midpoints, same roots ----------------------
+
+# Evaluations of its equation that one root may cost inside _bisect, the
+# walk out from the estimate and the residual included; plain bisection
+# takes 46-55.
+_MAX_EVALUATIONS = 12
+
+_PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _bisect_calls(solve, *args):
+    """(f, lo, hi, root, evaluations) of every _bisect call that solve(*args) makes.
+
+    Each call is also run through bisect_reference on the same equation
+    and bracket, and must return its value and residual bit for bit.
+    """
+    real, calls = roots._bisect, []
+
+    def checked(f, lo, hi, estimate=None):
+        evaluations = 0
+
+        def counted(x):
+            nonlocal evaluations
+            evaluations += 1
+            return f(x)
+
+        got = real(counted, lo, hi, estimate)
+        want = bisect_reference(f, lo, hi)
+        assert (got.value.hex(), got.residual.hex()) == (want.value.hex(), want.residual.hex()), (lo, hi, estimate)
+        calls.append((f, lo, hi, got.value, evaluations))
+        return got
+
+    roots._bisect = checked
+    try:
+        solve(*args)
+    finally:
+        roots._bisect = real
+    return calls
+
+
+def _benchmark_batch(workload, tmp_path):
+    """The seed-1 operations of a workload of perfbench/, seeded as its run.py seeds them."""
+    sys.path.insert(0, str(_PERFBENCH))  # workloads imports its sibling module checks
+    try:
+        import workloads
+    finally:
+        sys.path.remove(str(_PERFBENCH))
+    return workloads.WORKLOADS[workload](random.Random(f"{workload}-1"), tmp_path)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    rest=st.lists(st.integers(min_value=1, max_value=300), min_size=1, max_size=40),
+    gap=st.integers(min_value=1, max_value=20),
+)
+def test_spider_root_is_plain_bisection_bit_for_bit(rest, gap):
+    _bisect_calls(spider_lambda2, sorted([max(rest) + gap, *rest], reverse=True))
+
+
+@settings(max_examples=200, deadline=None)
+@given(triple=_balanced_triples())
+def test_balanced_root_is_plain_bisection_bit_for_bit(triple):
+    _bisect_calls(sigma_rM, *triple)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    r=st.integers(min_value=1, max_value=300),
+    a_extra=st.lists(st.integers(min_value=1, max_value=300), max_size=20),
+    b_extra=st.lists(st.integers(min_value=1, max_value=300), max_size=20),
+)
+def test_double_spider_root_is_plain_bisection_bit_for_bit(r, a_extra, b_extra):
+    a = (r, *sorted((min(x, r) for x in a_extra), reverse=True))
+    b = (r, *sorted((min(x, r) for x in b_extra), reverse=True))
+    _bisect_calls(double_spider_rho, DoubleSpiderProfile(a, b))
+
+
+@pytest.mark.parametrize("n,d", [(141, 3), (217, 5), (321, 7), (304, 3), (1006, 5), (3042, 41)])
+def test_former_stall_roots_are_plain_bisection_bit_for_bit(n, d):
+    pair = candidate_profiles(n, d)
+    for p in (pair.as_minus, pair.as_plus):
+        _bisect_calls(spider_lambda2, p.spider_profile())
+        _bisect_calls(sigma_rM, p.r, p.lateral_mass, p.q)
+
+
+def test_huge_double_spider_root_is_plain_bisection():
+    # r + 1e-9 rounds to r, so the bracket starts on the pole itself.
+    r = 2**40
+    ((_, lo, _, root, _),) = _bisect_calls(double_spider_rho, DoubleSpiderProfile((r,), (r,)))
+    assert lo == r
+    assert root == r + 0.5 + 2**-12
+
+
+@pytest.mark.parametrize(
+    "solve,args",
+    [
+        (spider_lambda2, ((7, 6, 3, 3, 1),)),
+        (spider_lambda2, ((16, 15, 4, 4, 4) + (2,) * 8 + (1,) * 8,)),
+        (sigma_rM, (3, 25, 16)),
+        (sigma_rM, (4, 37, 11.3)),
+        (double_spider_rho, (DoubleSpiderProfile((4, 2, 1), (4, 3)),)),
+        (double_spider_rho, (DoubleSpiderProfile((2**40,), (2**40,)),)),
+    ],
+)
+def test_bisect_estimate_only_saves_evaluations(solve, args):
+    ((f, lo, hi, _, _),) = _bisect_calls(solve, *args)
+    want = bisect_reference(f, lo, hi)
+    other = math.nextafter(want.value, lo if want.residual > 0.0 else hi)  # the final pair's other float
+    estimates = [None, math.nextafter(lo, hi), math.nextafter(hi, lo), want.value, other, 0.5 * (lo + hi)]
+    estimates += [math.nan, math.inf, -math.inf, lo, hi, lo - 1.0, hi + 1.0]
+    for estimate in estimates:
+        got = roots._bisect(f, lo, hi, estimate)
+        assert (got.value.hex(), got.residual.hex()) == (want.value.hex(), want.residual.hex()), estimate
+
+
+def test_reduce_trace_roots_take_few_evaluations(tmp_path):
+    # Every profile of the reduce traces on the single_tree benchmark inputs.
+    evaluations = []
+    for op in _benchmark_batch("single_tree", tmp_path):
+        if op.argv[0] == "reduce":
+            tree = parse_tree_text(Path(op.argv[2]).read_text())
+            evaluations += [e for *_, e in _bisect_calls(greedy_ascent_trace, tree)]
+    assert len(evaluations) > 400
+    assert max(evaluations) <= _MAX_EVALUATIONS
+
+
+def test_classify_roots_take_few_evaluations(tmp_path):
+    # Every candidate of the classify operations of the classify_scale benchmark.
+    evaluations = []
+    for op in _benchmark_batch("classify_scale", tmp_path):
+        if op.argv[0] == "classify":
+            evaluations += [e for *_, e in _bisect_calls(classify, int(op.argv[1]), int(op.argv[2]))]
+    assert len(evaluations) > 600
+    assert max(evaluations) <= _MAX_EVALUATIONS
