@@ -111,10 +111,6 @@ def candidate_profiles(n: int, D: int) -> CandidatePair | None:
     )
 
 
-def _relative_gap(x: float, y: float) -> float:
-    return abs(x - y) / max(abs(x), abs(y))
-
-
 def classify(n: int, D: int) -> ClassificationResult:
     """Maximizer set for order n and odd diameter D.
 
@@ -125,30 +121,20 @@ def classify(n: int, D: int) -> ClassificationResult:
     additionally verified against the direct comparison; disagreement
     is an internal error, never silently resolved.
     """
+    r = (D - 1) // 2
     pair = candidate_profiles(n, D)
     if pair is None:
-        r = (D - 1) // 2
-        path = SpiderProfile((r + 1, r))
-        entry = (path, spider_lambda2(path).value)
-        return ClassificationResult(case_tag="path", candidates=(entry,), winners=(entry,), tie_flag=False)
+        tag, profiles = "path", (SpiderProfile((r + 1, r)),)
+    elif pair.as_minus == pair.as_plus:
+        tag, profiles = ("single_small" if pair.M < pair.s else "divisible"), (pair.as_minus.spider_profile(),)
+    else:
+        tag, profiles = "initial_orders", (pair.as_minus.spider_profile(), pair.as_plus.spider_profile())
+    candidates = tuple((p, spider_lambda2(p).value) for p in profiles)
+    keys, _ = _near_argmax(candidates, _TIE_RTOL)
+    winners = tuple(row for row in candidates if row[0] in keys)
 
-    r = (D - 1) // 2
-    M, s = pair.M, pair.s
-    k, t = divmod(M, s)
-
-    if pair.as_minus == pair.as_plus:
-        tag = "single_small" if M < s else "divisible"
-        profile = pair.as_minus.spider_profile()
-        entry = (profile, spider_lambda2(profile).value)
-        return ClassificationResult(case_tag=tag, candidates=(entry,), winners=(entry,), tie_flag=False)
-
-    minus, plus = pair.as_minus.spider_profile(), pair.as_plus.spider_profile()
-    lam_minus = spider_lambda2(minus).value
-    lam_plus = spider_lambda2(plus).value
-    candidates = ((minus, lam_minus), (plus, lam_plus))
-    tied = _relative_gap(lam_minus, lam_plus) <= _TIE_RTOL
-
-    if k >= s:
+    k, t = divmod(pair.M, pair.s) if pair else (0, 0)
+    if len(candidates) == 2 and k >= pair.s:
         data = threshold_data(r, t)
         if data.regime == "A_always":
             tag, expect = "threshold_A", "minus"
@@ -160,19 +146,7 @@ def classify(n: int, D: int) -> ClassificationResult:
                 expect = "tie"
             else:
                 expect = "minus" if k > data.kappa else "plus"
-        if not tied:
-            direct = "minus" if lam_minus > lam_plus else "plus"
-            if expect != "tie" and direct != expect:
-                raise RuntimeError(
-                    f"threshold prediction {expect} contradicts direct comparison at n={n}, D={D}"
-                )
-    else:
-        tag = "initial_orders"
-
-    if tied:
-        winners = candidates
-    elif lam_minus > lam_plus:
-        winners = (candidates[0],)
-    else:
-        winners = (candidates[1],)
-    return ClassificationResult(case_tag=tag, candidates=candidates, winners=winners, tie_flag=tied)
+        direct = "minus" if winners[0] is candidates[0] else "plus"
+        if len(winners) == 1 and expect != "tie" and direct != expect:
+            raise RuntimeError(f"threshold prediction {expect} contradicts direct comparison at n={n}, D={D}")
+    return ClassificationResult(case_tag=tag, candidates=candidates, winners=winners, tie_flag=len(winners) > 1)

@@ -296,7 +296,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     worst = 0
     for n in orders:
         report = verify_classification(n, args.D, jobs=args.jobs)
-        winners = ";".join(_tree_name(tree) for tree in report.classifier_winners)
+        winners = ";".join(_spider_shorthand(p) for p in report.classifier_winners)
         lines.append((report, winners))
         if report.verdict == "mismatch":
             worst = 3

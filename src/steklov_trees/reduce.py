@@ -1,12 +1,14 @@
 """Constructive moves that push lambda_2 upward at fixed order and diameter.
 
 Three mechanisms: replacing an odd-diameter tree by the double spider
-that dominates it edge-for-edge, transferring a branch between the two
-hubs of a double spider, and the two balancing moves on spider branch
-lengths.  One check guards every move: it raises only on a decrease of
-lambda_2 that exact signs of the two root equations certify.  Chaining
-the moves, greedy_ascent walks any odd-diameter tree to an almost seesaw
-tree, pricing each profile on the way by its own root, solved once.
+that dominates it edge-for-edge (its sides read by the arm walk the
+recognizers use), transferring a branch between the two hubs of a double
+spider, and the two balancing moves on spider branch lengths.  One check
+guards every move: it raises only on a decrease of lambda_2 that exact
+signs of the two root equations certify.  Chaining the moves,
+greedy_ascent walks any odd-diameter tree to an almost seesaw tree,
+pricing each profile on the way by its own root, solved once; the result
+must reach the input's lambda_2 within classify's relative tie band.
 """
 
 from __future__ import annotations
@@ -14,14 +16,12 @@ from __future__ import annotations
 from collections import Counter
 from numbers import Rational
 
+from .classify import _TIE_RTOL, _near_argmax
 from .roots import _double_spider_equation, _pole_sum, _resolvent_sum, double_spider_rho, spider_lambda2
 from .spectral import lambda2_numeric
-from .trees import DoubleSpiderProfile, SpiderProfile, Tree, _double_sweep, diameter, make_spider
+from .trees import DoubleSpiderProfile, SpiderProfile, Tree, _double_sweep, _side_arm_lengths, diameter, make_spider
 
 Profile = SpiderProfile | DoubleSpiderProfile
-
-# Slack allowed in the domination inequality when checked numerically.
-_DOMINATION_SLACK = 1e-9
 
 
 def _equation(p: Profile, x: Rational) -> Rational:
@@ -52,41 +52,14 @@ def _checked_root(before: Profile, x_before: float, after: Profile) -> float:
 # --------------------------- domination -------------------------------
 
 
-def _side_arm_lengths(t: Tree, root: int, banned: int) -> tuple[int, ...]:
-    """Arm lengths of the component of `root` once the edge to `banned` is cut.
-
-    Each edge of the component is charged to the deepest boundary leaf
-    below it (lowest vertex id on ties); the arm length of a leaf is the
-    number of edges charged to it.  Every charged leaf lies on the path
-    from the root through its edges, so arms never exceed the depth.
-    """
-    order, parent, depth = t._preorder(root, banned)
-    # best[v] = (-depth, id) of the deepest leaf in the subtree of v.
-    best: dict[int, tuple[int, int]] = {}
-    arms: dict[int, int] = {}
-    for v in reversed(order):
-        if v == root:
-            continue
-        key = (-depth[v], v) if t.degrees[v] == 1 else None
-        for w in t.adjacency[v]:
-            if w in best and parent[w] == v:
-                if key is None or best[w] < key:
-                    key = best[w]
-        if key is None:
-            raise RuntimeError(f"vertex {v} has no boundary leaf below it")
-        best[v] = key
-        arms[key[1]] = arms.get(key[1], 0) + 1
-    return tuple(sorted(arms.values(), reverse=True))
-
-
 def dominating_double_spider(t: Tree) -> DoubleSpiderProfile:
     """Double spider whose lambda_2 dominates that of t, at equal (n, D).
 
     The edge between the two tree centers, which every diameter path
-    crosses in its middle, splits t into two depth-r halves; charging
-    each half's edges to deepest leaves yields one pendant path per
-    boundary leaf.  Equality of the two lambda_2 values forces t to be
-    a double spider already.
+    crosses in its middle, splits t into two depth-r halves; each half's
+    arms, each vertex extending its tallest child's, yield one pendant
+    path per boundary leaf.  Equality of the two lambda_2 values forces
+    t to be a double spider already.
     """
     d, centers = _double_sweep(t)
     if d % 2 == 0:
@@ -236,7 +209,7 @@ def greedy_ascent_trace(t: Tree) -> tuple[tuple[str, Tree | Profile, float], ...
         trace.append(("balance_side", spider, lam))  # ends: each step lowers the sum of squared sides
 
     trace.append(("result", spider, lam))
-    if trace[0][2] > lam + _DOMINATION_SLACK:
+    if "result" not in _near_argmax((("input", trace[0][2]), ("result", lam)), _TIE_RTOL)[0]:
         raise RuntimeError(f"ascent lost ground: lambda_2 fell from {trace[0][2]} to {lam}")
     return tuple(trace)
 

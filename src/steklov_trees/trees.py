@@ -3,10 +3,12 @@
 A tree is a vertex count plus an edge list over {0..n-1}; its boundary is
 always the leaf set.  This module constructs the families the optimization
 theory is phrased in (paths, spiders, double spiders, generalized almost
-seesaw trees), recognizes them back from bare edge lists, computes an
-isomorphism-invariant canonical code, and generates the unlabeled trees
-of one order and diameter from their centers, as canonical codes, for
-the brute-force certification harness.
+seesaw trees), recognizes them back from bare edge lists by the arm
+decomposition that reduce's domination also reads (each vertex extends
+its tallest child's arm), computes an isomorphism-invariant canonical
+code, and generates the unlabeled trees of one order and diameter from
+their centers, as canonical codes, for the brute-force certification
+harness.
 
 Vertex labeling of constructed families is deterministic: center(s) get
 the smallest labels, then each branch is laid out outward in profile
@@ -130,7 +132,7 @@ class SpiderProfile:
     def __post_init__(self) -> None:
         if len(self.lengths) < 2:
             raise ValueError("spider needs at least 2 branches")
-        if any(l < 1 for l in self.lengths):
+        if min(self.lengths) < 1:
             raise ValueError(f"branch lengths must be >= 1, got {self.lengths}")
         object.__setattr__(self, "lengths", tuple(sorted(self.lengths, reverse=True)))
 
@@ -198,7 +200,7 @@ class DoubleSpiderProfile:
     def __post_init__(self) -> None:
         if not self.a_lengths or not self.b_lengths:
             raise ValueError("double spider needs a nonempty branch list on each side")
-        if any(l < 1 for l in self.a_lengths + self.b_lengths):
+        if min(self.a_lengths + self.b_lengths) < 1:
             raise ValueError("branch lengths must be >= 1")
         a = tuple(sorted(self.a_lengths, reverse=True))
         b = tuple(sorted(self.b_lengths, reverse=True))
@@ -261,19 +263,25 @@ def make_double_spider(profile: DoubleSpiderProfile) -> Tree:
 # ---------------------------- recognizers -----------------------------
 
 
-def _pendant_path_length(t: Tree, start: int, first: int) -> int:
-    """Edge count of the path leaving `start` through `first`.
+def _side_arm_lengths(t: Tree, root: int, banned: int = -1) -> tuple[int, ...]:
+    """Arm lengths from root, longest first, on root's side of its edge to `banned`.
 
-    Only valid when the walk meets no further branching; the recognizers
-    below call it exactly in that situation.
+    Each vertex but the root extends its tallest child's arm by one edge
+    and ends the other children's; the root ends them all.  A child's arm
+    ends as its height plus one, so one pass over the preorder suffices.
+    On a spider from its hub, or a double spider from a hub with the
+    other banned, the arms are the branches.
     """
-    length = 1
-    prev, cur = start, first
-    while t.degrees[cur] == 2:
-        nxt = t.adjacency[cur][0] if t.adjacency[cur][0] != prev else t.adjacency[cur][1]
-        prev, cur = cur, nxt
-        length += 1
-    return length
+    order, parent, _ = t._preorder(root, banned)
+    height = [0] * t.n
+    arms = []
+    for v in reversed(order[1:]):
+        p, h = parent[v], height[v] + 1
+        if p != root and h > height[p]:
+            h, height[p] = height[p], h
+        if h:
+            arms.append(h)
+    return tuple(sorted(arms, reverse=True))
 
 
 def recognize_spider(t: Tree) -> Optional[SpiderProfile]:
@@ -291,9 +299,7 @@ def recognize_spider(t: Tree) -> Optional[SpiderProfile]:
         if d < 2:
             return None
         return SpiderProfile(((d + 1) // 2, d // 2))
-    center = hubs[0]
-    lengths = [_pendant_path_length(t, center, w) for w in t.adjacency[center]]
-    return SpiderProfile(tuple(lengths))
+    return SpiderProfile(_side_arm_lengths(t, hubs[0]))
 
 
 def recognize_double_spider(t: Tree) -> Optional[DoubleSpiderProfile]:
@@ -310,17 +316,12 @@ def recognize_double_spider(t: Tree) -> Optional[DoubleSpiderProfile]:
         u, v = hubs
         if v not in t.adjacency[u]:
             return None
-        a = [_pendant_path_length(t, u, w) for w in t.adjacency[u] if w != v]
-        b = [_pendant_path_length(t, v, w) for w in t.adjacency[v] if w != u]
-        return DoubleSpiderProfile(tuple(a), tuple(b))
+        return DoubleSpiderProfile(_side_arm_lengths(t, u, v), _side_arm_lengths(t, v, u))
     if len(hubs) == 1:
-        prof = recognize_spider(t)
-        if prof is None:
-            raise RuntimeError("tree with one branch vertex not recognized as a spider")
-        if prof.lengths[0] < 2:
+        lengths = _side_arm_lengths(t, hubs[0])
+        if lengths[0] < 2:
             return None  # star: the split would leave an empty side
-        rest = prof.lengths[1:]
-        return DoubleSpiderProfile(rest, (prof.lengths[0] - 1,))
+        return DoubleSpiderProfile(lengths[1:], (lengths[0] - 1,))
     d = t.n - 1
     if d < 3:
         return None

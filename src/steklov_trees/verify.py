@@ -15,14 +15,13 @@ from __future__ import annotations
 
 import math
 import os
-import time
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from .classify import _STRICT_RTOL, _TIE_RTOL, _near_argmax, _predicted_counts, classify
 from .roots import _sigma_tables, double_spider_rho, spider_lambda2
 from .spectral import _lambda2_batch
-from .trees import Tree, _center_codes, canonical_code, make_spider, recognize_double_spider, recognize_spider
+from .trees import SpiderProfile, Tree, _center_codes, canonical_code, make_spider, recognize_double_spider, recognize_spider
 
 # Sharding below this many trees costs more than it saves.
 _MIN_SHARD_SIZE = 64
@@ -38,9 +37,8 @@ class VerificationReport:
     argmax_codes: tuple[bytes, ...]
     argmax_lambda2: float
     classifier_codes: tuple[bytes, ...]
-    classifier_winners: tuple[Tree, ...]
+    classifier_winners: tuple[SpiderProfile, ...]
     verdict: str
-    wall_time: float
 
 
 @dataclass(frozen=True)
@@ -94,13 +92,12 @@ def _evaluate_all(n: int, d: int, jobs: int | None) -> list[tuple[bytes, float]]
 
 def verify_classification(n: int, d: int, jobs: int | None = None) -> VerificationReport:
     """Compare the classifier's winner set against exhaustive search."""
-    start = time.perf_counter()
     # classify checks the domain; an empty enumeration would have no maximum.
     result = classify(n, d)
     rows = _evaluate_all(n, d, jobs)
     argmax, best = _near_argmax(rows, _TIE_RTOL)
-    winners = tuple(make_spider(profile) for profile, _ in result.winners)
-    classifier = tuple(sorted({canonical_code(tree) for tree in winners}))
+    winners = tuple(profile for profile, _ in result.winners)
+    classifier = tuple(sorted({canonical_code(make_spider(profile)) for profile in winners}))
 
     # A classifier winner outside the tie band of the brute-force maximum
     # is a mismatch; naming only part of that band leaves a tie unresolved.
@@ -119,7 +116,6 @@ def verify_classification(n: int, d: int, jobs: int | None = None) -> Verificati
         classifier_codes=classifier,
         classifier_winners=winners,
         verdict=verdict,
-        wall_time=time.perf_counter() - start,
     )
 
 

@@ -4,7 +4,8 @@ Everything here recomputes expected values through a different route
 than the code under test: exact rational bisection of cleared
 denominators instead of float bisection, plain float bisection that
 evaluates every midpoint instead of the one that skips midpoints whose
-sign is already fixed, Prufer sequences, the networkx
+sign is already fixed, charging each edge to its deepest leaf instead
+of the tallest-child arm walk, Prufer sequences, the networkx
 tree generator and a count recurrence instead of the center-rooted
 tree generator, cyclic Jacobi rotations instead of
 LAPACK, an explicit harmonic extension instead of the Schur complement,
@@ -229,6 +230,36 @@ def double_spider_maximizer(p: DoubleSpiderProfile):
     if abs(quotient - rho) > 1e-9 * max(1.0, abs(rho)):
         raise RuntimeError(f"maximizer quotient {quotient} does not match rho {rho}")
     return z
+
+
+# --------------------------- arm decomposition ---------------------------
+
+
+def side_arm_lengths_reference(t: Tree, root: int, banned: int) -> tuple[int, ...]:
+    """Arm lengths of the component of `root` once the edge to `banned` is cut.
+
+    Each edge of the component is charged to the deepest boundary leaf
+    below it (lowest vertex id on ties); the arm length of a leaf is the
+    number of edges charged to it.  Every charged leaf lies on the path
+    from the root through its edges, so arms never exceed the depth.
+    """
+    order, parent, depth = t._preorder(root, banned)
+    # best[v] = (-depth, id) of the deepest leaf in the subtree of v.
+    best: dict[int, tuple[int, int]] = {}
+    arms: dict[int, int] = {}
+    for v in reversed(order):
+        if v == root:
+            continue
+        key = (-depth[v], v) if t.degrees[v] == 1 else None
+        for w in t.adjacency[v]:
+            if w in best and parent[w] == v:
+                if key is None or best[w] < key:
+                    key = best[w]
+        if key is None:
+            raise RuntimeError(f"vertex {v} has no boundary leaf below it")
+        best[v] = key
+        arms[key[1]] = arms.get(key[1], 0) + 1
+    return tuple(sorted(arms.values(), reverse=True))
 
 
 # --------------------------- labeled enumeration ---------------------------

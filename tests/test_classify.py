@@ -1,5 +1,6 @@
 """Candidate generation and the odd-diameter maximizer classification."""
 
+import importlib
 import math
 
 import pytest
@@ -17,8 +18,12 @@ from steklov_trees import (
     threshold_data,
     verify_unimodality,
 )
+from steklov_trees.roots import RootResult
 
 from oracles import bracket_contains, sigma_exact, spider_lambda2_exact
+
+# The package's `classify` function shadows its module of that name.
+CLASSIFY_MODULE = importlib.import_module("steklov_trees.classify")
 
 
 def _winner_names(result):
@@ -93,6 +98,16 @@ def test_classify_threshold_compare_case():
     res = spider_lambda2((5, 4, 3, 2))
     assert bracket_contains(spider_lambda2_exact((5, 4, 3, 2)), result.winners[0][1], 1e-10)
     assert abs(result.winners[0][1] - res.value) <= 1e-11
+
+
+def test_classify_keeps_tied_candidates_whole(monkeypatch):
+    # No real input ties its two candidates; equal roots must make both winners, with no contradiction.
+    monkeypatch.setattr(CLASSIFY_MODULE, "spider_lambda2", lambda p: RootResult(0.25, (0.0, 1.0), 0.0))
+    result = classify(15, 9)
+    assert result.case_tag == "threshold_compare"
+    assert len(result.candidates) == 2
+    assert result.winners == result.candidates
+    assert result.tie_flag
 
 
 def test_classify_constant_regime_cases():

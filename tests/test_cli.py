@@ -1,5 +1,6 @@
 """End-to-end command-line checks: goldens, exit codes, determinism."""
 
+import importlib
 import json
 import math
 import os
@@ -27,12 +28,16 @@ from steklov_trees import (
     render_shorthand,
 )
 from steklov_trees.cli import run
+from steklov_trees.roots import RootResult
 from steklov_trees.verify import VerificationReport
 import steklov_trees
 import steklov_trees.cli as cli_module
 import steklov_trees.verify as verify_module
 
 from oracles import prufer_to_edges, sigma_exact, spider_lambda2_exact
+
+# The package's `classify` function shadows its module of that name.
+CLASSIFY_MODULE = importlib.import_module("steklov_trees.classify")
 
 
 def _capture(capsys, argv):
@@ -118,6 +123,20 @@ def test_classify_csv_golden(capsys):
         'threshold_compare,2,"spider:5,4,3,2",0.216542364659,true\n'
         'threshold_compare,3,"spider:5,4,2,2,1",0.216351469037,false\n'
     )
+
+
+def test_classify_prints_a_tie_as_two_winners(capsys, monkeypatch):
+    monkeypatch.setattr(CLASSIFY_MODULE, "spider_lambda2", lambda p: RootResult(0.25, (0.0, 1.0), 0.0))
+    code, out, _ = _capture(capsys, ["classify", "15", "9"])
+    assert code == 0
+    assert out.splitlines()[0] == "n=15 D=9 case=threshold_compare tie=true"
+    assert [line.split()[0] for line in out.splitlines()[1:]] == ["winner", "winner"]
+    code, out, _ = _capture(capsys, ["classify", "15", "9", "--format", "json"])
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["tie"] is True
+    assert [entry["winner"] for entry in doc["candidates"]] == [True, True]
+    assert out.count('"winner": true') == 2
 
 
 def test_candidates_text_golden(capsys):
@@ -483,7 +502,6 @@ def test_verify_mismatch_exits_three(capsys, monkeypatch):
         classifier_codes=(b"01",),
         classifier_winners=(),
         verdict="mismatch",
-        wall_time=0.0,
     )
     monkeypatch.setattr(cli_module, "verify_classification", lambda n, d, jobs=None: fake)
     code, out, _ = _capture(capsys, ["verify", "7", "5"])

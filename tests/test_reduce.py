@@ -31,6 +31,7 @@ from steklov_trees import (
 )
 
 import steklov_trees.reduce as reduce_module
+from steklov_trees.cli import run
 
 from oracles import prufer_to_edges
 
@@ -233,6 +234,23 @@ def test_increase_check_raises_only_on_a_certified_decrease():
     assert reduce_module._checked_root(p, math.nextafter(x, 1.0), p) == x
     assert reduce_module._checked_root(a, rho, a) == rho
     assert reduce_module._checked_root(a, math.nextafter(rho, 0.0), a) == rho
+
+
+@pytest.mark.parametrize("excess, raises", [(1e-8, True), (1e-12, False)])
+def test_ascent_guard_is_relative(monkeypatch, capsys, excess, raises):
+    # On path:41 lambda_2 is below 0.05, so a 1e-8 relative loss is under 1e-9 absolute.
+    exact = reduce_module.lambda2_numeric
+    monkeypatch.setattr(reduce_module, "lambda2_numeric", lambda t: exact(t) * (1 + excess))
+    t = make_path(41)
+    assert exact(t) < 0.05
+    if raises:
+        with pytest.raises(RuntimeError, match="lost ground"):
+            greedy_ascent_trace(t)
+        code, err = run(["reduce", "path:41"]), capsys.readouterr().err
+        assert code == 4 and err.startswith("error: ascent lost ground") and err.count("\n") == 1
+    else:
+        assert greedy_ascent_trace(t)[-1][0] == "result"
+        assert run(["reduce", "path:41"]) == 0 and capsys.readouterr().err == ""
 
 
 @settings(max_examples=60, deadline=None)

@@ -34,8 +34,10 @@ from oracles import (
     all_labeled_trees,
     nonisomorphic_trees_by_diameter,
     prufer_to_edges,
+    side_arm_lengths_reference,
     tree_count_by_diameter,
 )
+from steklov_trees.trees import _side_arm_lengths
 
 
 # ------------------------------ Tree basics ------------------------------
@@ -194,6 +196,24 @@ def test_one_sided_double_spider_is_also_a_spider():
     t = make_double_spider(DoubleSpiderProfile((2, 1), (2,)))
     assert recognize_spider(t) is not None
     assert recognize_spider(t).lengths == (3, 2, 1)
+
+
+def test_arm_walk_matches_deepest_leaf_charging():
+    # From every vertex of every tree of order <= 12, and across the central edge of two-center trees.
+    calls = 0
+    for n in range(2, 13):
+        for d in range(1, n):
+            for t in enumerate_trees(n, d):
+                for root in range(n):
+                    assert _side_arm_lengths(t, root) == side_arm_lengths_reference(t, root, -1), (t, root)
+                    calls += 1
+                centers = tree_centers(t)
+                if len(centers) == 2:
+                    u, v = centers
+                    assert _side_arm_lengths(t, u, v) == side_arm_lengths_reference(t, u, v), (t, u)
+                    assert _side_arm_lengths(t, v, u) == side_arm_lengths_reference(t, v, u), (t, v)
+                    calls += 2
+    assert calls > 10_000
 
 
 # ---------------------------- canonical codes ----------------------------

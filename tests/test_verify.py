@@ -106,6 +106,7 @@ def test_verify_classification_threshold_case():
     report = verify_classification(15, 9)
     assert report.verdict == "match"
     assert report.classifier_codes == (_spider_code(5, 4, 3, 2),)
+    assert report.classifier_winners == (SpiderProfile((5, 4, 3, 2)),)
 
 
 def test_verify_classification_reports_match_small_grid():
@@ -115,7 +116,6 @@ def test_verify_classification_reports_match_small_grid():
             assert report.verdict == "match", (n, d, report)
             assert report.n == n and report.D == d
             assert report.trees_enumerated >= 1
-            assert report.wall_time >= 0.0
 
 
 def test_verify_classification_deterministic_across_jobs():
