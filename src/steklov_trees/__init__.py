@@ -66,7 +66,6 @@ from .reduce import (
     balance_main_step,
     balance_side_step,
     dominating_double_spider,
-    greedy_ascent,
     greedy_ascent_trace,
 )
 from .verify import (
@@ -105,7 +104,6 @@ __all__ = [
     "enumerate_trees",
     "flux_potential",
     "format_tree_text",
-    "greedy_ascent",
     "greedy_ascent_trace",
     "lambda2_numeric",
     "laplacian_matrix",

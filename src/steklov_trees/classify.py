@@ -12,7 +12,6 @@ here against direct root comparison in every case.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -80,7 +79,7 @@ def _division_params(r: int, M: int, q: int) -> ASParams:
 def _predicted_counts(r: int, M: int) -> tuple[int, int, int]:
     """s = ceil(r/2) and the two branch counts nearest M/s that can win."""
     s = (r + 1) // 2
-    return s, max(1, M // s), math.ceil(M / s)
+    return s, max(1, M // s), -(-M // s)
 
 
 def _near_argmax(rows: Sequence[tuple[object, float]], rtol: float) -> tuple[tuple, float]:

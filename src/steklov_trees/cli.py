@@ -37,7 +37,7 @@ from .trees import (
     parse_tree_text,
     render_shorthand,
 )
-from .verify import _root_routes, _unimodality_reports, verify_classification
+from .verify import _root_routes, verify_classification, verify_unimodality
 
 
 class _UsageError(Exception):
@@ -219,7 +219,7 @@ def _cmd_candidates(args: argparse.Namespace) -> int:
 def _cmd_sweep(args: argparse.Namespace) -> int:
     if args.r < 1 or args.m_max < 1:
         raise ValueError(f"need --r >= 1 and --M-max >= 1, got --r {args.r}, --M-max {args.m_max}")
-    reports = _unimodality_reports(args.r, range(1, args.m_max + 1))
+    reports = verify_unimodality(args.r, range(1, args.m_max + 1))
     failed = [rep for rep in reports if not rep.passed]
     if args.format == "text":
         for rep in reports:

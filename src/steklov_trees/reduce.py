@@ -3,12 +3,15 @@
 Three mechanisms: replacing an odd-diameter tree by the double spider
 that dominates it edge-for-edge (its sides read by the arm walk the
 recognizers use), transferring a branch between the two hubs of a double
-spider, and the two balancing moves on spider branch lengths.  One check
-guards every move: it raises only on a decrease of lambda_2 that exact
-signs of the two root equations certify.  Chaining the moves,
-greedy_ascent walks any odd-diameter tree to an almost seesaw tree,
-pricing each profile on the way by its own root, solved once; the result
-must reach the input's lambda_2 within classify's relative tie band.
+spider, and the two balancing moves on spider branch lengths.  Each move
+maps (profile, root) to (profile, root): the root passed in must be the
+profile's own (rho = 1/lambda_2 for a double spider, lambda_2 for a
+spider), and only the result's root is solved.  One check guards every
+move: it raises only on a decrease of lambda_2 that exact signs of the
+two root equations certify.  greedy_ascent_trace chains these moves from
+any odd-diameter tree to an almost seesaw tree, so each profile on the
+way is priced by its own root, solved once; the result must reach the
+input's lambda_2 within classify's relative tie band.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from numbers import Rational
 from .classify import _TIE_RTOL, _near_argmax
 from .roots import _double_spider_equation, _pole_sum, _resolvent_sum, double_spider_rho, spider_lambda2
 from .spectral import lambda2_numeric
-from .trees import DoubleSpiderProfile, SpiderProfile, Tree, _double_sweep, _side_arm_lengths, diameter, make_spider
+from .trees import DoubleSpiderProfile, SpiderProfile, Tree, _double_sweep, _side_arm_lengths, diameter
 
 Profile = SpiderProfile | DoubleSpiderProfile
 
@@ -79,8 +82,15 @@ def dominating_double_spider(t: Tree) -> DoubleSpiderProfile:
 # --------------------------- arm transfer ------------------------------
 
 
-def _transfer(p: DoubleSpiderProfile, rho: float, k: int) -> DoubleSpiderProfile:
-    """arm_transfer's result, given rho = 1/lambda_2 of p."""
+def arm_transfer(p: DoubleSpiderProfile, rho: float, k: int = 2) -> tuple[DoubleSpiderProfile, float]:
+    """Move the k-th branch of the spectrally lighter side to the other; the result with its rho.
+
+    rho must be p's own root, double_spider_rho(p).value = 1/lambda_2.
+    The donor is the side whose resolvent sum at rho is smaller (ties
+    donate from the b-side); it must keep its principal branch, so k
+    starts at 2 and the donor needs at least two branches.  The result's
+    root is solved once and checked against rho by _checked_root.
+    """
     a_sum = _resolvent_sum(p.a_lengths, rho)
     b_sum = _resolvent_sum(p.b_lengths, rho)
     if a_sum < b_sum:
@@ -98,31 +108,18 @@ def _transfer(p: DoubleSpiderProfile, rho: float, k: int) -> DoubleSpiderProfile
     principals = (result.a_lengths[0], result.b_lengths[0])
     if result.order != p.order or principals != (p.a_lengths[0], p.b_lengths[0]):
         raise RuntimeError(f"arm transfer changed order or principal branches: {p} -> {result}")
-    return result
-
-
-def arm_transfer(p: DoubleSpiderProfile, k: int = 2) -> DoubleSpiderProfile:
-    """Move the k-th branch of the spectrally lighter side to the other.
-
-    The donor is the side whose resolvent sum at rho = 1/lambda_2 is
-    smaller (ties donate from the b-side); it must keep its principal
-    branch, so k starts at 2 and the donor needs at least two branches.
-    The lambda_2 increase is checked by _checked_root.
-    """
-    rho = double_spider_rho(p).value
-    result = _transfer(p, rho, k)
-    _checked_root(p, rho, result)
-    return result
+    return result, _checked_root(p, rho, result)
 
 
 # -------------------------- balancing moves ----------------------------
 
 
-def balance_main_step(p: SpiderProfile) -> SpiderProfile:
-    """Shift one vertex from the longest branch to the second longest.
+def balance_main_step(p: SpiderProfile, lam: float) -> tuple[SpiderProfile, float]:
+    """Shift one vertex from the longest branch to the second longest; the result with its lambda_2.
 
-    Requires l1 >= l2 + 2 with l1 + l2 odd and at least three branches
-    (side branches never exceed l2 in a sorted profile); then
+    lam must be p's own root, spider_lambda2(p).value.  Requires
+    l1 >= l2 + 2 with l1 + l2 odd and at least three branches (side
+    branches never exceed l2 in a sorted profile); then
     (l1, l2) -> (l1 - 1, l2 + 1) strictly increases lambda_2, keeping
     order and diameter.
     """
@@ -138,12 +135,17 @@ def balance_main_step(p: SpiderProfile) -> SpiderProfile:
     result = SpiderProfile((l1 - 1, l2 + 1) + sides)
     if result.order != p.order or result.diameter != p.diameter:
         raise RuntimeError(f"main balance changed order or diameter: {p} -> {result}")
-    _checked_root(p, spider_lambda2(p).value, result)
-    return result
+    return result, _checked_root(p, lam, result)
 
 
-def _side_step(p: SpiderProfile) -> SpiderProfile:
-    """balance_side_step's result, unchecked."""
+def balance_side_step(p: SpiderProfile, lam: float) -> tuple[SpiderProfile, float]:
+    """Shift one vertex from the longest side branch to the shortest; the result with its lambda_2.
+
+    lam must be p's own root, spider_lambda2(p).value.  Requires
+    principal branches exactly (r+1, r) and a side pair differing by at
+    least 2; then (u, v) -> (u - 1, v + 1) strictly increases lambda_2,
+    keeping order and diameter.
+    """
     r = p.lengths[1]
     if p.lengths[0] != r + 1:
         raise ValueError(f"principal branches must be (r+1, r), got {p.lengths[:2]}")
@@ -157,30 +159,22 @@ def _side_step(p: SpiderProfile) -> SpiderProfile:
     result = SpiderProfile((r + 1, r, u - 1) + sides[1:-1] + (v + 1,))
     if result.order != p.order or result.diameter != p.diameter:
         raise RuntimeError(f"side balance changed order or diameter: {p} -> {result}")
-    return result
-
-
-def balance_side_step(p: SpiderProfile) -> SpiderProfile:
-    """Shift one vertex from the longest side branch to the shortest.
-
-    Requires principal branches exactly (r+1, r) and a side pair
-    differing by at least 2; then (u, v) -> (u - 1, v + 1) strictly
-    increases lambda_2, keeping order and diameter.
-    """
-    result = _side_step(p)
-    _checked_root(p, spider_lambda2(p).value, result)
-    return result
+    return result, _checked_root(p, lam, result)
 
 
 # --------------------------- greedy ascent -----------------------------
 
 
 def greedy_ascent_trace(t: Tree) -> tuple[tuple[str, Tree | Profile, float], ...]:
-    """Every step of the ascent as (move, shape, lambda_2), from ("input", t, lambda2_numeric(t)) to "result".
+    """Walk t up to an almost seesaw tree: every step as (move, shape, lambda_2), "input" to "result".
 
-    Every later shape is the profile a move produced, priced by its own
-    root, solved once; each move passes _checked_root, and the final
-    comparison against the input's lambda_2 guards the whole chain.
+    Dominate by a double spider, drain the lighter hub one branch at a
+    time, then balance the resulting spider's sides to within one unit;
+    the walk is bounded by n^2 moves.  The input is priced by
+    lambda2_numeric, every later shape is the profile a move produced,
+    priced by its own root, solved once; each move passes _checked_root,
+    and the final comparison against the input's lambda_2 guards the
+    whole chain.
     """
     d = diameter(t)
     if d % 2 == 0:
@@ -194,8 +188,7 @@ def greedy_ascent_trace(t: Tree) -> tuple[tuple[str, Tree | Profile, float], ...
     trace.append(("dominate", profile, 1.0 / rho))
     budget = t.n * t.n
     while len(profile.a_lengths) >= 2 and len(profile.b_lengths) >= 2:
-        nxt = _transfer(profile, rho, 2)
-        profile, rho = nxt, _checked_root(profile, rho, nxt)
+        profile, rho = arm_transfer(profile, rho)
         trace.append(("arm_transfer", profile, 1.0 / rho))
         if len(trace) > budget:
             raise RuntimeError(f"ascent exceeded its budget of {budget} moves")
@@ -204,23 +197,10 @@ def greedy_ascent_trace(t: Tree) -> tuple[tuple[str, Tree | Profile, float], ...
     spider = SpiderProfile((profile.b_lengths[0] + 1,) + profile.a_lengths)
     lam = spider_lambda2(spider).value
     while len(spider.lengths) >= 4 and spider.lengths[2] >= spider.lengths[-1] + 2:
-        nxt = _side_step(spider)
-        spider, lam = nxt, _checked_root(spider, lam, nxt)
+        spider, lam = balance_side_step(spider, lam)
         trace.append(("balance_side", spider, lam))  # ends: each step lowers the sum of squared sides
 
     trace.append(("result", spider, lam))
     if "result" not in _near_argmax((("input", trace[0][2]), ("result", lam)), _TIE_RTOL)[0]:
         raise RuntimeError(f"ascent lost ground: lambda_2 fell from {trace[0][2]} to {lam}")
     return tuple(trace)
-
-
-def greedy_ascent(t: Tree) -> Tree:
-    """Walk t upward to an almost seesaw tree of the same order and diameter.
-
-    Dominate by a double spider, drain the lighter hub one branch at a
-    time, then balance the resulting spider's sides to within one unit.
-    Every step weakly increases lambda_2 (strictly after domination),
-    and the walk is bounded by n^2 moves.
-    """
-    shape = greedy_ascent_trace(t)[-1][1]
-    return make_spider(shape) if isinstance(shape, SpiderProfile) else shape

@@ -64,8 +64,13 @@ _POLE_ULPS = 4
 
 _NEWTON_PASSES = 30  # cap on an estimate's Newton passes; about four converge
 
+# Both solvers' one error: a zero denominator, met only in a bracket a few floats wide.
+_ON_POLE = "root equation evaluated on one of its poles: its bracket holds too few floats"
 
-def _bisect(f: Callable[[float], float], lo: float, hi: float, estimate: float | None = None) -> RootResult:
+
+def _bisect(
+    f: Callable[[float], float], lo: float, hi: float, estimate: Callable[[], float] | None = None
+) -> RootResult:
     """Unique zero of a strictly increasing f on (lo, hi).
 
     The endpoints are typically poles of f and are never evaluated, nor
@@ -73,36 +78,43 @@ def _bisect(f: Callable[[float], float], lo: float, hi: float, estimate: float |
     increasing on their brackets.  Halves until no float is left strictly
     inside the bracket, so it ends on two adjacent floats across which f
     changes sign and returns the one it reached last: the root to one
-    ulp, with no tolerance to scale.
+    ulp, with no tolerance to scale.  An evaluation on a pole of f, which
+    only a bracket of a few floats allows, raises RuntimeError.
 
-    An estimate only saves evaluations: walking out from it finds the
-    innermost points with f <= 0 and f > 0, and a midpoint outside them
-    takes the sign they imply.  This is exact if f's float evaluation is
-    non-decreasing more than _POLE_ULPS ulps inside the endpoints, as
-    the callers' is: IEEE operations monotone in the unknown there (l*x,
-    1 - y, w/d with d of fixed sign, sums, 1/A with A > 0) under monotone
-    rounding.  Midpoints nearer an endpoint are always evaluated.  So
-    midpoints, stop, value and residual are plain bisection's bit for
-    bit; a NaN or out-of-bracket estimate gives plain bisection.
+    An estimate only saves evaluations; it is computed only if the
+    bracket has floats more than _POLE_ULPS ulps inside both endpoints.
+    Walking out from it finds the innermost points with f <= 0 and
+    f > 0, and a midpoint outside them takes the sign they imply.  This
+    is exact if f's float evaluation is non-decreasing more than
+    _POLE_ULPS ulps inside the endpoints, as the callers' is: IEEE
+    operations monotone in the unknown there (l*x, 1 - y, w/d with d of
+    fixed sign, sums, 1/A with A > 0) under monotone rounding.
+    Midpoints nearer an endpoint are always evaluated.  So midpoints,
+    stop, value and residual are plain bisection's bit for bit; a NaN or
+    out-of-bracket estimate gives plain bisection.
     """
     inner_lo, inner_hi = lo + _POLE_ULPS * math.ulp(lo), hi - _POLE_ULPS * math.ulp(hi)
-    seen = _walk_out(f, estimate, inner_lo, inner_hi) if estimate is not None and inner_lo < estimate < inner_hi else {}
-    below = max((x for x, y in seen.items() if y <= 0.0), default=lo)
-    above = min((x for x, y in seen.items() if y > 0.0), default=hi)
-    a, b = lo, hi
-    value = 0.5 * (a + b)
-    while True:
-        if inner_lo < value <= below or above <= value < inner_hi:
-            up = value >= above
-        else:
-            seen[value] = f(value)
-            up = seen[value] > 0.0
-        a, b = (a, value) if up else (value, b)
-        nxt = 0.5 * (a + b)
-        if not a < nxt < b:
-            resid = seen[value] if value in seen else f(value)
-            return RootResult(value=value, bracket=(lo, hi), residual=resid)
-        value = nxt
+    try:
+        guess = estimate() if estimate is not None and inner_lo < inner_hi else math.nan
+        seen = _walk_out(f, guess, inner_lo, inner_hi) if inner_lo < guess < inner_hi else {}
+        below = max((x for x, y in seen.items() if y <= 0.0), default=lo)
+        above = min((x for x, y in seen.items() if y > 0.0), default=hi)
+        a, b = lo, hi
+        value = 0.5 * (a + b)
+        while True:
+            if inner_lo < value <= below or above <= value < inner_hi:
+                up = value >= above
+            else:
+                seen[value] = f(value)
+                up = seen[value] > 0.0
+            a, b = (a, value) if up else (value, b)
+            nxt = 0.5 * (a + b)
+            if not a < nxt < b:
+                resid = seen[value] if value in seen else f(value)
+                return RootResult(value=value, bracket=(lo, hi), residual=resid)
+            value = nxt
+    except ZeroDivisionError as exc:
+        raise RuntimeError(_ON_POLE) from exc
 
 
 def _walk_out(f: Callable[[float], float], x: float, inner_lo: float, inner_hi: float) -> dict[float, float]:
@@ -125,18 +137,22 @@ def _bisect_stacked(f: Callable[[np.ndarray], np.ndarray], lo: np.ndarray, hi: n
     Each entry takes _bisect's midpoints and stops when its bracket holds
     no float, then keeps its value while the others go on.  f must act
     elementwise, so every value equals _bisect's on the same bracket bit
-    for bit.
+    for bit, and an evaluation on a pole raises as it does there.
     """
     a, b = lo, hi
     value = 0.5 * (a + b)
     active = np.ones(value.shape, dtype=bool)
-    while active.any():
-        up = f(value) > 0.0
-        b = np.where(active & up, value, b)
-        a = np.where(active & ~up, value, a)
-        nxt = 0.5 * (a + b)
-        active &= (a < nxt) & (nxt < b)
-        value = np.where(active, nxt, value)
+    try:
+        with np.errstate(divide="raise", invalid="raise"):
+            while active.any():
+                up = f(value) > 0.0
+                b = np.where(active & up, value, b)
+                a = np.where(active & ~up, value, a)
+                nxt = 0.5 * (a + b)
+                active &= (a < nxt) & (nxt < b)
+                value = np.where(active, nxt, value)
+    except FloatingPointError as exc:
+        raise RuntimeError(_ON_POLE) from exc
     return value
 
 
@@ -190,7 +206,9 @@ def spider_lambda2(lengths: SpiderProfile | Sequence[int]) -> RootResult:
     if ls[0] == ls[1]:
         raise ValueError(f"longest branch must be strict, got lengths {ls}")
     terms = tuple(Counter(ls).items())
-    return _bisect(lambda lam: _pole_sum(terms, lam), 1.0 / ls[0], 1.0 / ls[1], _pole_sum_estimate(terms, ls[0], ls[1]))
+    return _bisect(
+        lambda lam: _pole_sum(terms, lam), 1.0 / ls[0], 1.0 / ls[1], lambda: _pole_sum_estimate(terms, ls[0], ls[1])
+    )
 
 
 # ------------------------- balanced family ----------------------------
@@ -200,7 +218,7 @@ def q_range_integer(r: int, M: int) -> tuple[int, int]:
     """Feasible branch counts q for lateral mass M at radius r."""
     if r < 1 or M < 1:
         raise ValueError(f"need r >= 1 and M >= 1, got r={r}, M={M}")
-    return (max(1, math.ceil(M / r)), M)
+    return (max(1, -(-M // r)), M)
 
 
 def q_range_continuous(r: int, M: int) -> tuple[float, float]:
@@ -232,7 +250,9 @@ def sigma_rM(r: int, M: int, q: float) -> RootResult:
     w_hi = max(M - c * q, 0.0)
     w_lo = max((c + 1) * q - M, 0.0)
     terms = tuple((l, w) for l, w in ((r + 1, 1), (r, 1), (c + 1, w_hi), (c, w_lo)) if w > 0.0)
-    return _bisect(lambda lam: _pole_sum(terms, lam), 1.0 / (r + 1), 1.0 / r, _pole_sum_estimate(terms, r + 1, r))
+    return _bisect(
+        lambda lam: _pole_sum(terms, lam), 1.0 / (r + 1), 1.0 / r, lambda: _pole_sum_estimate(terms, r + 1, r)
+    )
 
 
 def _sigma_tables(r: int, masses: Sequence[int]) -> list[tuple[tuple[int, float], ...]]:
@@ -303,7 +323,9 @@ def double_spider_rho(p: DoubleSpiderProfile) -> RootResult:
     if p.b_lengths[0] != r:
         raise ValueError(f"both sides must share the longest length, got {p.a_lengths[0]} and {p.b_lengths[0]}")
     total = sum(p.a_lengths) + sum(p.b_lengths)
-    return _bisect(lambda rho: _double_spider_equation(p, rho), r + 1e-9, float(r + total + 1), _rho_estimate(p, r))
+    return _bisect(
+        lambda rho: _double_spider_equation(p, rho), r + 1e-9, float(r + total + 1), lambda: _rho_estimate(p, r)
+    )
 
 
 # ------------------------- threshold quadratic -------------------------

@@ -5,7 +5,8 @@ enumerate every unlabeled tree of a given order and diameter as its
 canonical code, compute lambda_2 in batches from the leaf distance form
 P(-D/2)P straight from those codes (spectral._lambda2_batch, sharded
 over at most one process per CPU), and compare winner sets; and sweep
-the balanced family for unimodality.  Reports never hide a failure:
+the balanced family for unimodality, every mass of a radius in one
+call, as `steklov sweep` does.  Reports never hide a failure:
 verdicts are match / tie_unresolved / mismatch, with ties flagged only
 below the resolution of floating point.  The root equations that a
 tree's shape admits are listed here too, for `lambda2 --method root`.
@@ -122,18 +123,13 @@ def verify_classification(n: int, d: int, jobs: int | None = None) -> Verificati
 # --------------------------- family sweeps -----------------------------
 
 
-def verify_unimodality(r: int, M: int) -> UnimodalityReport:
-    """Check rise-then-fall shape and peak position of q -> Sigma_{r,M}(q).
+def verify_unimodality(r: int, masses: Sequence[int]) -> list[UnimodalityReport]:
+    """Check rise-then-fall shape and peak position of q -> Sigma_{r,M}(q), for each M in masses.
 
-    Passes iff the sequence over feasible integer q is unimodal within a
-    1e-12 band and its maximum sits at one of the two branch counts
-    nearest M/s.
+    One stacked bisection solves every table.  A report passes iff its
+    sequence over feasible integer q is unimodal within a 1e-12 band and
+    its maximum sits at one of the two branch counts nearest M/s.
     """
-    return _unimodality_reports(r, [M])[0]
-
-
-def _unimodality_reports(r: int, masses: Sequence[int]) -> list[UnimodalityReport]:
-    """verify_unimodality(r, M) for each M in masses, from one stacked bisection."""
     reports = []
     for M, rows in zip(masses, _sigma_tables(r, masses)):
         vals = [lam for _, lam in rows]

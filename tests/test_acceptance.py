@@ -162,10 +162,9 @@ def test_criterion_5_unimodality_sweep():
     start = time.monotonic()
     problems = []
     for r in range(1, 9):
-        for m in range(1, 61):
-            report = verify_unimodality(r, m)
+        for report in verify_unimodality(r, range(1, 61)):
             if not report.passed:
-                problems.append((r, m, report.detail))
+                problems.append((r, report.M, report.detail))
     elapsed = time.monotonic() - start
     ok = not problems and elapsed < 30.0
     _report(5, "unimodality sweep", ok, elapsed)
@@ -176,6 +175,7 @@ def test_criterion_5_unimodality_sweep():
 def test_criterion_6_monotone_moves():
     start = time.monotonic()
     problems = []
+    wrong_roots = []  # a returned root that differs from the result's own, solved from scratch
 
     spiders = [
         SpiderProfile(p)
@@ -186,13 +186,15 @@ def test_criterion_6_monotone_moves():
     for p in spiders:
         for move in (balance_main_step, balance_side_step):
             try:
-                q = move(p)
+                before = spider_lambda2(p).value
+                q, root = move(p, before)
             except ValueError:
                 continue
-            before = spider_lambda2(p).value
             after = spider_lambda2(q).value
             if after - before <= MOVE_MARGIN:
                 problems.append((move.__name__, p.lengths, after - before))
+            if root.hex() != after.hex():
+                wrong_roots.append((move.__name__, p.lengths, root, after))
 
     doubles = {
         DoubleSpiderProfile(a, b)
@@ -204,18 +206,23 @@ def test_criterion_6_monotone_moves():
     for p in sorted(doubles, key=lambda d: (d.a_lengths, d.b_lengths)):
         for k in range(2, len(p.a_lengths + p.b_lengths) + 1):
             try:
-                q = arm_transfer(p, k)
+                rho_before = double_spider_rho(p).value
+                q, root = arm_transfer(p, rho_before, k)
             except ValueError:
                 continue
-            before = 1.0 / double_spider_rho(p).value
-            after = 1.0 / double_spider_rho(q).value
+            before = 1.0 / rho_before
+            rho = double_spider_rho(q).value
+            after = 1.0 / rho
             if after - before <= MOVE_MARGIN:
                 problems.append(("arm_transfer", (p.a_lengths, p.b_lengths, k), after - before))
+            if root.hex() != rho.hex():
+                wrong_roots.append(("arm_transfer", (p.a_lengths, p.b_lengths, k), root, rho))
 
     elapsed = time.monotonic() - start
-    ok = not problems and elapsed < 120.0
+    ok = not problems and not wrong_roots and elapsed < 120.0
     _report(6, "monotone moves", ok, elapsed)
     assert not problems, problems[:5]
+    assert not wrong_roots, wrong_roots[:5]
     assert elapsed < 120.0
 
 

@@ -50,6 +50,14 @@ def test_candidate_profiles_split():
     assert pair.as_plus == ASParams(4, 3, 1, 2)
 
 
+def test_candidate_profiles_ceiling_is_exact_above_2_53():
+    # M = 3 * 2^53 + 1 and s = 2^53: M / s rounds to 3.0, but q_plus is 4.
+    pair = candidate_profiles(63050394783186947, 36028797018963969)
+    M = 3 * 2**53 + 1
+    assert (pair.M, pair.s, pair.q_minus, pair.q_plus) == (M, 2**53, 3, 4)
+    assert pair.as_plus == ASParams(2**54, 4, M // 4, 1)
+
+
 def test_candidate_profiles_rejects_out_of_scope():
     with pytest.raises(ValueError, match="Lin and Zhao"):
         candidate_profiles(8, 4)
@@ -186,7 +194,7 @@ def test_classify_large_lateral_mass_matches_exact_root(n, d):
 
 
 def test_compare_candidates_small():
-    rep = verify_unimodality(2, 2)
+    (rep,) = verify_unimodality(2, [2])
     assert [q for q, _ in rep.rows] == [1, 2]
     assert abs(rep.rows[0][1] - 3 / 8) <= 1e-11
     assert abs(rep.rows[1][1] - (17 - math.sqrt(17)) / 34) <= 1e-11
@@ -195,13 +203,13 @@ def test_compare_candidates_small():
 
 
 def test_compare_candidates_single_feasible():
-    rep = verify_unimodality(1, 3)
+    (rep,) = verify_unimodality(1, [3])
     assert [q for q, _ in rep.rows] == [3]
     assert rep.peak_q == (3,)
 
 
 def test_compare_candidates_predicted_peak():
-    rep = verify_unimodality(4, 5)  # r = 4, M = 5: D = 9, n = 15
+    (rep,) = verify_unimodality(4, [5])  # r = 4, M = 5: D = 9, n = 15
     pair = candidate_profiles(15, 9)
     assert set(rep.peak_q) <= {2, 3}
     assert (pair.q_minus, pair.q_plus) == (2, 3)

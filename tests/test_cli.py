@@ -479,6 +479,27 @@ def test_classify_large_lateral_mass_answers(capsys):
     assert err == ""
 
 
+def test_classify_at_radius_2_50_answers(capsys):
+    code, out, err = _capture(capsys, ["classify", "2251799813685255", "2251799813685249"])
+    assert (code, err) == (0, "")
+    assert out == (
+        "n=2251799813685255 D=2251799813685249 case=single_small tie=false\n"
+        "winner q=1 tree=spider:1125899906842625,1125899906842624,5 lambda2=8.881784197e-16\n"
+    )
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "argv",
+    [["classify", "63050394783186947", "36028797018963969"], ["sweep", "--r", "2251799813685248", "--M-max", "3"]],
+)
+def test_radius_beyond_float_resolution_exits_four(capsys, argv):
+    # At r = 2^54 and r = 2^51 the root bracket holds too few floats: one error line, no traceback or warning.
+    code, out, err = _capture(capsys, argv)
+    assert (code, out) == (4, "")
+    assert err == "error: root equation evaluated on one of its poles: its bracket holds too few floats\n"
+
+
 @pytest.mark.parametrize("exc", [RuntimeError("bisection failed"), MemoryError()])
 def test_internal_failure_exits_four(capsys, monkeypatch, exc):
     def fail(n, d):

@@ -19,7 +19,6 @@ from steklov_trees import (
     dominating_double_spider,
     double_spider_rho,
     enumerate_trees,
-    greedy_ascent,
     greedy_ascent_trace,
     lambda2_numeric,
     make_double_spider,
@@ -88,7 +87,7 @@ def test_arm_transfer_example():
     p = DoubleSpiderProfile((2, 1), (2, 1))
     before = 1.0 / double_spider_rho(p).value
     assert abs(before - 1.0 / (2 + math.sqrt(2) / 2)) <= 1e-11
-    q = arm_transfer(p, 2)
+    q, _ = arm_transfer(p, double_spider_rho(p).value, 2)
     assert (q.a_lengths, q.b_lengths) == ((2, 1, 1), (2,))
     after = 1.0 / double_spider_rho(q).value
     assert abs(after - (17 - math.sqrt(17)) / 34) <= 1e-11
@@ -96,27 +95,29 @@ def test_arm_transfer_example():
 
 
 def test_arm_transfer_symmetric_case():
-    q = arm_transfer(DoubleSpiderProfile((3, 1), (3, 1)), 2)
+    p = DoubleSpiderProfile((3, 1), (3, 1))
+    q, _ = arm_transfer(p, double_spider_rho(p).value, 2)
     assert (q.a_lengths, q.b_lengths) == ((3, 1, 1), (3,))
 
 
 def test_arm_transfer_rejects_single_branch_donor():
-    with pytest.raises(ValueError):
-        arm_transfer(DoubleSpiderProfile((3,), (3, 1)), 2)
-    with pytest.raises(ValueError):
-        arm_transfer(DoubleSpiderProfile((4,), (4,)), 2)
+    for p in (DoubleSpiderProfile((3,), (3, 1)), DoubleSpiderProfile((4,), (4,))):
+        with pytest.raises(ValueError):
+            arm_transfer(p, double_spider_rho(p).value, 2)
 
 
 def test_arm_transfer_rejects_bad_index():
+    p = DoubleSpiderProfile((3, 2), (3, 1))
+    rho = double_spider_rho(p).value
     with pytest.raises(ValueError):
-        arm_transfer(DoubleSpiderProfile((3, 2), (3, 1)), 1)
+        arm_transfer(p, rho, 1)
     with pytest.raises(ValueError):
-        arm_transfer(DoubleSpiderProfile((3, 2), (3, 1)), 5)
+        arm_transfer(p, rho, 5)
 
 
 def test_arm_transfer_preserves_shape():
     p = DoubleSpiderProfile((4, 2, 1), (4, 3))
-    q = arm_transfer(p, 2)
+    q, _ = arm_transfer(p, double_spider_rho(p).value, 2)
     assert q.order == p.order
     assert q.diameter == p.diameter
 
@@ -124,52 +125,58 @@ def test_arm_transfer_preserves_shape():
 # ----------------------------- balancing moves -----------------------------
 
 
+def _spider_move(move, lengths):
+    """move applied to the spider profile of lengths, given that profile's own lambda_2."""
+    p = SpiderProfile(lengths)
+    return move(p, spider_lambda2(p).value)
+
+
 def test_balance_main_examples():
-    q = balance_main_step(SpiderProfile((4, 1, 1)))
+    q, _ = _spider_move(balance_main_step, (4, 1, 1))
     assert q.lengths == (3, 2, 1)
     before = 1.0 / 3.0
     after = spider_lambda2(q).value
     assert abs(after - (6 - math.sqrt(3)) / 11) <= 1e-11
     assert after > before + INCREASE_MARGIN
 
-    q = balance_main_step(SpiderProfile((5, 2, 2, 1)))
+    q, _ = _spider_move(balance_main_step, (5, 2, 2, 1))
     assert q.lengths == (4, 3, 2, 1)
 
 
 def test_balance_main_rejects_bad_shapes():
     with pytest.raises(ValueError):
-        balance_main_step(SpiderProfile((4, 1)))  # two branches only
+        _spider_move(balance_main_step, (4, 1))  # two branches only
     with pytest.raises(ValueError):
-        balance_main_step(SpiderProfile((3, 2, 1)))  # gap below 2
+        _spider_move(balance_main_step, (3, 2, 1))  # gap below 2
     with pytest.raises(ValueError):
-        balance_main_step(SpiderProfile((4, 2, 1)))  # even principal sum
+        _spider_move(balance_main_step, (4, 2, 1))  # even principal sum
 
 
 def test_balance_side_examples():
-    q = balance_side_step(SpiderProfile((4, 3, 3, 1)))
+    q, _ = _spider_move(balance_side_step, (4, 3, 3, 1))
     assert q.lengths == (4, 3, 2, 2)
-    q = balance_side_step(SpiderProfile((5, 4, 4, 1, 1)))
+    q, _ = _spider_move(balance_side_step, (5, 4, 4, 1, 1))
     assert q.lengths == (5, 4, 3, 2, 1)
 
 
 def test_balance_side_rejects_bad_shapes():
     with pytest.raises(ValueError):
-        balance_side_step(SpiderProfile((4, 3, 2, 2)))  # sides already balanced
+        _spider_move(balance_side_step, (4, 3, 2, 2))  # sides already balanced
     with pytest.raises(ValueError):
-        balance_side_step(SpiderProfile((5, 3, 3, 1)))  # principal not (r+1, r)
+        _spider_move(balance_side_step, (5, 3, 3, 1))  # principal not (r+1, r)
     with pytest.raises(ValueError):
-        balance_side_step(SpiderProfile((4, 3)))  # no side branches
+        _spider_move(balance_side_step, (4, 3))  # no side branches
 
 
 def test_moves_strictly_increase_lambda2():
     for profile in [(6, 1, 1), (7, 2, 2, 1), (9, 4, 3)]:
         p = SpiderProfile(profile)
-        q = balance_main_step(p)
+        q, _ = _spider_move(balance_main_step, profile)
         assert q.order == p.order and q.diameter == p.diameter
         assert spider_lambda2(q).value > spider_lambda2(p).value + INCREASE_MARGIN
     for profile in [(5, 4, 4, 1), (4, 3, 3, 1, 1), (6, 5, 5, 2, 1)]:
         p = SpiderProfile(profile)
-        q = balance_side_step(p)
+        q, _ = _spider_move(balance_side_step, profile)
         assert q.order == p.order and q.diameter == p.diameter
         assert spider_lambda2(q).value > spider_lambda2(p).value + INCREASE_MARGIN
 
@@ -179,18 +186,18 @@ def test_moves_strictly_increase_lambda2():
 
 def test_greedy_ascent_path_fixpoint():
     t = make_path(5)
-    out = greedy_ascent(t)
+    out = make_spider(greedy_ascent_trace(t)[-1][1])
     assert canonical_code(out) == canonical_code(t)
 
 
 def test_greedy_ascent_caterpillar():
     t = Tree(7, ((0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (2, 6)))
-    out = greedy_ascent(t)
+    out = make_spider(greedy_ascent_trace(t)[-1][1])
     assert canonical_code(out) == canonical_code(make_spider(SpiderProfile((3, 2, 1))))
 
 
 def test_greedy_ascent_balances_spider():
-    out = greedy_ascent(make_spider(SpiderProfile((4, 1, 1))))
+    out = make_spider(greedy_ascent_trace(make_spider(SpiderProfile((4, 1, 1))))[-1][1])
     assert canonical_code(out) == canonical_code(make_spider(SpiderProfile((3, 2, 1))))
 
 
@@ -220,12 +227,12 @@ def test_greedy_ascent_trace_shape():
 def test_increase_check_raises_only_on_a_certified_decrease():
     # The reverse of a legal side step, and of a legal arm transfer.
     p, q = SpiderProfile((4, 3, 2, 2)), SpiderProfile((4, 3, 3, 1))
-    assert balance_side_step(q) == p
+    assert _spider_move(balance_side_step, q.lengths)[0] == p
     x = spider_lambda2(p).value
     with pytest.raises(RuntimeError, match="lowers lambda_2"):
         reduce_module._checked_root(p, x, q)
     a, b = DoubleSpiderProfile((2, 1, 1), (2,)), DoubleSpiderProfile((2, 1), (2, 1))
-    assert arm_transfer(b) == a
+    assert arm_transfer(b, double_spider_rho(b).value)[0] == a
     rho = double_spider_rho(a).value
     with pytest.raises(RuntimeError, match="lowers lambda_2"):
         reduce_module._checked_root(a, rho, b)
@@ -263,7 +270,7 @@ def test_greedy_ascent_random_trees(n, seq):
     d = diameter(t)
     if d % 2 == 0 or d < 3:
         return
-    out = greedy_ascent(t)
+    out = make_spider(greedy_ascent_trace(t)[-1][1])
     assert out.n == n
     assert diameter(out) == d
     assert lambda2_numeric(out) >= lambda2_numeric(t) - 1e-9

@@ -113,6 +113,8 @@ def test_q_ranges():
     assert q_range_integer(2, 2) == (1, 2)
     assert q_range_integer(4, 5) == (2, 5)
     assert q_range_integer(1, 3) == (3, 3)
+    # M / r rounds to 3.0 here; the integer ceiling is 4.
+    assert q_range_integer(2**53, 3 * 2**53 + 1) == (4, 3 * 2**53 + 1)
     lo, hi = q_range_continuous(2, 2)
     assert (lo, hi) == (1.0, 2.0)
 
@@ -544,7 +546,7 @@ def test_bisect_estimate_only_saves_evaluations(solve, args):
     estimates = [None, math.nextafter(lo, hi), math.nextafter(hi, lo), want.value, other, 0.5 * (lo + hi)]
     estimates += [math.nan, math.inf, -math.inf, lo, hi, lo - 1.0, hi + 1.0]
     for estimate in estimates:
-        got = roots._bisect(f, lo, hi, estimate)
+        got = roots._bisect(f, lo, hi, None if estimate is None else lambda: estimate)
         assert (got.value.hex(), got.residual.hex()) == (want.value.hex(), want.residual.hex()), estimate
 
 

@@ -140,7 +140,7 @@ def test_brute_force_winners_are_spiders():
 
 
 def test_unimodality_two_candidate_example():
-    report = verify_unimodality(2, 2)
+    (report,) = verify_unimodality(2, [2])
     assert report.passed
     assert report.peak_q == (2,)
     assert dict(report.rows)[1] == pytest.approx(3.0 / 8.0, abs=1e-12)
@@ -148,14 +148,14 @@ def test_unimodality_two_candidate_example():
 
 
 def test_unimodality_single_feasible_q():
-    report = verify_unimodality(1, 5)
+    (report,) = verify_unimodality(1, [5])
     assert report.passed
     assert report.rows == ((5, pytest.approx(7.0 / 13.0, abs=1e-12)),)
     assert report.peak_q == (5,)
 
 
 def test_unimodality_interior_peak():
-    report = verify_unimodality(5, 12)
+    (report,) = verify_unimodality(5, [12])
     assert report.passed
     assert report.peak_q == (4,)
 
@@ -163,7 +163,7 @@ def test_unimodality_interior_peak():
 def test_unimodality_small_grid():
     for r in range(1, 7):
         for m in range(1, 21):
-            report = verify_unimodality(r, m)
+            (report,) = verify_unimodality(r, [m])
             assert report.passed, (r, m, report.detail)
             assert report.detail == ""
 
@@ -175,12 +175,12 @@ def test_unimodality_rows_are_the_sweep_rows(capsys, r):
     printed = json.loads(capsys.readouterr().out)
     assert [entry["M"] for entry in printed] == list(range(1, m_max + 1))
     for entry in printed:
-        report = verify_unimodality(r, entry["M"])
+        (report,) = verify_unimodality(r, [entry["M"]])
         assert entry["rows"] == [{"q": q, "sigma": f"{lam:.12g}"} for q, lam in report.rows]
         assert (entry["peak_q"], entry["passed"]) == (list(report.peak_q), report.passed)
     # The sweep's one stacked call gives each mass the report of its own call.
     masses = range(1, m_max + 1)
-    assert verify_module._unimodality_reports(r, masses) == [verify_unimodality(r, m) for m in masses]
+    assert verify_unimodality(r, masses) == [verify_unimodality(r, [m])[0] for m in masses]
 
 
 # ------------------------------ domination ------------------------------
