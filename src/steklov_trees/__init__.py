@@ -15,9 +15,7 @@ from .trees import (
     SpiderProfile,
     Tree,
     canonical_code,
-    count_trees,
     diameter,
-    enumerate_trees,
     format_tree_text,
     leaf_set,
     make_as_tree,
@@ -47,11 +45,9 @@ from .flux import (
     q_form,
 )
 from .roots import (
-    RootResult,
     ThresholdData,
     double_spider_rho,
     q_range_integer,
-    sigma_rM,
     spider_lambda2,
     threshold_data,
 )
@@ -82,7 +78,6 @@ __all__ = [
     "ClassificationResult",
     "CutDecomposition",
     "DoubleSpiderProfile",
-    "RootResult",
     "Spectrum",
     "SpiderProfile",
     "ThresholdData",
@@ -95,13 +90,11 @@ __all__ = [
     "candidate_profiles",
     "canonical_code",
     "classify",
-    "count_trees",
     "cut_sums",
     "diameter",
     "dominating_double_spider",
     "double_spider_rho",
     "dtn_matrix",
-    "enumerate_trees",
     "flux_potential",
     "format_tree_text",
     "greedy_ascent_trace",
@@ -120,7 +113,6 @@ __all__ = [
     "recognize_double_spider",
     "recognize_spider",
     "render_shorthand",
-    "sigma_rM",
     "spider_lambda2",
     "steklov_spectrum",
     "threshold_data",

@@ -128,7 +128,7 @@ def classify(n: int, D: int) -> ClassificationResult:
         tag, profiles = ("single_small" if pair.M < pair.s else "divisible"), (pair.as_minus.spider_profile(),)
     else:
         tag, profiles = "initial_orders", (pair.as_minus.spider_profile(), pair.as_plus.spider_profile())
-    candidates = tuple((p, spider_lambda2(p).value) for p in profiles)
+    candidates = tuple((p, spider_lambda2(p)) for p in profiles)
     keys, _ = _near_argmax(candidates, _TIE_RTOL)
     winners = tuple(row for row in candidates if row[0] in keys)
 

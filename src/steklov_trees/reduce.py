@@ -42,7 +42,7 @@ def _checked_root(before: Profile, x_before: float, after: Profile) -> float:
     midway between the roots decide, and only a certified decrease raises.
     """
     spider = isinstance(after, SpiderProfile)
-    x_after = spider_lambda2(after).value if spider else double_spider_rho(after).value
+    x_after = spider_lambda2(after) if spider else double_spider_rho(after)
     down = 1 if spider else -1  # lambda_2 falls with a spider's root, rises with rho
     if down * (x_before - x_after) > 0:
         from fractions import Fraction  # only this rare path needs it; importing it costs every command ~3 ms
@@ -85,7 +85,7 @@ def dominating_double_spider(t: Tree) -> DoubleSpiderProfile:
 def arm_transfer(p: DoubleSpiderProfile, rho: float, k: int = 2) -> tuple[DoubleSpiderProfile, float]:
     """Move the k-th branch of the spectrally lighter side to the other; the result with its rho.
 
-    rho must be p's own root, double_spider_rho(p).value = 1/lambda_2.
+    rho must be p's own root, double_spider_rho(p) = 1/lambda_2.
     The donor is the side whose resolvent sum at rho is smaller (ties
     donate from the b-side); it must keep its principal branch, so k
     starts at 2 and the donor needs at least two branches.  The result's
@@ -117,7 +117,7 @@ def arm_transfer(p: DoubleSpiderProfile, rho: float, k: int = 2) -> tuple[Double
 def balance_main_step(p: SpiderProfile, lam: float) -> tuple[SpiderProfile, float]:
     """Shift one vertex from the longest branch to the second longest; the result with its lambda_2.
 
-    lam must be p's own root, spider_lambda2(p).value.  Requires
+    lam must be p's own root, spider_lambda2(p).  Requires
     l1 >= l2 + 2 with l1 + l2 odd and at least three branches (side
     branches never exceed l2 in a sorted profile); then
     (l1, l2) -> (l1 - 1, l2 + 1) strictly increases lambda_2, keeping
@@ -141,7 +141,7 @@ def balance_main_step(p: SpiderProfile, lam: float) -> tuple[SpiderProfile, floa
 def balance_side_step(p: SpiderProfile, lam: float) -> tuple[SpiderProfile, float]:
     """Shift one vertex from the longest side branch to the shortest; the result with its lambda_2.
 
-    lam must be p's own root, spider_lambda2(p).value.  Requires
+    lam must be p's own root, spider_lambda2(p).  Requires
     principal branches exactly (r+1, r) and a side pair differing by at
     least 2; then (u, v) -> (u - 1, v + 1) strictly increases lambda_2,
     keeping order and diameter.
@@ -184,7 +184,7 @@ def greedy_ascent_trace(t: Tree) -> tuple[tuple[str, Tree | Profile, float], ...
         return (trace[0], ("result", t, trace[0][2]))
 
     profile = dominating_double_spider(t)
-    rho = double_spider_rho(profile).value
+    rho = double_spider_rho(profile)
     trace.append(("dominate", profile, 1.0 / rho))
     budget = t.n * t.n
     while len(profile.a_lengths) >= 2 and len(profile.b_lengths) >= 2:
@@ -195,7 +195,7 @@ def greedy_ascent_trace(t: Tree) -> tuple[tuple[str, Tree | Profile, float], ...
 
     # The lone branch is the b-side one; with the central edge it is the same tree's spider branch r+1.
     spider = SpiderProfile((profile.b_lengths[0] + 1,) + profile.a_lengths)
-    lam = spider_lambda2(spider).value
+    lam = spider_lambda2(spider)
     while len(spider.lengths) >= 4 and spider.lengths[2] >= spider.lengths[-1] + 2:
         spider, lam = balance_side_step(spider, lam)
         trace.append(("balance_side", spider, lam))  # ends: each step lowers the sum of squared sides

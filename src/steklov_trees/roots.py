@@ -8,9 +8,9 @@ balanced candidates.  The one-center equations are all the pole sum
 sum_i w_i/(1 - l_i lambda) with grouped weights, evaluated by one
 helper.  Each equation is strictly increasing on an explicit bracket
 whose endpoints are poles, so the one solver is bisection down to two
-adjacent floats, with no tolerance and never touching the endpoints,
-run on one root or elementwise over a stacked table of balanced-family
-roots; that monotonicity is a property test, not a runtime check.  On
+adjacent floats, or to a midpoint on a pole a few ulps from an end,
+with no tolerance and never touching the endpoints, run on one root or
+elementwise over a stacked table of balanced-family roots; that monotonicity is a property test, not a runtime check.  On
 one root it skips, bit for bit, each midpoint whose sign the monotone
 float equation and a Newton estimate already fix.
 """
@@ -26,15 +26,6 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .trees import DoubleSpiderProfile, SpiderProfile
-
-
-@dataclass(frozen=True)
-class RootResult:
-    """A certified root: the value, its theoretical bracket, the residual."""
-
-    value: float
-    bracket: tuple[float, float]
-    residual: float
 
 
 @dataclass(frozen=True)
@@ -64,13 +55,10 @@ _POLE_ULPS = 4
 
 _NEWTON_PASSES = 30  # cap on an estimate's Newton passes; about four converge
 
-# Both solvers' one error: a zero denominator, met only in a bracket a few floats wide.
-_ON_POLE = "root equation evaluated on one of its poles: its bracket holds too few floats"
-
 
 def _bisect(
     f: Callable[[float], float], lo: float, hi: float, estimate: Callable[[], float] | None = None
-) -> RootResult:
+) -> float:
     """Unique zero of a strictly increasing f on (lo, hi).
 
     The endpoints are typically poles of f and are never evaluated, nor
@@ -78,8 +66,9 @@ def _bisect(
     increasing on their brackets.  Halves until no float is left strictly
     inside the bracket, so it ends on two adjacent floats across which f
     changes sign and returns the one it reached last: the root to one
-    ulp, with no tolerance to scale.  An evaluation on a pole of f, which
-    only a bracket of a few floats allows, raises RuntimeError.
+    ulp, with no tolerance to scale.  A midpoint where f divides by zero,
+    which only a bracket of a few floats allows, is returned as it is: it
+    lies within a few ulps of a pole that bounds the whole bracket left.
 
     An estimate only saves evaluations; it is computed only if the
     bracket has floats more than _POLE_ULPS ulps inside both endpoints.
@@ -90,31 +79,32 @@ def _bisect(
     operations monotone in the unknown there (l*x, 1 - y, w/d with d of
     fixed sign, sums, 1/A with A > 0) under monotone rounding.
     Midpoints nearer an endpoint are always evaluated.  So midpoints,
-    stop, value and residual are plain bisection's bit for bit; a NaN or
-    out-of-bracket estimate gives plain bisection.
+    stop and value are plain bisection's bit for bit; a NaN,
+    out-of-bracket or dividing-by-zero estimate gives plain bisection.
     """
     inner_lo, inner_hi = lo + _POLE_ULPS * math.ulp(lo), hi - _POLE_ULPS * math.ulp(hi)
     try:
         guess = estimate() if estimate is not None and inner_lo < inner_hi else math.nan
-        seen = _walk_out(f, guess, inner_lo, inner_hi) if inner_lo < guess < inner_hi else {}
-        below = max((x for x, y in seen.items() if y <= 0.0), default=lo)
-        above = min((x for x, y in seen.items() if y > 0.0), default=hi)
-        a, b = lo, hi
-        value = 0.5 * (a + b)
-        while True:
-            if inner_lo < value <= below or above <= value < inner_hi:
-                up = value >= above
-            else:
-                seen[value] = f(value)
-                up = seen[value] > 0.0
-            a, b = (a, value) if up else (value, b)
-            nxt = 0.5 * (a + b)
-            if not a < nxt < b:
-                resid = seen[value] if value in seen else f(value)
-                return RootResult(value=value, bracket=(lo, hi), residual=resid)
-            value = nxt
-    except ZeroDivisionError as exc:
-        raise RuntimeError(_ON_POLE) from exc
+    except ZeroDivisionError:  # a Newton step that lands on a pole
+        guess = math.nan
+    seen = _walk_out(f, guess, inner_lo, inner_hi) if inner_lo < guess < inner_hi else {}
+    below = max((x for x, y in seen.items() if y <= 0.0), default=lo)
+    above = min((x for x, y in seen.items() if y > 0.0), default=hi)
+    a, b = lo, hi
+    value = 0.5 * (a + b)
+    while True:
+        if inner_lo < value <= below or above <= value < inner_hi:
+            up = value >= above
+        else:
+            try:
+                up = f(value) > 0.0
+            except ZeroDivisionError:
+                return value
+        a, b = (a, value) if up else (value, b)
+        nxt = 0.5 * (a + b)
+        if not a < nxt < b:
+            return value
+        value = nxt
 
 
 def _walk_out(f: Callable[[float], float], x: float, inner_lo: float, inner_hi: float) -> dict[float, float]:
@@ -134,25 +124,25 @@ def _walk_out(f: Callable[[float], float], x: float, inner_lo: float, inner_hi: 
 def _bisect_stacked(f: Callable[[np.ndarray], np.ndarray], lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """_bisect run elementwise over arrays of brackets, returning the values.
 
-    Each entry takes _bisect's midpoints and stops when its bracket holds
-    no float, then keeps its value while the others go on.  f must act
-    elementwise, so every value equals _bisect's on the same bracket bit
-    for bit, and an evaluation on a pole raises as it does there.
+    Each entry takes _bisect's midpoints and stops where _bisect stops:
+    when its bracket holds no float, or on a midpoint where f is not
+    finite, a division by zero.  It keeps its value while the others go
+    on, so with f acting elementwise every value equals _bisect's on the
+    same bracket bit for bit.
     """
     a, b = lo, hi
     value = 0.5 * (a + b)
     active = np.ones(value.shape, dtype=bool)
-    try:
-        with np.errstate(divide="raise", invalid="raise"):
-            while active.any():
-                up = f(value) > 0.0
-                b = np.where(active & up, value, b)
-                a = np.where(active & ~up, value, a)
-                nxt = 0.5 * (a + b)
-                active &= (a < nxt) & (nxt < b)
-                value = np.where(active, nxt, value)
-    except FloatingPointError as exc:
-        raise RuntimeError(_ON_POLE) from exc
+    with np.errstate(divide="ignore", invalid="ignore"):
+        while active.any():
+            y = f(value)
+            active &= np.isfinite(y)
+            up = y > 0.0
+            b = np.where(active & up, value, b)
+            a = np.where(active & ~up, value, a)
+            nxt = 0.5 * (a + b)
+            active &= (a < nxt) & (nxt < b)
+            value = np.where(active, nxt, value)
     return value
 
 
@@ -193,7 +183,7 @@ def _pole_sum_estimate(terms: Sequence[tuple[int, float]], l1: int, l2: int) -> 
 # --------------------------- spider equation --------------------------
 
 
-def spider_lambda2(lengths: SpiderProfile | Sequence[int]) -> RootResult:
+def spider_lambda2(lengths: SpiderProfile | Sequence[int]) -> float:
     """lambda_2 of a spider with a strict longest branch.
 
     Solves sum_i 1/(1 - l_i lambda) = 0 on (1/l_1, 1/l_2), where the
@@ -221,49 +211,21 @@ def q_range_integer(r: int, M: int) -> tuple[int, int]:
     return (max(1, -(-M // r)), M)
 
 
-def q_range_continuous(r: int, M: int) -> tuple[float, float]:
-    """Domain [M/r, M] of the interpolated branch-count variable."""
-    if r < 1 or M < 1:
-        raise ValueError(f"need r >= 1 and M >= 1, got r={r}, M={M}")
-    return (M / r, float(M))
-
-
-def sigma_rM(r: int, M: int, q: float) -> RootResult:
-    """Root of the balanced-family equation Phi_{r,M}(., q) in (1/(r+1), 1/r).
-
-    For integer q this is the root equation of the spider with principal
-    branches (r+1, r) and q lateral branches of total length M spread as
-    evenly as possible.  Real q interpolates between those spiders: with
-    c = floor(M/q), mass M - c q sits on the pole 1/(c+1) and the rest
-    on 1/c.  At the left endpoint q = M/r the first weight vanishes and
-    the formula degenerates to 1/(1-(r+1)x) + (1+M/r)/(1-rx).
-    """
-    if r < 1 or M < 1:
-        raise ValueError(f"need r >= 1 and M >= 1, got r={r}, M={M}")
-    lo_q, hi_q = q_range_continuous(r, M)
-    if not lo_q - 1e-12 <= q <= hi_q + 1e-12:
-        raise ValueError(f"q={q} outside [{lo_q}, {hi_q}] for r={r}, M={M}")
-    q = min(max(q, lo_q), hi_q)
-
-    c = M // int(q) if float(q).is_integer() else int(math.floor(M / q))
-    c = min(max(c, 1), r)
-    w_hi = max(M - c * q, 0.0)
-    w_lo = max((c + 1) * q - M, 0.0)
-    terms = tuple((l, w) for l, w in ((r + 1, 1), (r, 1), (c + 1, w_hi), (c, w_lo)) if w > 0.0)
-    return _bisect(
-        lambda lam: _pole_sum(terms, lam), 1.0 / (r + 1), 1.0 / r, lambda: _pole_sum_estimate(terms, r + 1, r)
-    )
-
-
 def _sigma_tables(r: int, masses: Sequence[int]) -> list[tuple[tuple[int, float], ...]]:
-    """(q, sigma_rM(r, M, q).value) at every feasible integer q, for each M in masses.
+    """(q, sigma) at every feasible integer q, for each M in masses.
 
-    One stacked bisection solves every root from sigma_rM's terms, in its
-    order.  Where q divides M the weight on the pole 1/(c+1) is zero
-    instead of dropped; that pole lies outside the open bracket, so the
-    term adds +-0.0 and each value equals sigma_rM's bit for bit.
+    sigma is the root in (1/(r+1), 1/r) of the balanced-family equation:
+    the spider equation of principal branches (r+1, r) and q lateral
+    branches of total length M spread as evenly as possible, c = M // q
+    long or one longer.  One stacked bisection solves every root, with
+    the pole sum's terms in a fixed order.  Where q divides M the weight
+    on the pole 1/(c+1) is zero instead of dropped; that pole lies
+    outside the open bracket, so the term adds +-0.0 and each value
+    equals the dropped-term scalar root's bit for bit.
     """
     spans = [q_range_integer(r, M) for M in masses]
+    if not spans:
+        return []
     q = np.concatenate([np.arange(lo, hi + 1) for lo, hi in spans])
     m = np.repeat(masses, [hi - lo + 1 for lo, hi in spans])
     c = m // q
@@ -312,7 +274,7 @@ def _rho_estimate(p: DoubleSpiderProfile, r: int) -> float:
     return rho
 
 
-def double_spider_rho(p: DoubleSpiderProfile) -> RootResult:
+def double_spider_rho(p: DoubleSpiderProfile) -> float:
     """Reciprocal 1/lambda_2 for a double spider with equal longest sides.
 
     rho is the unique solution of 1/A(rho) + 1/B(rho) = 1 above r, where

@@ -154,7 +154,7 @@ _CHUNK = 4096
 def _code_depths(codes: list[bytes]) -> tuple[np.ndarray, np.ndarray]:
     """Vertex depths and leaf masks, (count, n), of equal-length canonical codes.
 
-    Vertices are numbered in code (pre)order from vertex 0, as trees._code_tree does.
+    Vertices are numbered in code (pre)order from vertex 0.
     A vertex's depth is its bracket level, one more past a two-center code's second
     root, which hangs below vertex 0.  A vertex is a leaf iff its bracket closes at
     once: a center never has one child.

@@ -20,7 +20,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, Optional
+from typing import Optional
 
 Edge = tuple[int, int]
 
@@ -335,21 +335,14 @@ def _rooted_code(t: Tree, root: int, banned: int) -> bytes:
     """AHU code of the subtree at root, not crossing the vertex `banned`.
 
     Children are sorted by code, so the result is invariant under
-    relabeling.  Iterative post-order; recursion would overflow on long
-    CLI-constructed paths.
+    relabeling.  Reversed preorder codes every child before its parent,
+    with no recursion to overflow on long CLI-constructed paths.
     """
+    order, parent, _ = t._preorder(root, banned)
     code: dict[int, bytes] = {}
-    stack: list[tuple[int, int, bool]] = [(root, banned, False)]
-    while stack:
-        v, parent, expanded = stack.pop()
-        if expanded:
-            kids = sorted(code[w] for w in t.adjacency[v] if w != parent)
-            code[v] = b"(" + b"".join(kids) + b")"
-        else:
-            stack.append((v, parent, True))
-            for w in t.adjacency[v]:
-                if w != parent:
-                    stack.append((w, v, False))
+    for v in reversed(order):
+        kids = sorted(code[w] for w in t.adjacency[v] if parent[w] == v)
+        code[v] = b"(" + b"".join(kids) + b")"
     return code[root]
 
 
@@ -420,36 +413,6 @@ def _center_codes(n: int, d: int) -> list[bytes]:
     if len(set(codes)) != len(codes):
         raise RuntimeError(f"tree generator emitted isomorphic duplicates at n={n}, d={d}")
     return codes
-
-
-def _code_tree(n: int, code: bytes) -> Tree:
-    """The tree of a canonical code; a two-center code's second root joins vertex 0."""
-    parent: list[int] = []
-    stack = [0]
-    for ch in code[1:]:
-        if ch == ord("("):
-            parent.append(stack[-1])
-            stack.append(len(parent) - 1)
-        else:
-            stack.pop()
-    return Tree(n, tuple((p, v) for v, p in enumerate(parent) if v))
-
-
-def enumerate_trees(n: int, d: int) -> Iterator[Tree]:
-    """One representative per isomorphism class with order n, diameter d.
-
-    Generated from the center(s) outward, in ascending canonical code
-    order; empty when no tree of that order and diameter exists.
-    """
-    for code in _center_codes(n, d):
-        yield _code_tree(n, code)
-
-
-def count_trees(n: int) -> int:
-    """Number of unlabeled trees of order n (all diameters)."""
-    if n < 2:
-        raise ValueError(f"tree enumeration needs n >= 2, got n={n}")
-    return sum(len(_center_codes(n, d)) for d in range(1, n))
 
 
 # ------------------------- parsing and rendering ------------------------

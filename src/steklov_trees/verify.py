@@ -166,7 +166,7 @@ def _root_routes(t: Tree) -> Iterator[tuple[str, float]]:
     """
     spider = recognize_spider(t)
     if spider is not None and spider.lengths[0] > spider.lengths[1]:
-        yield "spider_root", spider_lambda2(spider).value
+        yield "spider_root", spider_lambda2(spider)
     double = recognize_double_spider(t)
     if double is not None and double.a_lengths[0] == double.b_lengths[0]:
-        yield "double_spider_root", 1.0 / double_spider_rho(double).value
+        yield "double_spider_root", 1.0 / double_spider_rho(double)

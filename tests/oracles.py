@@ -14,7 +14,11 @@ distance matrix.
 Keep this module free of imports from the package except where a test
 explicitly certifies one route against the other, as the certification
 harness at the end does: the double-spider domination inequality tree by
-tree, and every applicable lambda_2 route against the others.
+tree, and every applicable lambda_2 route against the others.  Two
+test-only forms of package routes also live here: the scalar
+balanced-family root at real q, which the stacked sweep table must
+equal bit for bit, and the center-rooted generator's codes built into
+Tree objects.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import networkx as nx
 import numpy as np
@@ -33,13 +37,11 @@ import numpy as np
 from steklov_trees import (
     BoundaryFlux,
     DoubleSpiderProfile,
-    RootResult,
     Tree,
     canonical_code,
     dominating_double_spider,
     double_spider_rho,
     dtn_matrix,
-    enumerate_trees,
     lambda2_numeric,
     laplacian_matrix,
     leaf_set,
@@ -47,8 +49,10 @@ from steklov_trees import (
     q_form,
     recognize_double_spider,
 )
+from steklov_trees import roots
 from steklov_trees.classify import _TIE_RTOL
 from steklov_trees.roots import _resolvent_sum
+from steklov_trees.trees import _center_codes
 from steklov_trees.verify import _root_routes
 
 # Distinct unlabeled trees on n = 1..16 vertices, frozen by hand.
@@ -117,24 +121,27 @@ def rational_root_bracket(
     return lo, hi
 
 
-def bisect_reference(f: Callable[[float], float], lo: float, hi: float) -> RootResult:
+def bisect_reference(f: Callable[[float], float], lo: float, hi: float) -> float:
     """Float bisection of an increasing f on (lo, hi) that evaluates every midpoint.
 
     roots._bisect without its skip rule: it halves until no float is left
     strictly inside the bracket and returns the midpoint it evaluated
-    last, with that evaluation as the residual.
+    last, or the first midpoint where f divides by zero.
     """
     a, b = lo, hi
     value = 0.5 * (a + b)
     while True:
-        resid = f(value)
-        if resid > 0.0:
+        try:
+            up = f(value) > 0.0
+        except ZeroDivisionError:
+            return value
+        if up:
             b = value
         else:
             a = value
         nxt = 0.5 * (a + b)
         if not a < nxt < b:
-            return RootResult(value=value, bracket=(lo, hi), residual=resid)
+            return value
         value = nxt
 
 
@@ -153,6 +160,47 @@ def sigma_exact(r: int, m: int, q: int) -> tuple[Fraction, Fraction]:
     c = m // q
     terms = [(1, r + 1), (1, r), (m - c * q, c + 1), ((c + 1) * q - m, c)]
     return rational_root_bracket(terms, Fraction(1, r + 1), Fraction(1, r))
+
+
+# The balanced family at real q: the scalar reference for roots._sigma_tables,
+# solved through roots._bisect so that tests can watch its calls.
+
+
+def q_range_continuous(r: int, M: int) -> tuple[float, float]:
+    """Domain [M/r, M] of the interpolated branch-count variable."""
+    if r < 1 or M < 1:
+        raise ValueError(f"need r >= 1 and M >= 1, got r={r}, M={M}")
+    return (M / r, float(M))
+
+
+def sigma_rM(r: int, M: int, q: float) -> float:
+    """Root of the balanced-family equation Phi_{r,M}(., q) in (1/(r+1), 1/r).
+
+    For integer q this is the root equation of the spider with principal
+    branches (r+1, r) and q lateral branches of total length M spread as
+    evenly as possible.  Real q interpolates between those spiders: with
+    c = floor(M/q), mass M - c q sits on the pole 1/(c+1) and the rest
+    on 1/c.  At the left endpoint q = M/r the first weight vanishes and
+    the formula degenerates to 1/(1-(r+1)x) + (1+M/r)/(1-rx).
+    """
+    if r < 1 or M < 1:
+        raise ValueError(f"need r >= 1 and M >= 1, got r={r}, M={M}")
+    lo_q, hi_q = q_range_continuous(r, M)
+    if not lo_q - 1e-12 <= q <= hi_q + 1e-12:
+        raise ValueError(f"q={q} outside [{lo_q}, {hi_q}] for r={r}, M={M}")
+    q = min(max(q, lo_q), hi_q)
+
+    c = M // int(q) if float(q).is_integer() else int(math.floor(M / q))
+    c = min(max(c, 1), r)
+    w_hi = max(M - c * q, 0.0)
+    w_lo = max((c + 1) * q - M, 0.0)
+    terms = tuple((l, w) for l, w in ((r + 1, 1), (r, 1), (c + 1, w_hi), (c, w_lo)) if w > 0.0)
+    return roots._bisect(
+        lambda lam: roots._pole_sum(terms, lam),
+        1.0 / (r + 1),
+        1.0 / r,
+        lambda: roots._pole_sum_estimate(terms, r + 1, r),
+    )
 
 
 def _resolvent_poly(lengths: Sequence[int], rho: Fraction) -> tuple[Fraction, Fraction]:
@@ -216,7 +264,7 @@ def double_spider_maximizer(p: DoubleSpiderProfile):
     quotient Q(z)/|z|^2 is recomputed on the actual tree and must land
     within 1e-9 of rho.
     """
-    rho = double_spider_rho(p).value
+    rho = double_spider_rho(p)
     a_sum = _resolvent_sum(p.a_lengths, rho)
     b_sum = _resolvent_sum(p.b_lengths, rho)
     xs = [(1.0 / a_sum) / (rho - a) for a in p.a_lengths]
@@ -374,6 +422,40 @@ def tree_count_by_diameter(n: int, d: int) -> int:
     return _multiset_counts(upper, n - 1)[n - 1] - short[n - 1] - one_tall
 
 
+# The package's center-rooted generator, as Tree objects for tests that need
+# every tree of one order and diameter rather than its codes.
+
+
+def _code_tree(n: int, code: bytes) -> Tree:
+    """The tree of a canonical code; a two-center code's second root joins vertex 0."""
+    parent: list[int] = []
+    stack = [0]
+    for ch in code[1:]:
+        if ch == ord("("):
+            parent.append(stack[-1])
+            stack.append(len(parent) - 1)
+        else:
+            stack.pop()
+    return Tree(n, tuple((p, v) for v, p in enumerate(parent) if v))
+
+
+def enumerate_trees(n: int, d: int) -> Iterator[Tree]:
+    """One representative per isomorphism class with order n, diameter d.
+
+    Generated from the center(s) outward, in ascending canonical code
+    order; empty when no tree of that order and diameter exists.
+    """
+    for code in _center_codes(n, d):
+        yield _code_tree(n, code)
+
+
+def count_trees(n: int) -> int:
+    """Number of unlabeled trees of order n (all diameters)."""
+    if n < 2:
+        raise ValueError(f"tree enumeration needs n >= 2, got n={n}")
+    return sum(len(_center_codes(n, d)) for d in range(1, n))
+
+
 # ---------------------------- leaf distances ------------------------------
 
 
@@ -527,7 +609,7 @@ def verify_domination(n: int, d: int) -> DominationReport:
         count += 1
         lam_tree = lambda2_numeric(t)
         profile = dominating_double_spider(t)
-        lam_ds = 1.0 / double_spider_rho(profile).value
+        lam_ds = 1.0 / double_spider_rho(profile)
         margin = lam_ds - lam_tree
         worst = min(worst, margin)
         if margin < -_TIE_RTOL:

@@ -26,7 +26,6 @@ from steklov_trees import (
     cut_sums,
     double_spider_rho,
     dtn_matrix,
-    enumerate_trees,
     lambda2_numeric,
     leaf_distance_matrix,
     leaf_set,
@@ -41,7 +40,7 @@ from steklov_trees import (
     verify_unimodality,
 )
 
-from oracles import jacobi_eigenvalues, verify_cross_methods, verify_domination
+from oracles import enumerate_trees, jacobi_eigenvalues, verify_cross_methods, verify_domination
 
 # (D, largest order) grid for the classification certification.
 CERTIFICATION_GRID = ((3, 16), (5, 16), (7, 15), (9, 14))
@@ -100,7 +99,7 @@ def test_criterion_1_path_sharpness():
         routes = [float(np.linalg.eigvalsh(dtn_matrix(t))[1]), lambda2_numeric(t)]
         if d % 2 == 1:
             profile = recognize_double_spider(t)
-            routes.append(1.0 / double_spider_rho(profile).value)
+            routes.append(1.0 / double_spider_rho(profile))
         for lam in routes:
             if abs(lam - expect) > PATH_TOL:
                 problems.append((d, lam, expect))
@@ -143,10 +142,10 @@ def test_criterion_3_classification_certification(certification_runs):
 def test_criterion_4_closed_forms():
     start = time.monotonic()
     checks = [
-        (spider_lambda2(SpiderProfile((3, 2, 1))).value, (6 - math.sqrt(3)) / 11),
-        (spider_lambda2(SpiderProfile((2, 1, 1))).value, 3.0 / 5.0),
-        (double_spider_rho(DoubleSpiderProfile((2, 1), (2,))).value, 2 + 1 / math.sqrt(3)),
-        (double_spider_rho(DoubleSpiderProfile((3, 1), (3, 1))).value, (5 + math.sqrt(5)) / 2),
+        (spider_lambda2(SpiderProfile((3, 2, 1))), (6 - math.sqrt(3)) / 11),
+        (spider_lambda2(SpiderProfile((2, 1, 1))), 3.0 / 5.0),
+        (double_spider_rho(DoubleSpiderProfile((2, 1), (2,))), 2 + 1 / math.sqrt(3)),
+        (double_spider_rho(DoubleSpiderProfile((3, 1), (3, 1))), (5 + math.sqrt(5)) / 2),
         (threshold_data(4, 1).zeta, (3 - math.sqrt(2)) / 7),
         (threshold_data(4, 1).kappa, -(1 + math.sqrt(2))),
         (threshold_data(6, 2).kappa, 1.0),
@@ -186,11 +185,11 @@ def test_criterion_6_monotone_moves():
     for p in spiders:
         for move in (balance_main_step, balance_side_step):
             try:
-                before = spider_lambda2(p).value
+                before = spider_lambda2(p)
                 q, root = move(p, before)
             except ValueError:
                 continue
-            after = spider_lambda2(q).value
+            after = spider_lambda2(q)
             if after - before <= MOVE_MARGIN:
                 problems.append((move.__name__, p.lengths, after - before))
             if root.hex() != after.hex():
@@ -206,12 +205,12 @@ def test_criterion_6_monotone_moves():
     for p in sorted(doubles, key=lambda d: (d.a_lengths, d.b_lengths)):
         for k in range(2, len(p.a_lengths + p.b_lengths) + 1):
             try:
-                rho_before = double_spider_rho(p).value
+                rho_before = double_spider_rho(p)
                 q, root = arm_transfer(p, rho_before, k)
             except ValueError:
                 continue
             before = 1.0 / rho_before
-            rho = double_spider_rho(q).value
+            rho = double_spider_rho(q)
             after = 1.0 / rho
             if after - before <= MOVE_MARGIN:
                 problems.append(("arm_transfer", (p.a_lengths, p.b_lengths, k), after - before))

@@ -18,7 +18,6 @@ from steklov_trees import (
     threshold_data,
     verify_unimodality,
 )
-from steklov_trees.roots import RootResult
 
 from oracles import bracket_contains, sigma_exact, spider_lambda2_exact
 
@@ -105,12 +104,12 @@ def test_classify_threshold_compare_case():
     assert _winner_names(result) == ["spider:5,4,3,2"]
     res = spider_lambda2((5, 4, 3, 2))
     assert bracket_contains(spider_lambda2_exact((5, 4, 3, 2)), result.winners[0][1], 1e-10)
-    assert abs(result.winners[0][1] - res.value) <= 1e-11
+    assert abs(result.winners[0][1] - res) <= 1e-11
 
 
 def test_classify_keeps_tied_candidates_whole(monkeypatch):
     # No real input ties its two candidates; equal roots must make both winners, with no contradiction.
-    monkeypatch.setattr(CLASSIFY_MODULE, "spider_lambda2", lambda p: RootResult(0.25, (0.0, 1.0), 0.0))
+    monkeypatch.setattr(CLASSIFY_MODULE, "spider_lambda2", lambda p: 0.25)
     result = classify(15, 9)
     assert result.case_tag == "threshold_compare"
     assert len(result.candidates) == 2
@@ -224,10 +223,10 @@ def test_constant_regimes_agree_with_direct_comparison():
             if td.regime == "threshold":
                 continue
             for k in range(s, s + 9):
-                a = spider_lambda2((r + 1, r) + (s + 1,) * t + (s,) * (k - t)).value
+                a = spider_lambda2((r + 1, r) + (s + 1,) * t + (s,) * (k - t))
                 b = spider_lambda2(
                     (r + 1, r) + (s,) * (k + t - s + 1) + (s - 1,) * (s - t)
-                ).value
+                )
                 if td.regime == "A_always":
                     assert a > b
                 else:

@@ -28,7 +28,6 @@ from steklov_trees import (
     render_shorthand,
 )
 from steklov_trees.cli import run
-from steklov_trees.roots import RootResult
 from steklov_trees.verify import VerificationReport
 import steklov_trees
 import steklov_trees.cli as cli_module
@@ -126,7 +125,7 @@ def test_classify_csv_golden(capsys):
 
 
 def test_classify_prints_a_tie_as_two_winners(capsys, monkeypatch):
-    monkeypatch.setattr(CLASSIFY_MODULE, "spider_lambda2", lambda p: RootResult(0.25, (0.0, 1.0), 0.0))
+    monkeypatch.setattr(CLASSIFY_MODULE, "spider_lambda2", lambda p: 0.25)
     code, out, _ = _capture(capsys, ["classify", "15", "9"])
     assert code == 0
     assert out.splitlines()[0] == "n=15 D=9 case=threshold_compare tie=true"
@@ -488,16 +487,51 @@ def test_classify_at_radius_2_50_answers(capsys):
     )
 
 
+def _assert_exact_digits(capsys, argv):
+    """Run a classify (text) or sweep (csv) argv: it must answer on stdout alone, each root rounded right."""
+    code, out, err = _capture(capsys, argv)
+    assert (code, err) == (0, "")
+    if argv[0] == "classify":
+        for line in out.splitlines()[1:]:
+            _, _, tree, lam = line.split(" ")
+            lengths = tuple(int(x) for x in tree.removeprefix("tree=spider:").split(","))
+            assert _rounds_to(spider_lambda2_exact(lengths), lam.removeprefix("lambda2=")), line
+    else:
+        for line in out.splitlines()[1:]:
+            r, m, q, sigma, _, _ = line.split(",")
+            assert _rounds_to(sigma_exact(int(r), int(m), int(q)), sigma), line
+    return out
+
+
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize(
     "argv",
-    [["classify", "63050394783186947", "36028797018963969"], ["sweep", "--r", "2251799813685248", "--M-max", "3"]],
+    [
+        ["classify", "63050394783186947", "36028797018963969"],
+        ["sweep", "--r", "2251799813685248", "--M-max", "3", "--format", "csv"],
+    ],
 )
-def test_radius_beyond_float_resolution_exits_four(capsys, argv):
-    # At r = 2^54 and r = 2^51 the root bracket holds too few floats: one error line, no traceback or warning.
-    code, out, err = _capture(capsys, argv)
-    assert (code, out) == (4, "")
-    assert err == "error: root equation evaluated on one of its poles: its bracket holds too few floats\n"
+def test_radius_beyond_float_resolution_answers(capsys, argv):
+    # At r = 2^54 and r = 2^51 the root bracket holds a few floats at most, and
+    # bisection may land on a pole; any float in the bracket has the 12 printed digits.
+    out = _assert_exact_digits(capsys, argv)
+    if argv[0] == "classify":
+        assert out == (
+            "n=63050394783186947 D=36028797018963969 case=initial_orders tie=true\n"
+            "winner q=3 tree=spider:18014398509481985,18014398509481984,9007199254740993,9007199254740992,"
+            "9007199254740992 lambda2=5.55111512313e-17\n"
+            "winner q=4 tree=spider:18014398509481985,18014398509481984,6755399441055745,6755399441055744,"
+            "6755399441055744,6755399441055744 lambda2=5.55111512313e-17\n"
+        )
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("e", range(48, 57))
+def test_radii_near_float_resolution_print_exact_digits(capsys, e):
+    for r in range(2**e - 3, 2**e + 4):
+        for m in (1, 2, 3, 5):
+            _assert_exact_digits(capsys, ["classify", str(2 * r + 2 + m), str(2 * r + 1)])
+        _assert_exact_digits(capsys, ["sweep", "--r", str(r), "--M-max", "4", "--format", "csv"])
 
 
 @pytest.mark.parametrize("exc", [RuntimeError("bisection failed"), MemoryError()])
@@ -617,3 +651,61 @@ def test_optimized_interpreter_prints_the_same_bytes(capsys, argv):
     )
     assert (proc.returncode, proc.stderr) == (code, b"")
     assert proc.stdout == out.encode()
+
+
+# The package's public surface, frozen: a name added or dropped shows in this list's diff.
+PUBLIC_NAMES = [
+    "ASParams",
+    "BoundaryFlux",
+    "CandidatePair",
+    "ClassificationResult",
+    "CutDecomposition",
+    "DoubleSpiderProfile",
+    "Spectrum",
+    "SpiderProfile",
+    "ThresholdData",
+    "Tree",
+    "UnimodalityReport",
+    "VerificationReport",
+    "arm_transfer",
+    "balance_main_step",
+    "balance_side_step",
+    "candidate_profiles",
+    "canonical_code",
+    "classify",
+    "cut_sums",
+    "diameter",
+    "dominating_double_spider",
+    "double_spider_rho",
+    "dtn_matrix",
+    "flux_potential",
+    "format_tree_text",
+    "greedy_ascent_trace",
+    "lambda2_numeric",
+    "laplacian_matrix",
+    "leaf_distance_matrix",
+    "leaf_set",
+    "make_as_tree",
+    "make_double_spider",
+    "make_path",
+    "make_spider",
+    "parse_tree",
+    "parse_tree_text",
+    "q_form",
+    "q_range_integer",
+    "recognize_double_spider",
+    "recognize_spider",
+    "render_shorthand",
+    "spider_lambda2",
+    "steklov_spectrum",
+    "threshold_data",
+    "tree_centers",
+    "verify_classification",
+    "verify_unimodality",
+]
+
+
+def test_public_surface_is_frozen():
+    assert PUBLIC_NAMES == sorted(set(PUBLIC_NAMES))
+    assert steklov_trees.__all__ == PUBLIC_NAMES
+    assert all(hasattr(steklov_trees, name) for name in PUBLIC_NAMES)

@@ -23,10 +23,10 @@ from steklov_trees import (
 )
 
 from steklov_trees.spectral import _lambda2_batch
-from steklov_trees.trees import _center_codes, _code_tree
+from steklov_trees.trees import _center_codes
 import steklov_trees.spectral as spectral_module
 
-from oracles import prufer_to_edges, spider_lambda2_exact
+from oracles import _code_tree, prufer_to_edges, spider_lambda2_exact
 
 RTOL = 1e-10
 

@@ -18,7 +18,6 @@ from steklov_trees import (
     diameter,
     dominating_double_spider,
     double_spider_rho,
-    enumerate_trees,
     greedy_ascent_trace,
     lambda2_numeric,
     make_double_spider,
@@ -32,7 +31,7 @@ from steklov_trees import (
 import steklov_trees.reduce as reduce_module
 from steklov_trees.cli import run
 
-from oracles import prufer_to_edges
+from oracles import enumerate_trees, prufer_to_edges
 
 INCREASE_MARGIN = 1e-10
 DOMINATION_SLACK = 1e-9
@@ -45,7 +44,7 @@ def test_domination_is_identity_on_double_spiders():
     t = make_spider(SpiderProfile((3, 2, 1)))
     p = dominating_double_spider(t)
     assert (p.a_lengths, p.b_lengths) == ((2, 1), (2,))
-    assert abs(lambda2_numeric(t) - 1.0 / double_spider_rho(p).value) <= 1e-10
+    assert abs(lambda2_numeric(t) - 1.0 / double_spider_rho(p)) <= 1e-10
 
 
 def test_domination_of_path():
@@ -73,7 +72,7 @@ def test_domination_inequality_exhaustive(n):
             p = dominating_double_spider(t)
             assert p.order == n
             assert p.diameter == d
-            bound = 1.0 / double_spider_rho(p).value
+            bound = 1.0 / double_spider_rho(p)
             lam = lambda2_numeric(t)
             assert lam <= bound + DOMINATION_SLACK
             if abs(lam - bound) <= DOMINATION_SLACK:
@@ -85,30 +84,30 @@ def test_domination_inequality_exhaustive(n):
 
 def test_arm_transfer_example():
     p = DoubleSpiderProfile((2, 1), (2, 1))
-    before = 1.0 / double_spider_rho(p).value
+    before = 1.0 / double_spider_rho(p)
     assert abs(before - 1.0 / (2 + math.sqrt(2) / 2)) <= 1e-11
-    q, _ = arm_transfer(p, double_spider_rho(p).value, 2)
+    q, _ = arm_transfer(p, double_spider_rho(p), 2)
     assert (q.a_lengths, q.b_lengths) == ((2, 1, 1), (2,))
-    after = 1.0 / double_spider_rho(q).value
+    after = 1.0 / double_spider_rho(q)
     assert abs(after - (17 - math.sqrt(17)) / 34) <= 1e-11
     assert after > before + INCREASE_MARGIN
 
 
 def test_arm_transfer_symmetric_case():
     p = DoubleSpiderProfile((3, 1), (3, 1))
-    q, _ = arm_transfer(p, double_spider_rho(p).value, 2)
+    q, _ = arm_transfer(p, double_spider_rho(p), 2)
     assert (q.a_lengths, q.b_lengths) == ((3, 1, 1), (3,))
 
 
 def test_arm_transfer_rejects_single_branch_donor():
     for p in (DoubleSpiderProfile((3,), (3, 1)), DoubleSpiderProfile((4,), (4,))):
         with pytest.raises(ValueError):
-            arm_transfer(p, double_spider_rho(p).value, 2)
+            arm_transfer(p, double_spider_rho(p), 2)
 
 
 def test_arm_transfer_rejects_bad_index():
     p = DoubleSpiderProfile((3, 2), (3, 1))
-    rho = double_spider_rho(p).value
+    rho = double_spider_rho(p)
     with pytest.raises(ValueError):
         arm_transfer(p, rho, 1)
     with pytest.raises(ValueError):
@@ -117,7 +116,7 @@ def test_arm_transfer_rejects_bad_index():
 
 def test_arm_transfer_preserves_shape():
     p = DoubleSpiderProfile((4, 2, 1), (4, 3))
-    q, _ = arm_transfer(p, double_spider_rho(p).value, 2)
+    q, _ = arm_transfer(p, double_spider_rho(p), 2)
     assert q.order == p.order
     assert q.diameter == p.diameter
 
@@ -128,14 +127,14 @@ def test_arm_transfer_preserves_shape():
 def _spider_move(move, lengths):
     """move applied to the spider profile of lengths, given that profile's own lambda_2."""
     p = SpiderProfile(lengths)
-    return move(p, spider_lambda2(p).value)
+    return move(p, spider_lambda2(p))
 
 
 def test_balance_main_examples():
     q, _ = _spider_move(balance_main_step, (4, 1, 1))
     assert q.lengths == (3, 2, 1)
     before = 1.0 / 3.0
-    after = spider_lambda2(q).value
+    after = spider_lambda2(q)
     assert abs(after - (6 - math.sqrt(3)) / 11) <= 1e-11
     assert after > before + INCREASE_MARGIN
 
@@ -173,12 +172,12 @@ def test_moves_strictly_increase_lambda2():
         p = SpiderProfile(profile)
         q, _ = _spider_move(balance_main_step, profile)
         assert q.order == p.order and q.diameter == p.diameter
-        assert spider_lambda2(q).value > spider_lambda2(p).value + INCREASE_MARGIN
+        assert spider_lambda2(q) > spider_lambda2(p) + INCREASE_MARGIN
     for profile in [(5, 4, 4, 1), (4, 3, 3, 1, 1), (6, 5, 5, 2, 1)]:
         p = SpiderProfile(profile)
         q, _ = _spider_move(balance_side_step, profile)
         assert q.order == p.order and q.diameter == p.diameter
-        assert spider_lambda2(q).value > spider_lambda2(p).value + INCREASE_MARGIN
+        assert spider_lambda2(q) > spider_lambda2(p) + INCREASE_MARGIN
 
 
 # ------------------------------ greedy ascent ------------------------------
@@ -214,9 +213,9 @@ def test_greedy_ascent_trace_shape():
     assert trace[0][1:] == (t, lambda2_numeric(t))
     for _, shape, lam in trace[1:]:
         if isinstance(shape, SpiderProfile):
-            assert lam == spider_lambda2(shape).value
+            assert lam == spider_lambda2(shape)
         else:
-            assert lam == 1.0 / double_spider_rho(shape).value
+            assert lam == 1.0 / double_spider_rho(shape)
     assert [shape for _, shape, _ in trace[1:]] == [
         DoubleSpiderProfile((2, 1), (2, 1)),
         DoubleSpiderProfile((2, 1, 1), (2,)),
@@ -228,12 +227,12 @@ def test_increase_check_raises_only_on_a_certified_decrease():
     # The reverse of a legal side step, and of a legal arm transfer.
     p, q = SpiderProfile((4, 3, 2, 2)), SpiderProfile((4, 3, 3, 1))
     assert _spider_move(balance_side_step, q.lengths)[0] == p
-    x = spider_lambda2(p).value
+    x = spider_lambda2(p)
     with pytest.raises(RuntimeError, match="lowers lambda_2"):
         reduce_module._checked_root(p, x, q)
     a, b = DoubleSpiderProfile((2, 1, 1), (2,)), DoubleSpiderProfile((2, 1), (2, 1))
-    assert arm_transfer(b, double_spider_rho(b).value)[0] == a
-    rho = double_spider_rho(a).value
+    assert arm_transfer(b, double_spider_rho(b))[0] == a
+    rho = double_spider_rho(a)
     with pytest.raises(RuntimeError, match="lowers lambda_2"):
         reduce_module._checked_root(a, rho, b)
     # An identical pair passes, also when the floats disagree by an ulp.

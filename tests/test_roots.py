@@ -6,6 +6,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -24,29 +25,31 @@ from steklov_trees import (
     parse_tree_text,
     q_form,
     q_range_integer,
-    sigma_rM,
     spider_lambda2,
     threshold_data,
 )
 from steklov_trees import roots
-from steklov_trees.roots import q_range_continuous
 
 from oracles import (
     bisect_reference,
     bracket_contains,
     double_spider_maximizer,
     double_spider_rho_exact,
+    q_range_continuous,
     sigma_exact,
+    sigma_rM,
     spider_lambda2_exact,
 )
 
 RTOL = 1e-10
 
 
-def _check_root_result(res):
-    lo, hi = res.bracket
-    assert lo < res.value < hi
-    assert abs(res.residual) <= 1e-11
+def _checked_root(solve, *args):
+    """solve(*args), checked to lie inside its bracket with its equation under 1e-11 there."""
+    ((f, lo, hi, root, _),) = _bisect_calls(solve, *args)
+    assert lo < root < hi
+    assert abs(f(root)) <= 1e-11
+    return root
 
 
 # ----------------------------- spider equation ----------------------------
@@ -57,16 +60,16 @@ def _check_root_result(res):
     [((2, 1), 2 / 3), ((2, 1, 1), 3 / 5), ((3, 2, 2), 3 / 8), ((4, 1, 1), 1 / 3)],
 )
 def test_spider_lambda2_linear_cases(lengths, want):
-    res = spider_lambda2(lengths)
-    _check_root_result(res)
-    assert abs(res.value - want) <= 1e-11
+    res = _checked_root(spider_lambda2, lengths)
+    assert abs(res - want) <= 1e-11
 
 
 def test_spider_lambda2_quadratic_case():
-    res = spider_lambda2(SpiderProfile((3, 2, 1)))
-    _check_root_result(res)
-    assert abs(res.value - (6 - math.sqrt(3)) / 11) <= 1e-11
-    assert res.bracket == (1 / 3, 1 / 2)
+    ((f, lo, hi, res, _),) = _bisect_calls(spider_lambda2, SpiderProfile((3, 2, 1)))
+    assert lo < res < hi
+    assert abs(f(res)) <= 1e-11
+    assert abs(res - (6 - math.sqrt(3)) / 11) <= 1e-11
+    assert (lo, hi) == (1 / 3, 1 / 2)
 
 
 @pytest.mark.parametrize(
@@ -74,7 +77,7 @@ def test_spider_lambda2_quadratic_case():
 )
 def test_spider_lambda2_exact_oracle(lengths):
     res = spider_lambda2(lengths)
-    assert bracket_contains(spider_lambda2_exact(lengths), res.value, 1e-13)
+    assert bracket_contains(spider_lambda2_exact(lengths), res, 1e-13)
 
 
 @pytest.mark.parametrize("n,d", [(141, 3), (217, 5), (321, 7), (304, 3), (1006, 5), (3042, 41)])
@@ -84,7 +87,7 @@ def test_spider_lambda2_exact_oracle_former_stalls(n, d):
     for p in (pair.as_minus, pair.as_plus):
         lengths = p.spider_profile().lengths
         res = spider_lambda2(lengths)
-        assert bracket_contains(spider_lambda2_exact(lengths), res.value, 1e-13)
+        assert bracket_contains(spider_lambda2_exact(lengths), res, 1e-13)
 
 
 def test_spider_lambda2_rejects_tied_longest():
@@ -100,10 +103,9 @@ def test_spider_lambda2_rejects_tied_longest():
 def test_spider_root_matches_matrix(raw, top):
     longest = max(max(raw) + 1, top)
     profile = SpiderProfile((longest, *raw))
-    res = spider_lambda2(profile)
-    _check_root_result(res)
+    res = _checked_root(spider_lambda2, profile)
     numeric = lambda2_numeric(make_spider(profile))
-    assert abs(res.value - numeric) <= RTOL * numeric
+    assert abs(res - numeric) <= RTOL * numeric
 
 
 # ----------------------------- balanced family ----------------------------
@@ -129,19 +131,18 @@ def test_q_ranges():
     ],
 )
 def test_sigma_closed_forms(r, m, q, want):
-    res = sigma_rM(r, m, q)
-    _check_root_result(res)
-    assert abs(res.value - want) <= 1e-11
+    res = _checked_root(sigma_rM, r, m, q)
+    assert abs(res - want) <= 1e-11
 
 
 def test_sigma_matches_exact_oracle():
     for r, m, q in [(2, 5, 3), (3, 7, 4), (4, 5, 2), (4, 5, 3), (5, 12, 5), (8, 60, 23)]:
         res = sigma_rM(r, m, q)
-        assert bracket_contains(sigma_exact(r, m, q), res.value, 1e-13)
+        assert bracket_contains(sigma_exact(r, m, q), res, 1e-13)
 
 
 def test_sigma_monotone_toward_balance():
-    assert sigma_rM(2, 2, 1).value < sigma_rM(2, 2, 2).value
+    assert sigma_rM(2, 2, 1) < sigma_rM(2, 2, 2)
 
 
 def test_sigma_rejects_out_of_range():
@@ -154,9 +155,8 @@ def test_sigma_rejects_out_of_range():
 def test_sigma_degenerate_endpoint():
     # q = M/r pins every lateral branch at length r; the family formula
     # must degrade to the two-pole form without a zero-division.
-    res = sigma_rM(2, 4, 2)
-    _check_root_result(res)
-    assert abs(res.value - spider_lambda2((3, 2, 2, 2)).value) <= 1e-11
+    res = _checked_root(sigma_rM, 2, 4, 2)
+    assert abs(res - spider_lambda2((3, 2, 2, 2))) <= 1e-11
 
 
 def test_sigma_agrees_with_spider_at_integer_q():
@@ -164,7 +164,7 @@ def test_sigma_agrees_with_spider_at_integer_q():
     for r, m, q in [(2, 5, 3), (4, 5, 2), (4, 5, 3)]:
         c, t = divmod(m, q)
         profile = (r + 1, r) + (c + 1,) * t + (c,) * (q - t)
-        assert abs(sigma_rM(r, m, q).value - spider_lambda2(profile).value) <= 1e-11
+        assert abs(sigma_rM(r, m, q) - spider_lambda2(profile)) <= 1e-11
 
 
 @settings(max_examples=120, deadline=None)
@@ -181,10 +181,10 @@ def test_sigma_continuous_across_block_boundaries(r, m, c):
     if not (m / r) < q < m:
         return
     eps = 1e-9
-    left = sigma_rM(r, m, q - eps).value
-    right = sigma_rM(r, m, q + eps).value
+    left = sigma_rM(r, m, q - eps)
+    right = sigma_rM(r, m, q + eps)
     assert abs(left - right) <= 1e-6  # continuity; O(eps) slope both sides
-    at = sigma_rM(r, m, q).value
+    at = sigma_rM(r, m, q)
     assert abs(at - left) <= 1e-6
 
 
@@ -193,7 +193,18 @@ def test_sigma_tables_equal_sigma_rM_bit_for_bit():
     for r in range(1, 10):
         for m, rows in zip(masses, roots._sigma_tables(r, masses)):
             lo, hi = q_range_integer(r, m)
-            assert rows == tuple((q, sigma_rM(r, m, q).value) for q in range(lo, hi + 1)), (r, m)
+            assert rows == tuple((q, sigma_rM(r, m, q)) for q in range(lo, hi + 1)), (r, m)
+
+
+@pytest.mark.parametrize("e", [48, 51, 54])
+def test_sigma_tables_equal_sigma_rM_where_midpoints_hit_poles(e):
+    # Brackets of a few floats, where some midpoints divide by zero: both
+    # bisections stop on that midpoint.
+    masses = range(1, 6)
+    for r in range(2**e - 3, 2**e + 4):
+        for m, rows in zip(masses, roots._sigma_tables(r, masses)):
+            lo, hi = q_range_integer(r, m)
+            assert rows == tuple((q, sigma_rM(r, m, q)) for q in range(lo, hi + 1)), (r, m)
 
 
 @pytest.mark.parametrize("r,m", [(1, 300), (2, 211), (3, 313)])
@@ -202,8 +213,8 @@ def test_sigma_tables_stop_at_exhausted_brackets(monkeypatch, r, m):
     # (321, 7): there some roots end on two adjacent floats with a residual
     # above 1e-11, so no residual tolerance could have stopped them.
     lo, hi = q_range_integer(r, m)
-    scalar = [sigma_rM(r, m, q) for q in range(lo, hi + 1)]
-    assert any(abs(res.residual) > 1e-11 for res in scalar)
+    scalar = [_bisect_calls(sigma_rM, r, m, q)[0] for q in range(lo, hi + 1)]
+    assert any(abs(f(root)) > 1e-11 for f, _, _, root, _ in scalar)
 
     # A bracket of relative width 1/r runs out of floats within about 53
     # halvings, one evaluation each.
@@ -219,14 +230,27 @@ def test_sigma_tables_stop_at_exhausted_brackets(monkeypatch, r, m):
 
     monkeypatch.setattr(roots, "_pole_sum", counted)
     (rows,) = roots._sigma_tables(r, [m])
-    assert rows == tuple((q, res.value) for q, res in zip(range(lo, hi + 1), scalar))
+    assert rows == tuple((q, root) for q, (_, _, _, root, _) in zip(range(lo, hi + 1), scalar))
+
+
+def test_bisections_stop_on_a_midpoint_that_divides_by_zero():
+    # On a root equation such a midpoint lies a few ulps from a pole that
+    # bounds the bracket left; every loop returns it as it is.
+    def f(x):
+        return x - 0.3 + 0.0 / (x - 0.5)
+
+    lo, hi = [0.0, 0.0, 0.25], [1.0, 0.5, 1.0]
+    stacked = roots._bisect_stacked(f, np.array(lo), np.array(hi)).tolist()
+    assert stacked[0] == 0.5
+    assert stacked == [roots._bisect(f, a, b) for a, b in zip(lo, hi)]
+    assert stacked == [bisect_reference(f, a, b) for a, b in zip(lo, hi)]
 
 
 def test_spider_strictly_below_path_bound():
     # Odd-diameter spiders with a side branch sit strictly under 2/D.
     for profile in [(2, 1, 1), (3, 2, 2), (4, 3, 1), (6, 5, 5, 4, 3)]:
         d = profile[0] + profile[1]
-        assert spider_lambda2(profile).value < 2.0 / d
+        assert spider_lambda2(profile) < 2.0 / d
 
 
 # ----------------------------- double spiders -----------------------------
@@ -234,23 +258,22 @@ def test_spider_strictly_below_path_bound():
 
 @pytest.mark.parametrize("r", [1, 2, 3, 5, 9])
 def test_double_spider_rho_path(r):
-    res = double_spider_rho(DoubleSpiderProfile((r,), (r,)))
-    _check_root_result(res)
-    assert abs(res.value - (r + 0.5)) <= 1e-11
+    res = _checked_root(double_spider_rho, DoubleSpiderProfile((r,), (r,)))
+    assert abs(res - (r + 0.5)) <= 1e-11
 
 
 def test_double_spider_rho_closed_forms():
     res = double_spider_rho(DoubleSpiderProfile((2, 1), (2,)))
-    assert abs(res.value - (2 + 1 / math.sqrt(3))) <= 1e-11
-    assert abs(1 / res.value - spider_lambda2((3, 2, 1)).value) <= 1e-11
+    assert abs(res - (2 + 1 / math.sqrt(3))) <= 1e-11
+    assert abs(1 / res - spider_lambda2((3, 2, 1))) <= 1e-11
     res = double_spider_rho(DoubleSpiderProfile((3, 1), (3, 1)))
-    assert abs(res.value - (5 + math.sqrt(5)) / 2) <= 1e-11
+    assert abs(res - (5 + math.sqrt(5)) / 2) <= 1e-11
 
 
 def test_double_spider_rho_exact_oracle():
     for a, b in [((2, 1), (2, 1)), ((4, 2, 1), (4, 3)), ((5, 5, 1), (5, 2, 2))]:
         res = double_spider_rho(DoubleSpiderProfile(a, b))
-        assert bracket_contains(double_spider_rho_exact(a, b), res.value, 1e-12)
+        assert bracket_contains(double_spider_rho_exact(a, b), res, 1e-12)
 
 
 def test_double_spider_rho_rejects_unequal_principals():
@@ -268,15 +291,14 @@ def test_double_spider_root_matches_matrix(r, a_extra, b_extra):
     a = (r, *[min(x, r) for x in a_extra])
     b = (r, *[min(x, r) for x in b_extra])
     p = DoubleSpiderProfile(a, b)
-    res = double_spider_rho(p)
-    _check_root_result(res)
+    res = _checked_root(double_spider_rho, p)
     numeric = lambda2_numeric(make_double_spider(p))
-    assert abs(1.0 / res.value - numeric) <= RTOL * numeric
+    assert abs(1.0 / res - numeric) <= RTOL * numeric
 
 
 def test_double_spider_maximizer_structure():
     p = DoubleSpiderProfile((2, 1), (2,))
-    rho = double_spider_rho(p).value
+    rho = double_spider_rho(p)
     z = double_spider_maximizer(p)
     xs, ys = z.z[:2], z.z[2:]
     assert all(x > 0 for x in xs) and all(y < 0 for y in ys)
@@ -291,7 +313,7 @@ def test_double_spider_maximizer_structure():
 def test_double_spider_maximizer_symmetric_case():
     z = double_spider_maximizer(DoubleSpiderProfile((1,), (1,)))
     assert z.z == (1.0, -1.0)
-    rho = double_spider_rho(DoubleSpiderProfile((3, 1), (3, 1))).value
+    rho = double_spider_rho(DoubleSpiderProfile((3, 1), (3, 1)))
     z = double_spider_maximizer(DoubleSpiderProfile((3, 1), (3, 1)))
     xs, ys = z.z[:2], z.z[2:]
     assert abs(xs[0] / xs[1] - (rho - 1) / (rho - 3)) <= 1e-10
@@ -351,8 +373,8 @@ def test_threshold_sign_predicts_comparison():
             if td.regime != "threshold":
                 continue
             for k in range(s, s + 11):
-                a = spider_lambda2((r + 1, r) + (s + 1,) * t + (s,) * (k - t)).value
-                b = spider_lambda2((r + 1, r) + (s,) * (k + t - s + 1) + (s - 1,) * (s - t)).value
+                a = spider_lambda2((r + 1, r) + (s + 1,) * t + (s,) * (k - t))
+                b = spider_lambda2((r + 1, r) + (s,) * (k + t - s + 1) + (s - 1,) * (s - t))
                 if abs(k - td.kappa) <= 1e-9:
                     continue  # exact tie candidates are flagged, not ordered
                 assert math.copysign(1.0, a - b) == math.copysign(1.0, k - td.kappa)
@@ -438,8 +460,7 @@ def test_double_spider_equation_increases_on_its_bracket(r, a_extra, b_extra):
 # --------------------- skipped midpoints, same roots ----------------------
 
 # Evaluations of its equation that one root may cost inside _bisect, the
-# walk out from the estimate and the residual included; plain bisection
-# takes 46-55.
+# walk out from the estimate included; plain bisection takes 46-55.
 _MAX_EVALUATIONS = 12
 
 _PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -449,7 +470,7 @@ def _bisect_calls(solve, *args):
     """(f, lo, hi, root, evaluations) of every _bisect call that solve(*args) makes.
 
     Each call is also run through bisect_reference on the same equation
-    and bracket, and must return its value and residual bit for bit.
+    and bracket, and must return its value bit for bit.
     """
     real, calls = roots._bisect, []
 
@@ -463,8 +484,8 @@ def _bisect_calls(solve, *args):
 
         got = real(counted, lo, hi, estimate)
         want = bisect_reference(f, lo, hi)
-        assert (got.value.hex(), got.residual.hex()) == (want.value.hex(), want.residual.hex()), (lo, hi, estimate)
-        calls.append((f, lo, hi, got.value, evaluations))
+        assert got.hex() == want.hex(), (lo, hi, estimate)
+        calls.append((f, lo, hi, got, evaluations))
         return got
 
     roots._bisect = checked
@@ -537,17 +558,20 @@ def test_huge_double_spider_root_is_plain_bisection():
         (sigma_rM, (4, 37, 11.3)),
         (double_spider_rho, (DoubleSpiderProfile((4, 2, 1), (4, 3)),)),
         (double_spider_rho, (DoubleSpiderProfile((2**40,), (2**40,)),)),
+        # The Newton estimate's first point rounds onto the pole 1/r and divides by zero.
+        (sigma_rM, (2**46, 100, 64)),
+        (sigma_rM, (2**46 + 3, 100, 70)),
     ],
 )
 def test_bisect_estimate_only_saves_evaluations(solve, args):
     ((f, lo, hi, _, _),) = _bisect_calls(solve, *args)
     want = bisect_reference(f, lo, hi)
-    other = math.nextafter(want.value, lo if want.residual > 0.0 else hi)  # the final pair's other float
-    estimates = [None, math.nextafter(lo, hi), math.nextafter(hi, lo), want.value, other, 0.5 * (lo + hi)]
+    other = math.nextafter(want, lo if f(want) > 0.0 else hi)  # the final pair's other float
+    estimates = [None, math.nextafter(lo, hi), math.nextafter(hi, lo), want, other, 0.5 * (lo + hi)]
     estimates += [math.nan, math.inf, -math.inf, lo, hi, lo - 1.0, hi + 1.0]
     for estimate in estimates:
         got = roots._bisect(f, lo, hi, None if estimate is None else lambda: estimate)
-        assert (got.value.hex(), got.residual.hex()) == (want.value.hex(), want.residual.hex()), estimate
+        assert got.hex() == want.hex(), estimate
 
 
 def test_reduce_trace_roots_take_few_evaluations(tmp_path):

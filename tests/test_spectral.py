@@ -15,7 +15,6 @@ from steklov_trees import (
     Tree,
     diameter,
     dtn_matrix,
-    enumerate_trees,
     greedy_ascent_trace,
     lambda2_numeric,
     laplacian_matrix,
@@ -29,10 +28,12 @@ from steklov_trees import (
 
 import steklov_trees.spectral as spectral
 from steklov_trees.spectral import _code_depths, _leaf_distances
-from steklov_trees.trees import _center_codes, _code_tree
+from steklov_trees.trees import _center_codes
 
 from oracles import (
     BoundaryValues,
+    _code_tree,
+    enumerate_trees,
     harmonic_extension,
     jacobi_eigenvalues,
     leaf_distances_by_bfs,

@@ -12,9 +12,7 @@ from steklov_trees import (
     SpiderProfile,
     Tree,
     canonical_code,
-    count_trees,
     diameter,
-    enumerate_trees,
     format_tree_text,
     leaf_set,
     make_as_tree,
@@ -32,6 +30,8 @@ from steklov_trees import (
 from oracles import (
     FREE_TREE_COUNTS,
     all_labeled_trees,
+    count_trees,
+    enumerate_trees,
     nonisomorphic_trees_by_diameter,
     prufer_to_edges,
     side_arm_lengths_reference,

@@ -13,7 +13,6 @@ from steklov_trees import (
     Tree,
     canonical_code,
     dtn_matrix,
-    enumerate_trees,
     lambda2_numeric,
     make_double_spider,
     make_path,
@@ -23,10 +22,11 @@ from steklov_trees import (
     verify_unimodality,
 )
 import steklov_trees.verify as verify_module
+from steklov_trees import roots
 from steklov_trees.cli import run
 
 import oracles
-from oracles import verify_cross_methods, verify_domination
+from oracles import enumerate_trees, verify_cross_methods, verify_domination
 
 
 def _spider_code(*lengths):
@@ -181,6 +181,11 @@ def test_unimodality_rows_are_the_sweep_rows(capsys, r):
     # The sweep's one stacked call gives each mass the report of its own call.
     masses = range(1, m_max + 1)
     assert verify_unimodality(r, masses) == [verify_unimodality(r, [m])[0] for m in masses]
+
+
+def test_unimodality_of_no_masses_is_empty():
+    assert roots._sigma_tables(3, []) == []
+    assert verify_unimodality(3, []) == []
 
 
 # ------------------------------ domination ------------------------------
