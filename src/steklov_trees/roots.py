@@ -7,12 +7,13 @@ double spiders, and the threshold quadratic that orders the two
 balanced candidates.  The one-center equations are all the pole sum
 sum_i w_i/(1 - l_i lambda) with grouped weights, evaluated by one
 helper.  Each equation is strictly increasing on an explicit bracket
-whose endpoints are poles, so the one solver is bisection down to two
-adjacent floats, or to a midpoint on a pole a few ulps from an end,
-with no tolerance and never touching the endpoints, run on one root or
-elementwise over a stacked table of balanced-family roots; that monotonicity is a property test, not a runtime check.  On
-one root it skips, bit for bit, each midpoint whose sign the monotone
-float equation and a Newton estimate already fix.
+whose endpoints are poles, and its root is the largest float of the
+bracket at which its float evaluation is <= 0: with no tolerance, and
+the same float whichever points a bisection evaluates, as long as that
+evaluation changes sign once.  That is a property test, not a runtime
+check.  One bisection solves one root from a Newton estimate, halving
+only between the points around it; another solves a stacked table of
+balanced-family roots elementwise.
 """
 
 from __future__ import annotations
@@ -49,8 +50,9 @@ class ThresholdData:
 # ----------------------------- bisection ------------------------------
 
 
-# _bisect evaluates every midpoint this many ulps or fewer from an endpoint:
-# within three ulps of fl(1/l), 1 - fl(l * x) can be zero or of either sign.
+# _bisect's walk from an estimate stays more than this many ulps inside both
+# endpoints: within three ulps of fl(1/l), 1 - fl(l * x) can be zero or of
+# either sign.
 _POLE_ULPS = 4
 
 _NEWTON_PASSES = 30  # cap on an estimate's Newton passes; about four converge
@@ -59,91 +61,71 @@ _NEWTON_PASSES = 30  # cap on an estimate's Newton passes; about four converge
 def _bisect(
     f: Callable[[float], float], lo: float, hi: float, estimate: Callable[[], float] | None = None
 ) -> float:
-    """Unique zero of a strictly increasing f on (lo, hi).
+    """Root of an f that increases on (lo, hi): the largest float there with f <= 0.
 
     The endpoints are typically poles of f and are never evaluated, nor
     is monotonicity: the callers' equations are property-tested to be
-    increasing on their brackets.  Halves until no float is left strictly
-    inside the bracket, so it ends on two adjacent floats across which f
-    changes sign and returns the one it reached last: the root to one
-    ulp, with no tolerance to scale.  A midpoint where f divides by zero,
-    which only a bracket of a few floats allows, is returned as it is: it
-    lies within a few ulps of a pole that bounds the whole bracket left.
+    increasing on their brackets.  Keeps a, the innermost point evaluated
+    with f <= 0, and b, the innermost with f > 0, and halves between them
+    until no float is left: the root is a, or b when no point had f <= 0.
+    With one sign change of f's float evaluation that is the same float
+    whatever the points evaluated, so there is no tolerance to scale.  A
+    midpoint where f divides by zero, which only a bracket of a few
+    floats allows, is returned as it is: it lies within a few ulps of a
+    pole that bounds the whole bracket left.
 
     An estimate only saves evaluations; it is computed only if the
     bracket has floats more than _POLE_ULPS ulps inside both endpoints.
-    Walking out from it finds the innermost points with f <= 0 and
-    f > 0, and a midpoint outside them takes the sign they imply.  This
-    is exact if f's float evaluation is non-decreasing more than
-    _POLE_ULPS ulps inside the endpoints, as the callers' is: IEEE
-    operations monotone in the unknown there (l*x, 1 - y, w/d with d of
-    fixed sign, sums, 1/A with A > 0) under monotone rounding.
-    Midpoints nearer an endpoint are always evaluated.  So midpoints,
-    stop and value are plain bisection's bit for bit; a NaN,
-    out-of-bracket or dividing-by-zero estimate gives plain bisection.
+    The points before halving are the estimate and then steps of 1, 2,
+    4, ... ulps toward the root, until f changes sign or the next step
+    leaves those inner floats.  A NaN, out-of-bracket or dividing-by-zero
+    estimate gives plain bisection.
     """
     inner_lo, inner_hi = lo + _POLE_ULPS * math.ulp(lo), hi - _POLE_ULPS * math.ulp(hi)
     try:
         guess = estimate() if estimate is not None and inner_lo < inner_hi else math.nan
     except ZeroDivisionError:  # a Newton step that lands on a pole
         guess = math.nan
-    seen = _walk_out(f, guess, inner_lo, inner_hi) if inner_lo < guess < inner_hi else {}
-    below = max((x for x, y in seen.items() if y <= 0.0), default=lo)
-    above = min((x for x, y in seen.items() if y > 0.0), default=hi)
     a, b = lo, hi
-    value = 0.5 * (a + b)
-    while True:
-        if inner_lo < value <= below or above <= value < inner_hi:
-            up = value >= above
-        else:
-            try:
-                up = f(value) > 0.0
-            except ZeroDivisionError:
-                return value
-        a, b = (a, value) if up else (value, b)
-        nxt = 0.5 * (a + b)
-        if not a < nxt < b:
+    if inner_lo < guess < inner_hi:
+        value, step = guess, math.ulp(guess)
+    else:
+        value, step = 0.5 * (lo + hi), math.inf
+    while a < value < b:
+        try:
+            up = f(value) > 0.0
+        except ZeroDivisionError:
             return value
-        value = nxt
-
-
-def _walk_out(f: Callable[[float], float], x: float, inner_lo: float, inner_hi: float) -> dict[float, float]:
-    """f at x and at x -+ 1, 2, 4, ... ulps toward the root, until its sign flips or the walk leaves (inner_lo, inner_hi)."""
-    seen = {x: f(x)}
-    step = -math.ulp(x) if seen[x] > 0.0 else math.ulp(x)
-    y = x + step
-    while inner_lo < y < inner_hi:
-        seen[y] = f(y)
-        if (seen[y] > 0.0) != (step < 0.0):
-            break
+        a, b = (a, value) if up else (value, b)
+        value = b - step if up else a + step
         step *= 2
-        y = x + step
-    return seen
+        if lo < a and b < hi or not inner_lo < value < inner_hi:  # the walk is over: halve
+            value = 0.5 * (a + b)
+    return a if a > lo else b
 
 
 def _bisect_stacked(f: Callable[[np.ndarray], np.ndarray], lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """_bisect run elementwise over arrays of brackets, returning the values.
+    """_bisect without an estimate, run elementwise over arrays of brackets.
 
-    Each entry takes _bisect's midpoints and stops where _bisect stops:
-    when its bracket holds no float, or on a midpoint where f is not
-    finite, a division by zero.  It keeps its value while the others go
-    on, so with f acting elementwise every value equals _bisect's on the
-    same bracket bit for bit.
+    Each entry halves between its own a and b and stops where _bisect
+    stops: when no float is left between them, or on a midpoint where f
+    is not finite, a division by zero.  Only an entry of the second kind
+    still has its midpoint strictly between a and b, and returns it; every
+    other entry returns a, or b when a is still lo.
     """
     a, b = lo, hi
     value = 0.5 * (a + b)
-    active = np.ones(value.shape, dtype=bool)
+    active = (a < value) & (value < b)
     with np.errstate(divide="ignore", invalid="ignore"):
         while active.any():
             y = f(value)
             active &= np.isfinite(y)
-            up = y > 0.0
-            b = np.where(active & up, value, b)
-            a = np.where(active & ~up, value, a)
-            nxt = 0.5 * (a + b)
-            active &= (a < nxt) & (nxt < b)
-            value = np.where(active, nxt, value)
-    return value
+            up = active & (y > 0.0)
+            b = np.where(up, value, b)
+            a = np.where(active ^ up, value, a)
+            value = 0.5 * (a + b)
+            active &= (a < value) & (value < b)
+    return np.where((a < value) & (value < b), value, np.where(a > lo, a, b))
 
 
 def _pole_sum(terms: Sequence[tuple[int, float]], lam: float) -> float:
@@ -286,7 +268,7 @@ def double_spider_rho(p: DoubleSpiderProfile) -> float:
         raise ValueError(f"both sides must share the longest length, got {p.a_lengths[0]} and {p.b_lengths[0]}")
     total = sum(p.a_lengths) + sum(p.b_lengths)
     return _bisect(
-        lambda rho: _double_spider_equation(p, rho), r + 1e-9, float(r + total + 1), lambda: _rho_estimate(p, r)
+        lambda rho: _double_spider_equation(p, rho), float(r), float(r + total + 1), lambda: _rho_estimate(p, r)
     )
 
 

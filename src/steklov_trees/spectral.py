@@ -111,11 +111,16 @@ def leaf_distance_matrix(t: Tree) -> np.ndarray:
 
 
 def _gram_eigenvalues(dmat: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues of P(-D/2)P for each stacked m x m distance matrix."""
-    m = dmat.shape[-1]
-    pmat = np.eye(m) - np.full((m, m), 1.0 / m)
-    gram = -0.5 * (pmat @ dmat @ pmat)
-    gram = (gram + np.swapaxes(gram, -1, -2)) / 2.0
+    """Ascending eigenvalues of P(-D/2)P for each stacked m x m distance matrix.
+
+    With row means r, its entries are (r_i + r_j - mean(r) - D_ij) / 2,
+    symmetric in floats as D is.
+    """
+    rows = dmat.mean(axis=-1)
+    gram = rows[..., :, None] + rows[..., None, :]
+    gram -= rows.mean(axis=-1)[..., None, None]
+    gram -= dmat
+    gram /= 2.0
     return np.linalg.eigvalsh(gram)
 
 

@@ -3,8 +3,8 @@
 Everything here recomputes expected values through a different route
 than the code under test: exact rational bisection of cleared
 denominators instead of float bisection, plain float bisection that
-evaluates every midpoint instead of the one that skips midpoints whose
-sign is already fixed, charging each edge to its deepest leaf instead
+evaluates every midpoint instead of the one that starts from a Newton
+estimate, charging each edge to its deepest leaf instead
 of the tallest-child arm walk, Prufer sequences, the networkx
 tree generator and a count recurrence instead of the center-rooted
 tree generator, cyclic Jacobi rotations instead of
@@ -124,13 +124,16 @@ def rational_root_bracket(
 def bisect_reference(f: Callable[[float], float], lo: float, hi: float) -> float:
     """Float bisection of an increasing f on (lo, hi) that evaluates every midpoint.
 
-    roots._bisect without its skip rule: it halves until no float is left
-    strictly inside the bracket and returns the midpoint it evaluated
-    last, or the first midpoint where f divides by zero.
+    roots._bisect without an estimate: it halves until no float is left
+    strictly inside the bracket and returns its lower float, or its upper
+    one when no midpoint had f <= 0, or the first midpoint where f
+    divides by zero.
     """
     a, b = lo, hi
-    value = 0.5 * (a + b)
     while True:
+        value = 0.5 * (a + b)
+        if not a < value < b:
+            return a if a > lo else b
         try:
             up = f(value) > 0.0
         except ZeroDivisionError:
@@ -139,10 +142,6 @@ def bisect_reference(f: Callable[[float], float], lo: float, hi: float) -> float
             b = value
         else:
             a = value
-        nxt = 0.5 * (a + b)
-        if not a < nxt < b:
-            return value
-        value = nxt
 
 
 def spider_lambda2_exact(lengths: Iterable[int]) -> tuple[Fraction, Fraction]:

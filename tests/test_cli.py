@@ -1,10 +1,12 @@
 """End-to-end command-line checks: goldens, exit codes, determinism."""
 
+import ast
 import importlib
 import json
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -709,3 +711,18 @@ def test_public_surface_is_frozen():
     assert PUBLIC_NAMES == sorted(set(PUBLIC_NAMES))
     assert steklov_trees.__all__ == PUBLIC_NAMES
     assert all(hasattr(steklov_trees, name) for name in PUBLIC_NAMES)
+
+
+def test_small_float_literals_are_named_constants():
+    # An absolute tolerance in the package is a module-level _UPPER_CASE constant, never a bare literal.
+    for path in sorted(Path(steklov_trees.__file__).parent.glob("*.py")):
+        module = ast.parse(path.read_text())
+        named = {
+            id(node.value)
+            for node in module.body
+            if isinstance(node, ast.Assign)
+            and all(isinstance(t, ast.Name) and re.fullmatch(r"_[A-Z][A-Z0-9_]*", t.id) for t in node.targets)
+        }
+        for node in ast.walk(module):
+            if isinstance(node, ast.Constant) and isinstance(node.value, float) and 0 < abs(node.value) < 1e-3:
+                assert id(node) in named, f"{path.name}:{node.lineno}: unnamed float literal {node.value!r}"

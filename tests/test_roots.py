@@ -383,10 +383,11 @@ def test_threshold_sign_predicts_comparison():
 # ---------------------- monotonicity of the equations ----------------------
 
 # Bisection trusts each equation to increase across its bracket, and its
-# skip rule trusts the float evaluation never to decrease from one float
-# to the next outside the pole bands; these properties probe evenly spaced
-# interior points, then consecutive floats on each side of the root and
-# just inside each pole band.
+# root is the same float whatever the points evaluated only if the float
+# evaluation never decreases from one float to the next outside the pole
+# bands; these properties probe evenly spaced interior points, then
+# consecutive floats on each side of the root and just inside each pole
+# band.
 _MONOTONE_SAMPLES = 100
 _FLOAT_WALK = 64
 
@@ -457,10 +458,10 @@ def test_double_spider_equation_increases_on_its_bracket(r, a_extra, b_extra):
     _assert_increasing(lambda rho: roots._double_spider_equation(p, rho), lo, hi, root)
 
 
-# --------------------- skipped midpoints, same roots ----------------------
+# ------------------- walks from an estimate, same roots --------------------
 
 # Evaluations of its equation that one root may cost inside _bisect, the
-# walk out from the estimate included; plain bisection takes 46-55.
+# walk from the estimate included; plain bisection takes 46-55.
 _MAX_EVALUATIONS = 12
 
 _PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -470,7 +471,9 @@ def _bisect_calls(solve, *args):
     """(f, lo, hi, root, evaluations) of every _bisect call that solve(*args) makes.
 
     Each call is also run through bisect_reference on the same equation
-    and bracket, and must return its value bit for bit.
+    and bracket, and must return its value bit for bit.  That value is
+    the largest float in (lo, hi) with f <= 0, unless f divides by zero
+    there (a pole stop) or is positive on every float but lo's successor.
     """
     real, calls = roots._bisect, []
 
@@ -485,6 +488,16 @@ def _bisect_calls(solve, *args):
         got = real(counted, lo, hi, estimate)
         want = bisect_reference(f, lo, hi)
         assert got.hex() == want.hex(), (lo, hi, estimate)
+        try:
+            at_root = f(got)
+        except ZeroDivisionError:  # the pole stop
+            pass
+        else:
+            above = math.nextafter(got, hi)
+            if at_root <= 0.0:
+                assert above == hi or f(above) > 0.0, (lo, hi, got)
+            else:  # no float of the bracket has f <= 0
+                assert got == math.nextafter(lo, hi), (lo, hi, got)
         calls.append((f, lo, hi, got, evaluations))
         return got
 
@@ -541,12 +554,12 @@ def test_former_stall_roots_are_plain_bisection_bit_for_bit(n, d):
         _bisect_calls(sigma_rM, p.r, p.lateral_mass, p.q)
 
 
-def test_huge_double_spider_root_is_plain_bisection():
-    # r + 1e-9 rounds to r, so the bracket starts on the pole itself.
+def test_huge_double_spider_root_is_exact():
+    # The equation is 2 (rho - r) - 1, zero in floats at the float r + 1/2.
     r = 2**40
     ((_, lo, _, root, _),) = _bisect_calls(double_spider_rho, DoubleSpiderProfile((r,), (r,)))
     assert lo == r
-    assert root == r + 0.5 + 2**-12
+    assert root == r + 0.5
 
 
 @pytest.mark.parametrize(

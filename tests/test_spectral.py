@@ -332,6 +332,13 @@ def test_lambda2_matches_exact_root_oracle():
         assert float(lo) - 1e-11 <= got <= float(hi) + 1e-11
 
 
+@pytest.mark.parametrize("profile,want", [((2,) + (1,) * 999, 1000 / 1999), ((3, 3) + (1,) * 1000, 1 / 3)])
+def test_lambda2_of_leaf_heavy_spiders_is_accurate(profile, want):
+    # The Gram is centered from row means, with no product of m x m matrices to round.
+    got = lambda2_numeric(make_spider(SpiderProfile(profile)))
+    assert abs(got - want) <= 2e-15 * want
+
+
 @settings(max_examples=80, deadline=None)
 @given(data=trees_st)
 def test_spectrum_invariants_random(data):
