@@ -5,8 +5,8 @@ deterministic byte-for-byte for a fixed input and format: floats are
 printed to 12 significant digits, JSON carries them as decimal strings,
 and verification results come in canonical code order for any job
 count.  Exit codes: 0 success, 1 usage error, 2 domain error,
-3 verification mismatch, 4 internal numeric or resource failure.  Every
-error is one line on stderr.
+3 verification mismatch, 4 internal numeric or resource failure, such
+as an order too large to build.  Every error is one line on stderr.
 """
 
 from __future__ import annotations
@@ -419,10 +419,10 @@ def run(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (RuntimeError, MemoryError) as exc:
-        # Internal failures: a solver that cannot certify its answer, or
-        # an input too large for the dense routes.
-        print(f"error: {exc or type(exc).__name__}", file=sys.stderr)
+    except (RuntimeError, MemoryError, OverflowError) as exc:
+        # Internal failures: a solver that cannot certify its answer, or an
+        # input too large for the dense routes or for a tuple of branches.
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 4
 
 

@@ -11,9 +11,9 @@ whose endpoints are poles, and its root is the largest float of the
 bracket at which its float evaluation is <= 0: with no tolerance, and
 the same float whichever points a bisection evaluates, as long as that
 evaluation changes sign once.  That is a property test, not a runtime
-check.  One bisection solves one root from a Newton estimate, halving
-only between the points around it; another solves a stacked table of
-balanced-family roots elementwise.
+check.  One bisection walks from a Newton estimate, then halves only
+between the points around the root; run elementwise from an elementwise
+estimate, it solves a stacked table of balanced-family roots.
 """
 
 from __future__ import annotations
@@ -104,26 +104,39 @@ def _bisect(
     return a if a > lo else b
 
 
-def _bisect_stacked(f: Callable[[np.ndarray], np.ndarray], lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """_bisect without an estimate, run elementwise over arrays of brackets.
+def _bisect_stacked(
+    f: Callable[[np.ndarray], np.ndarray],
+    lo: np.ndarray,
+    hi: np.ndarray,
+    estimate: Callable[[], np.ndarray] | None = None,
+) -> np.ndarray:
+    """_bisect run elementwise over arrays of brackets, from an array estimate.
 
-    Each entry halves between its own a and b and stops where _bisect
-    stops: when no float is left between them, or on a midpoint where f
-    is not finite, a division by zero.  Only an entry of the second kind
-    still has its midpoint strictly between a and b, and returns it; every
-    other entry returns a, or b when a is still lo.
+    Each entry walks from its estimate and halves between its own a and b
+    as _bisect does, and stops where _bisect stops: when no float is left
+    between them, or on a point where f is not finite, a division by zero,
+    which it returns.  Every other entry returns a, or b when a is still lo.
+    The estimate is computed only if some bracket has inner floats; an
+    entry whose estimate is NaN or outside them halves from its midpoint.
     """
+    inner_lo, inner_hi = lo + _POLE_ULPS * np.spacing(np.abs(lo)), hi - _POLE_ULPS * np.spacing(np.abs(hi))
     a, b = lo, hi
-    value = 0.5 * (a + b)
-    active = (a < value) & (value < b)
     with np.errstate(divide="ignore", invalid="ignore"):
+        guess = estimate() if estimate is not None and (inner_lo < inner_hi).any() else np.nan
+        walk = (inner_lo < guess) & (guess < inner_hi)
+        value = np.where(walk, guess, 0.5 * (a + b))
+        step = np.where(walk, np.spacing(np.abs(guess)), np.inf)
+        active = (a < value) & (value < b)
         while active.any():
             y = f(value)
             active &= np.isfinite(y)
             up = active & (y > 0.0)
             b = np.where(up, value, b)
             a = np.where(active ^ up, value, a)
-            value = 0.5 * (a + b)
+            nxt = np.where(up, b - step, a + step)
+            step = 2 * step
+            halve = (lo < a) & (b < hi) | ~((inner_lo < nxt) & (nxt < inner_hi))
+            value = np.where(active, np.where(halve, 0.5 * (a + b), nxt), value)
             active &= (a < value) & (value < b)
     return np.where((a < value) & (value < b), value, np.where(a > lo, a, b))
 
@@ -159,6 +172,37 @@ def _pole_sum_estimate(terms: Sequence[tuple[int, float]], l1: int, l2: int) -> 
         if not nxt < x:
             break
         x = nxt
+    return x
+
+
+def _stacked_estimate(terms: Sequence[tuple[np.ndarray | int, np.ndarray | int]], l1: int, l2: int) -> np.ndarray:
+    """_pole_sum_estimate elementwise, for terms of array (or scalar) lengths and weights.
+
+    A term joins w1, w2 or the lateral sum by mask, as a length may meet l1
+    or l2 in some entries only; where it is left out or weighs zero it adds
+    +0.0.  Each entry stops descending where the scalar loop would.
+    """
+    terms = [(np.asarray(l), np.asarray(w)) for l, w in terms]
+    w1 = sum(np.where(l == l1, w, 0) for l, w in terms)
+    rest = [(l, np.where(l == l1, 0, w)) for l, w in terms]
+    w2 = sum(np.where(l == l2, w, 0) for l, w in rest)
+    lateral = sum(np.where((l == l1) | (l == l2), 0.0, w * float(l1) / (l1 - l)) for l, w in terms)
+    p = w1 * l2 + (w2 + lateral) * l1 + lateral * l2
+    q = w1 + w2 + lateral
+    x = 2 * q / (p + np.sqrt(np.maximum(p * p - 4 * lateral * l1 * l2 * q, 0.0)))
+    rest = [(l, w, w * l) for l, w in rest if w.any()]
+    for _ in range(_NEWTON_PASSES):
+        g = slope = 0.0
+        for l, w, wl in rest:
+            d = 1 - l * x
+            g = g + w / d
+            slope = slope + wl / (d * d)
+        d = 1 - l1 * x
+        nxt = x - (w1 + d * g) / (d * slope - l1 * g)
+        down = nxt < x
+        if not down.any():
+            break
+        x = np.where(down, nxt, x)
     return x
 
 
@@ -199,8 +243,8 @@ def _sigma_tables(r: int, masses: Sequence[int]) -> list[tuple[tuple[int, float]
     sigma is the root in (1/(r+1), 1/r) of the balanced-family equation:
     the spider equation of principal branches (r+1, r) and q lateral
     branches of total length M spread as evenly as possible, c = M // q
-    long or one longer.  One stacked bisection solves every root, with
-    the pole sum's terms in a fixed order.  Where q divides M the weight
+    long or one longer.  One stacked bisection solves every root from a
+    stacked estimate, with the pole sum's terms in a fixed order.  Where q divides M the weight
     on the pole 1/(c+1) is zero instead of dropped; that pole lies
     outside the open bracket, so the term adds +-0.0 and each value
     equals the dropped-term scalar root's bit for bit.
@@ -213,7 +257,8 @@ def _sigma_tables(r: int, masses: Sequence[int]) -> list[tuple[tuple[int, float]
     c = m // q
     terms = ((r + 1, 1), (r, 1), (c + 1, m - c * q), (c, (c + 1) * q - m))
     brackets = np.full(len(q), 1.0 / (r + 1)), np.full(len(q), 1.0 / r)
-    rows = zip(q.tolist(), _bisect_stacked(lambda lam: _pole_sum(terms, lam), *brackets).tolist())
+    sigma = _bisect_stacked(lambda lam: _pole_sum(terms, lam), *brackets, lambda: _stacked_estimate(terms, r + 1, r))
+    rows = zip(q.tolist(), sigma.tolist())
     return [tuple(islice(rows, hi - lo + 1)) for lo, hi in spans]
 
 

@@ -1,6 +1,7 @@
 """End-to-end command-line checks: goldens, exit codes, determinism."""
 
 import ast
+import hashlib
 import importlib
 import json
 import math
@@ -170,6 +171,16 @@ def test_sweep_text_golden(capsys):
         "r=2 M=2 peak_q=2 pass\n"
         "r=2 M=3 peak_q=3 pass\n"
     )
+
+
+def test_sweep_csv_digest_golden(capsys):
+    # Every sweep row for r = 1..9 and M <= 82, 21,481 roots in all.
+    digest = hashlib.sha256()
+    for r in range(1, 10):
+        code, out, _ = _capture(capsys, ["sweep", "--r", str(r), "--M-max", "82", "--format", "csv"])
+        assert code == 0
+        digest.update(out.encode())
+    assert digest.hexdigest() == "882f4b55406313aa29387c97b0043e291a0da9bcffa8ea7389a0954321b7f004"
 
 
 def test_reduce_csv_golden(capsys):
@@ -536,8 +547,12 @@ def test_radii_near_float_resolution_print_exact_digits(capsys, e):
         _assert_exact_digits(capsys, ["sweep", "--r", str(r), "--M-max", "4", "--format", "csv"])
 
 
-@pytest.mark.parametrize("exc", [RuntimeError("bisection failed"), MemoryError()])
-def test_internal_failure_exits_four(capsys, monkeypatch, exc):
+@pytest.mark.parametrize(
+    "exc,line",
+    [(RuntimeError("bisection failed"), "error: bisection failed\n"), (MemoryError(), "error: MemoryError\n")],
+    ids=["exc0", "exc1"],
+)
+def test_internal_failure_exits_four(capsys, monkeypatch, exc, line):
     def fail(n, d):
         raise exc
 
@@ -545,8 +560,23 @@ def test_internal_failure_exits_four(capsys, monkeypatch, exc):
     code, out, err = _capture(capsys, ["classify", "7", "5"])
     assert code == 4
     assert out == ""
-    assert err.startswith("error:") and err.count("\n") == 1
-    assert "Traceback" not in err
+    assert err == line
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["classify", "9223372036854775807", "7"],
+        ["classify", "100000000000000000000000", "7"],
+        ["candidates", "100000000000000000000000", "7"],
+    ],
+)
+def test_order_too_large_to_build_exits_four(capsys, argv):
+    # The candidates' lateral branches do not fit in a tuple: a MemoryError
+    # at the first order, an OverflowError at the other.
+    code, out, err = _capture(capsys, argv)
+    assert (code, out) == (4, "")
+    assert err.startswith("error: ") and err != "error: \n" and err.count("\n") == 1
 
 
 def test_verify_mismatch_exits_three(capsys, monkeypatch):

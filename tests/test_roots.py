@@ -188,23 +188,55 @@ def test_sigma_continuous_across_block_boundaries(r, m, c):
     assert abs(at - left) <= 1e-6
 
 
+def _assert_tables_equal_sigma_rM(r, masses):
+    for m, rows in zip(masses, roots._sigma_tables(r, masses)):
+        lo, hi = q_range_integer(r, m)
+        assert rows == tuple((q, sigma_rM(r, m, q)) for q in range(lo, hi + 1)), (r, m)
+
+
 def test_sigma_tables_equal_sigma_rM_bit_for_bit():
-    masses = range(1, 83)
     for r in range(1, 10):
-        for m, rows in zip(masses, roots._sigma_tables(r, masses)):
-            lo, hi = q_range_integer(r, m)
-            assert rows == tuple((q, sigma_rM(r, m, q)) for q in range(lo, hi + 1)), (r, m)
+        _assert_tables_equal_sigma_rM(r, range(1, 83))
 
 
 @pytest.mark.parametrize("e", [48, 51, 54])
 def test_sigma_tables_equal_sigma_rM_where_midpoints_hit_poles(e):
     # Brackets of a few floats, where some midpoints divide by zero: both
     # bisections stop on that midpoint.
-    masses = range(1, 6)
     for r in range(2**e - 3, 2**e + 4):
-        for m, rows in zip(masses, roots._sigma_tables(r, masses)):
-            lo, hi = q_range_integer(r, m)
-            assert rows == tuple((q, sigma_rM(r, m, q)) for q in range(lo, hi + 1)), (r, m)
+        _assert_tables_equal_sigma_rM(r, range(1, 6))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    r=st.integers(min_value=1, max_value=400),
+    masses=st.lists(st.integers(min_value=1, max_value=300), min_size=1, max_size=3),
+)
+def test_sigma_tables_equal_sigma_rM_on_random_masses(r, masses):
+    _assert_tables_equal_sigma_rM(r, masses)
+
+
+def _stacked_passes(monkeypatch, r, masses):
+    """(_sigma_tables(r, masses), its stacked passes), counted as calls of roots._pole_sum."""
+    calls = 0
+    pole_sum = roots._pole_sum
+
+    def counted(terms, lam):
+        nonlocal calls
+        calls += 1
+        if calls > 100:
+            raise AssertionError("stacked bisection did not stop")
+        return pole_sum(terms, lam)
+
+    monkeypatch.setattr(roots, "_pole_sum", counted)
+    return roots._sigma_tables(r, masses), calls
+
+
+@pytest.mark.parametrize("r", range(2, 9))
+def test_sigma_tables_walk_from_an_estimate(monkeypatch, r):
+    # Evaluating every midpoint takes 50-52 stacked passes on these tables.
+    _, passes = _stacked_passes(monkeypatch, r, range(1, 83))
+    assert passes <= 8
 
 
 @pytest.mark.parametrize("r,m", [(1, 300), (2, 211), (3, 313)])
@@ -218,32 +250,48 @@ def test_sigma_tables_stop_at_exhausted_brackets(monkeypatch, r, m):
 
     # A bracket of relative width 1/r runs out of floats within about 53
     # halvings, one evaluation each.
-    calls = 0
-    pole_sum = roots._pole_sum
-
-    def counted(terms, lam):
-        nonlocal calls
-        calls += 1
-        if calls > 100:
-            raise AssertionError("stacked bisection did not stop")
-        return pole_sum(terms, lam)
-
-    monkeypatch.setattr(roots, "_pole_sum", counted)
-    (rows,) = roots._sigma_tables(r, [m])
+    (rows,), _ = _stacked_passes(monkeypatch, r, [m])
     assert rows == tuple((q, root) for q, (_, _, _, root, _) in zip(range(lo, hi + 1), scalar))
+
+
+def _divides_by_zero_at_half(x):
+    return x - 0.3 + 0.0 / (x - 0.5)
 
 
 def test_bisections_stop_on_a_midpoint_that_divides_by_zero():
     # On a root equation such a midpoint lies a few ulps from a pole that
     # bounds the bracket left; every loop returns it as it is.
-    def f(x):
-        return x - 0.3 + 0.0 / (x - 0.5)
-
+    f = _divides_by_zero_at_half
     lo, hi = [0.0, 0.0, 0.25], [1.0, 0.5, 1.0]
     stacked = roots._bisect_stacked(f, np.array(lo), np.array(hi)).tolist()
     assert stacked[0] == 0.5
     assert stacked == [roots._bisect(f, a, b) for a, b in zip(lo, hi)]
     assert stacked == [bisect_reference(f, a, b) for a, b in zip(lo, hi)]
+
+
+@pytest.mark.parametrize(
+    "estimate",
+    [
+        math.nan,
+        math.inf,
+        -math.inf,
+        -1.0,
+        2.0,
+        1e300,
+        [0.0, 0.0, 0.25],
+        [1.0, 0.5, 1.0],
+        [math.nan, 0.01, 0.99],
+        [-0.5, 0.49, 0.26],
+        [math.inf, 5e-324, 0.9999],
+    ],
+)
+def test_stacked_bad_estimate_gives_the_same_roots(estimate):
+    # NaN, out-of-bracket and, where no pole stop is in reach, far-off
+    # estimates: the first entry's plain bisection stops on the pole 0.5.
+    lo, hi = np.array([0.0, 0.0, 0.25]), np.array([1.0, 0.5, 1.0])
+    want = roots._bisect_stacked(_divides_by_zero_at_half, lo, hi)
+    got = roots._bisect_stacked(_divides_by_zero_at_half, lo, hi, lambda: np.broadcast_to(estimate, lo.shape))
+    assert got.tobytes() == want.tobytes()
 
 
 def test_spider_strictly_below_path_bound():
