@@ -4,7 +4,8 @@ One executable with one subcommand per library entry point.  Output is
 deterministic byte-for-byte for a fixed input and format: floats are
 printed to 12 significant digits, JSON carries them as decimal strings,
 and verification results come in canonical code order for any job
-count.  Exit codes: 0 success, 1 usage error, 2 domain error,
+count (`verify --jobs` starts at most one worker per CPU and per chunk
+of 4096 trees).  Exit codes: 0 success, 1 usage error, 2 domain error,
 3 verification mismatch, 4 internal numeric or resource failure, such
 as an order too large to build.  Every error is one line on stderr.
 """
@@ -394,7 +395,7 @@ def _build_parser() -> _Parser:
     sub.add_argument("D", type=int)
     sub.add_argument("--all-orders", action="store_true", help="run every order from D+1 up to n")
     sub.add_argument(
-        "--jobs", type=int, default=None, help="shard workers, at most the CPU count (default: STEKLOV_JOBS or 1)"
+        "--jobs", type=int, default=None, help="worker processes, at most one per CPU and 4096-tree chunk (default: STEKLOV_JOBS or 1)"
     )
     _add_format_argument(sub)
     sub.set_defaults(handler=_cmd_verify)

@@ -22,7 +22,7 @@ from numbers import Rational
 from .classify import _TIE_RTOL, _near_argmax
 from .roots import _double_spider_equation, _pole_sum, _resolvent_sum, double_spider_rho, spider_lambda2
 from .spectral import lambda2_numeric
-from .trees import DoubleSpiderProfile, SpiderProfile, Tree, _double_sweep, _side_arm_lengths, diameter
+from .trees import DoubleSpiderProfile, SpiderProfile, Tree, _double_sweep, _lone_side_spider, _side_arm_lengths, diameter
 
 Profile = SpiderProfile | DoubleSpiderProfile
 
@@ -193,8 +193,7 @@ def greedy_ascent_trace(t: Tree) -> tuple[tuple[str, Tree | Profile, float], ...
         if len(trace) > budget:
             raise RuntimeError(f"ascent exceeded its budget of {budget} moves")
 
-    # The lone branch is the b-side one; with the central edge it is the same tree's spider branch r+1.
-    spider = SpiderProfile((profile.b_lengths[0] + 1,) + profile.a_lengths)
+    spider = _lone_side_spider(profile)
     lam = spider_lambda2(spider)
     while len(spider.lengths) >= 4 and spider.lengths[2] >= spider.lengths[-1] + 2:
         spider, lam = balance_side_step(spider, lam)

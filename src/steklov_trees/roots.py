@@ -58,9 +58,7 @@ _POLE_ULPS = 4
 _NEWTON_PASSES = 30  # cap on an estimate's Newton passes; about four converge
 
 
-def _bisect(
-    f: Callable[[float], float], lo: float, hi: float, estimate: Callable[[], float] | None = None
-) -> float:
+def _bisect(f: Callable[[float], float], lo: float, hi: float, estimate: Callable[[], float]) -> float:
     """Root of an f that increases on (lo, hi): the largest float there with f <= 0.
 
     The endpoints are typically poles of f and are never evaluated, nor
@@ -83,7 +81,7 @@ def _bisect(
     """
     inner_lo, inner_hi = lo + _POLE_ULPS * math.ulp(lo), hi - _POLE_ULPS * math.ulp(hi)
     try:
-        guess = estimate() if estimate is not None and inner_lo < inner_hi else math.nan
+        guess = estimate() if inner_lo < inner_hi else math.nan
     except ZeroDivisionError:  # a Newton step that lands on a pole
         guess = math.nan
     a, b = lo, hi
@@ -105,10 +103,7 @@ def _bisect(
 
 
 def _bisect_stacked(
-    f: Callable[[np.ndarray], np.ndarray],
-    lo: np.ndarray,
-    hi: np.ndarray,
-    estimate: Callable[[], np.ndarray] | None = None,
+    f: Callable[[np.ndarray], np.ndarray], lo: np.ndarray, hi: np.ndarray, estimate: Callable[[], np.ndarray]
 ) -> np.ndarray:
     """_bisect run elementwise over arrays of brackets, from an array estimate.
 
@@ -122,7 +117,7 @@ def _bisect_stacked(
     inner_lo, inner_hi = lo + _POLE_ULPS * np.spacing(np.abs(lo)), hi - _POLE_ULPS * np.spacing(np.abs(hi))
     a, b = lo, hi
     with np.errstate(divide="ignore", invalid="ignore"):
-        guess = estimate() if estimate is not None and (inner_lo < inner_hi).any() else np.nan
+        guess = estimate() if (inner_lo < inner_hi).any() else np.nan
         walk = (inner_lo < guess) & (guess < inner_hi)
         value = np.where(walk, guess, 0.5 * (a + b))
         step = np.where(walk, np.spacing(np.abs(guess)), np.inf)

@@ -152,10 +152,6 @@ def steklov_spectrum(t: Tree) -> Spectrum:
     return Spectrum((0.0, *(1.0 / gram[:0:-1]).tolist()))
 
 
-# Trees per stacked batch; bounds the kernel's memory at O(_CHUNK n^2) bytes.
-_CHUNK = 4096
-
-
 def _code_depths(codes: list[bytes]) -> tuple[np.ndarray, np.ndarray]:
     """Vertex depths and leaf masks, (count, n), of equal-length canonical codes.
 
@@ -173,12 +169,12 @@ def _code_depths(codes: list[bytes]) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _lambda2_batch(codes: list[bytes]) -> np.ndarray:
-    """lambda_2 of every tree given by an equal-length canonical code, in input order."""
+    """lambda_2 of every tree given by an equal-length canonical code, in input order, as one batch."""
     out = np.empty(len(codes))
-    for lo in range(0, len(codes), _CHUNK):
-        depth, leaf = _code_depths(codes[lo : lo + _CHUNK])
+    if codes:
+        depth, leaf = _code_depths(codes)
         sizes = leaf.sum(axis=1)
         for m in np.unique(sizes):
             group = np.flatnonzero(sizes == m)
-            out[lo + group] = _distance_lambda2(_leaf_distances(depth[group], leaf[group]).astype(float))
+            out[group] = _distance_lambda2(_leaf_distances(depth[group], leaf[group]).astype(float))
     return out

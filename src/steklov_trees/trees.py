@@ -18,6 +18,7 @@ order, so that golden outputs are reproducible.
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
@@ -221,24 +222,32 @@ class DoubleSpiderProfile:
 # ---------------------------- constructors ----------------------------
 
 
+def _lay_out(sides: tuple[tuple[int, ...], ...]) -> Tree:
+    """Tree of one hub per side, hubs 0 and 1 adjacent, each side's branches hung from its hub in turn.
+
+    The order is counted first: one past the largest list index raises OverflowError at once.
+    """
+    n = len(sides) + sum(map(sum, sides))
+    if n > sys.maxsize:
+        raise OverflowError(f"tree order {n} exceeds the largest index {sys.maxsize}")
+    edges, nxt = [(0, 1)] if len(sides) == 2 else [], len(sides)
+    for hub, lengths in enumerate(sides):
+        for length in lengths:
+            edges += zip([hub, *range(nxt, nxt + length - 1)], range(nxt, nxt + length))
+            nxt += length
+    return Tree(n, tuple(edges))
+
+
 def make_path(length: int) -> Tree:
     """Path with `length` edges (so diameter length), labeled 0..length."""
     if length < 1:
         raise ValueError(f"path length must be >= 1, got {length}")
-    return Tree(length + 1, tuple((i, i + 1) for i in range(length)))
+    return _lay_out(((length,),))
 
 
 def make_spider(profile: SpiderProfile) -> Tree:
     """One-center tree: vertex 0 is the hub, branches laid out longest first."""
-    edges = []
-    nxt = 1
-    for length in profile.lengths:
-        prev = 0
-        for _ in range(length):
-            edges.append((prev, nxt))
-            prev = nxt
-            nxt += 1
-    return Tree(nxt, tuple(edges))
+    return _lay_out((profile.lengths,))
 
 
 def make_as_tree(p: ASParams) -> Tree:
@@ -248,16 +257,7 @@ def make_as_tree(p: ASParams) -> Tree:
 
 def make_double_spider(profile: DoubleSpiderProfile) -> Tree:
     """Two-center tree: vertex 0 = u, vertex 1 = v, then branches outward."""
-    edges = [(0, 1)]
-    nxt = 2
-    for root, lengths in ((0, profile.a_lengths), (1, profile.b_lengths)):
-        for length in lengths:
-            prev = root
-            for _ in range(length):
-                edges.append((prev, nxt))
-                prev = nxt
-                nxt += 1
-    return Tree(nxt, tuple(edges))
+    return _lay_out((profile.a_lengths, profile.b_lengths))
 
 
 # ---------------------------- recognizers -----------------------------
@@ -393,7 +393,9 @@ def _center_codes(n: int, d: int) -> list[bytes]:
     d = 2r+1: b"2" + a + b for the sides a <= b of the central edge, both of height r.
     d = 2r: b"1(" + a + b[1:] for the center's first child a (height r-1) cut from the rest b
     (height r).  A tallest child comes first, so a code of height h opens with h+1 brackets
-    and sorts below every lower code: a <= b[cut:] pins a to its height.
+    and sorts below every lower code: a <= b[cut:] pins a to its height.  No code is a proper
+    prefix of another, so a ascending over every size, each with its rests ascending, is
+    ascending with no sort; the strict-ascent check proves the codes distinct too.
     """
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
@@ -402,16 +404,13 @@ def _center_codes(n: int, d: int) -> list[bytes]:
     memo: dict[tuple[int, int], tuple[bytes, ...]] = {}
     r, odd = divmod(d, 2)
     head, cut = (b"2", 0) if odd else (b"1(", 1)
-    codes = sorted(
-        head + a + b[cut:]
-        for k in range(r + odd, n - r)  # a tree of height h has h+1 vertices or more
-        for b in _rooted_codes(n - k, r, memo)
-        if b.startswith(b"(" * (r + 1))
-        for a in _rooted_codes(k, r - 1 + odd, memo)
-        if a <= b[cut:]
-    )
-    if len(set(codes)) != len(codes):
-        raise RuntimeError(f"tree generator emitted isomorphic duplicates at n={n}, d={d}")
+    firsts, rests = [], {}
+    for k in range(r + odd, n - r):  # a tree of height h has h+1 vertices or more
+        firsts += _rooted_codes(k, r - 1 + odd, memo)
+        rests[k] = [b[cut:] for b in _rooted_codes(n - k, r, memo) if b.startswith(b"(" * (r + 1))]
+    codes = [head + a + b for a in sorted(firsts) for b in rests[len(a) // 2] if a <= b]
+    if any(x >= y for x, y in zip(codes, codes[1:])):
+        raise RuntimeError(f"tree generator emitted codes out of order or twice at n={n}, d={d}")
     return codes
 
 
@@ -475,11 +474,19 @@ def _spider_shorthand(p: SpiderProfile) -> str:
     return f"path:{p.diameter}" if len(p.lengths) == 2 else "spider:" + ",".join(str(l) for l in p.lengths)
 
 
-def _double_spider_shorthand(p: DoubleSpiderProfile) -> str:
-    """Shorthand of make_double_spider(p), read off the profile: a spider or path when a side has one branch."""
+def _lone_side_spider(p: DoubleSpiderProfile) -> Optional[SpiderProfile]:
+    """The spider that p is when a side has one branch: with the central edge that branch is one longer."""
     for lone, hub in ((p.b_lengths, p.a_lengths), (p.a_lengths, p.b_lengths)):
         if len(lone) == 1:
-            return _spider_shorthand(SpiderProfile(hub + (lone[0] + 1,)))
+            return SpiderProfile(hub + (lone[0] + 1,))
+    return None
+
+
+def _double_spider_shorthand(p: DoubleSpiderProfile) -> str:
+    """Shorthand of make_double_spider(p), read off the profile: a spider or path when a side has one branch."""
+    spider = _lone_side_spider(p)
+    if spider is not None:
+        return _spider_shorthand(spider)
     return "ds:" + ",".join(str(l) for l in p.a_lengths) + "/" + ",".join(str(l) for l in p.b_lengths)
 
 

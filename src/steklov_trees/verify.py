@@ -2,19 +2,19 @@
 
 Everything the classifier claims is checkable at desk scale by exhaustion:
 enumerate every unlabeled tree of a given order and diameter as its
-canonical code, compute lambda_2 in batches from the leaf distance form
-P(-D/2)P straight from those codes (spectral._lambda2_batch, sharded
-over at most one process per CPU), and compare winner sets; and sweep
-the balanced family for unimodality, every mass of a radius in one
-call, as `steklov sweep` does.  Reports never hide a failure:
-verdicts are match / tie_unresolved / mismatch, with ties flagged only
-below the resolution of floating point.  The root equations that a
-tree's shape admits are listed here too, for `lambda2 --method root`.
+canonical code, compute lambda_2 from the leaf distance form P(-D/2)P
+straight from those codes, one batch (spectral._lambda2_batch) per
+chunk of _CHUNK codes, sharded over at most one process per CPU and
+chunk, and compare winner sets; and sweep the balanced family for
+unimodality, every mass of a radius in one call, as `steklov sweep`
+does.  Reports never hide a failure: verdicts are match /
+tie_unresolved / mismatch, with ties flagged only below the resolution
+of floating point.  The root equations that a tree's shape admits are
+listed here too, for `lambda2 --method root`.
 """
 
 from __future__ import annotations
 
-import math
 import os
 from dataclasses import dataclass
 from typing import Iterator, Sequence
@@ -24,8 +24,8 @@ from .roots import _sigma_tables, double_spider_rho, spider_lambda2
 from .spectral import _lambda2_batch
 from .trees import SpiderProfile, Tree, _center_codes, canonical_code, make_spider, recognize_double_spider, recognize_spider
 
-# Sharding below this many trees costs more than it saves.
-_MIN_SHARD_SIZE = 64
+# Trees per stacked batch; bounds the kernel's memory at O(_CHUNK n^2) bytes.
+_CHUNK = 4096
 
 
 @dataclass(frozen=True)
@@ -71,24 +71,23 @@ def _resolve_jobs(jobs: int | None) -> int:
 def _evaluate_all(n: int, d: int, jobs: int | None) -> list[tuple[bytes, float]]:
     """(canonical code, lambda_2) for every tree of order n, diameter d, in code order.
 
-    The generator's codes are evaluated as they are, in batches; no tree
-    is built.  Work may be sharded over at most one process per CPU; the
-    shards' values are joined in code order, so the result is
-    byte-identical for any job count.
+    The generator's codes are cut into chunks of _CHUNK and each chunk is
+    evaluated as one batch; no tree is built.  The chunks are mapped in
+    order, serially or over at most one process per job, CPU and chunk,
+    so the result is byte-identical for any job count.
     """
     codes = _center_codes(n, d)
-    jobs = min(_resolve_jobs(jobs), os.cpu_count() or 1)
-    if jobs == 1 or len(codes) < _MIN_SHARD_SIZE:
-        values = _lambda2_batch(codes).tolist()
+    chunks = [codes[i : i + _CHUNK] for i in range(0, len(codes), _CHUNK)]
+    workers = min(_resolve_jobs(jobs), os.cpu_count() or 1, len(chunks))
+    if workers <= 1:
+        parts = map(_lambda2_batch, chunks)
     else:
         # Imported here: the pool machinery costs every other command start-up time and memory.
         from concurrent.futures import ProcessPoolExecutor
 
-        size = math.ceil(len(codes) / (jobs * 4))
-        chunks = [codes[i : i + size] for i in range(0, len(codes), size)]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            values = [lam for part in pool.map(_lambda2_batch, chunks) for lam in part.tolist()]
-    return list(zip(codes, values))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            parts = list(pool.map(_lambda2_batch, chunks))
+    return list(zip(codes, (lam for part in parts for lam in part.tolist())))
 
 
 def verify_classification(n: int, d: int, jobs: int | None = None) -> VerificationReport:

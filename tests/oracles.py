@@ -124,7 +124,7 @@ def rational_root_bracket(
 def bisect_reference(f: Callable[[float], float], lo: float, hi: float) -> float:
     """Float bisection of an increasing f on (lo, hi) that evaluates every midpoint.
 
-    roots._bisect without an estimate: it halves until no float is left
+    roots._bisect from a NaN estimate: it halves until no float is left
     strictly inside the bracket and returns its lower float, or its upper
     one when no midpoint had f <= 0, or the first midpoint where f
     divides by zero.

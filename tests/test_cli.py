@@ -1,13 +1,16 @@
 """End-to-end command-line checks: goldens, exit codes, determinism."""
 
 import ast
+import csv
 import hashlib
 import importlib
+import io
 import json
 import math
 import os
 import random
 import re
+import resource
 import subprocess
 import sys
 from fractions import Fraction
@@ -577,6 +580,43 @@ def test_order_too_large_to_build_exits_four(capsys, argv):
     code, out, err = _capture(capsys, argv)
     assert (code, out) == (4, "")
     assert err.startswith("error: ") and err != "error: \n" and err.count("\n") == 1
+
+
+def test_classify_prints_the_sweep_sigma_of_each_candidate(capsys):
+    # classify solves each candidate on its own, sweep a whole table in one stacked bisection;
+    # at 12 significant digits they print the same number.
+    for r in range(1, 10):
+        _, out, _ = _capture(capsys, ["sweep", "--r", str(r), "--M-max", "82", "--format", "csv"])
+        sigma = {(int(row["M"]), int(row["q"])): row["sigma"] for row in csv.DictReader(io.StringIO(out))}
+        for m in range(1, 83):
+            code, out, _ = _capture(capsys, ["classify", str(2 * r + 2 + m), str(2 * r + 1), "--format", "csv"])
+            rows = list(csv.DictReader(io.StringIO(out)))
+            assert code == 0 and rows
+            for row in rows:
+                assert row["lambda2"] == sigma[m, int(row["q"])], (r, m, row)
+
+
+def _limit_memory():
+    resource.setrlimit(resource.RLIMIT_AS, (2**31, 2**31))
+
+
+@pytest.mark.parametrize(
+    "shorthand", ["spider:99999999999999999999,1", "path:99999999999999999999", "ds:99999999999999999999/1"]
+)
+def test_shorthand_too_large_to_build_exits_four(shorthand):
+    # Building these vertex by vertex would never end: the order is checked first.
+    # A child process, capped in time and memory, so that a regression cannot hang the run.
+    src = str(Path(steklov_trees.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "steklov_trees.cli", "lambda2", shorthand],
+        capture_output=True,
+        env={**os.environ, "PYTHONPATH": src},
+        preexec_fn=_limit_memory,
+        timeout=30,
+        check=False,
+    )
+    assert (proc.returncode, proc.stdout) == (4, b"")
+    assert proc.stderr.startswith(b"error: tree order ") and proc.stderr.count(b"\n") == 1
 
 
 def test_verify_mismatch_exits_three(capsys, monkeypatch):

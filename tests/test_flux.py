@@ -24,7 +24,7 @@ from steklov_trees import (
 
 from steklov_trees.spectral import _lambda2_batch
 from steklov_trees.trees import _center_codes
-import steklov_trees.spectral as spectral_module
+import steklov_trees.verify as verify_module
 
 from oracles import _code_tree, prufer_to_edges, spider_lambda2_exact
 
@@ -237,12 +237,15 @@ def test_batched_kernel_matches_dtn_oracle_and_single_tree():
                     assert abs(lam - 2.0 / d) <= 1e-12 * lam
                 elif d == 2:
                     assert abs(lam - 1.0) <= 1e-12
+    assert _lambda2_batch([]).shape == (0,)
 
 
 @pytest.mark.parametrize("chunk", [1, 7, 551])
 def test_batched_kernel_is_chunk_independent(monkeypatch, chunk):
-    # All 551 trees of order 12, every diameter and leaf count in one batch.
-    codes = [code for d in range(1, 12) for code in _center_codes(12, d)]
-    whole = _lambda2_batch(codes)
-    monkeypatch.setattr(spectral_module, "_CHUNK", chunk)
-    assert _lambda2_batch(codes).tobytes() == whole.tobytes()
+    # All 551 trees of order 12, every diameter and leaf count, cut into chunks as certification cuts them.
+    def values():
+        return np.array([lam for d in range(1, 12) for _, lam in verify_module._evaluate_all(12, d, 1)])
+
+    whole = values()
+    monkeypatch.setattr(verify_module, "_CHUNK", chunk)
+    assert values().tobytes() == whole.tobytes()

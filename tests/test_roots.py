@@ -263,9 +263,9 @@ def test_bisections_stop_on_a_midpoint_that_divides_by_zero():
     # bounds the bracket left; every loop returns it as it is.
     f = _divides_by_zero_at_half
     lo, hi = [0.0, 0.0, 0.25], [1.0, 0.5, 1.0]
-    stacked = roots._bisect_stacked(f, np.array(lo), np.array(hi)).tolist()
+    stacked = roots._bisect_stacked(f, np.array(lo), np.array(hi), lambda: np.nan).tolist()
     assert stacked[0] == 0.5
-    assert stacked == [roots._bisect(f, a, b) for a, b in zip(lo, hi)]
+    assert stacked == [roots._bisect(f, a, b, lambda: math.nan) for a, b in zip(lo, hi)]
     assert stacked == [bisect_reference(f, a, b) for a, b in zip(lo, hi)]
 
 
@@ -289,7 +289,7 @@ def test_stacked_bad_estimate_gives_the_same_roots(estimate):
     # NaN, out-of-bracket and, where no pole stop is in reach, far-off
     # estimates: the first entry's plain bisection stops on the pole 0.5.
     lo, hi = np.array([0.0, 0.0, 0.25]), np.array([1.0, 0.5, 1.0])
-    want = roots._bisect_stacked(_divides_by_zero_at_half, lo, hi)
+    want = roots._bisect_stacked(_divides_by_zero_at_half, lo, hi, lambda: np.nan)
     got = roots._bisect_stacked(_divides_by_zero_at_half, lo, hi, lambda: np.broadcast_to(estimate, lo.shape))
     assert got.tobytes() == want.tobytes()
 
@@ -525,7 +525,7 @@ def _bisect_calls(solve, *args):
     """
     real, calls = roots._bisect, []
 
-    def checked(f, lo, hi, estimate=None):
+    def checked(f, lo, hi, estimate):
         evaluations = 0
 
         def counted(x):
@@ -628,10 +628,10 @@ def test_bisect_estimate_only_saves_evaluations(solve, args):
     ((f, lo, hi, _, _),) = _bisect_calls(solve, *args)
     want = bisect_reference(f, lo, hi)
     other = math.nextafter(want, lo if f(want) > 0.0 else hi)  # the final pair's other float
-    estimates = [None, math.nextafter(lo, hi), math.nextafter(hi, lo), want, other, 0.5 * (lo + hi)]
+    estimates = [math.nextafter(lo, hi), math.nextafter(hi, lo), want, other, 0.5 * (lo + hi)]
     estimates += [math.nan, math.inf, -math.inf, lo, hi, lo - 1.0, hi + 1.0]
     for estimate in estimates:
-        got = roots._bisect(f, lo, hi, None if estimate is None else lambda: estimate)
+        got = roots._bisect(f, lo, hi, lambda: estimate)
         assert got.hex() == want.hex(), estimate
 
 

@@ -1,5 +1,6 @@
 """Tree construction, profiles, recognizers, canonical codes, enumeration."""
 
+import hashlib
 import itertools
 
 import pytest
@@ -37,7 +38,7 @@ from oracles import (
     side_arm_lengths_reference,
     tree_count_by_diameter,
 )
-from steklov_trees.trees import _side_arm_lengths
+from steklov_trees.trees import _center_codes, _side_arm_lengths
 
 
 # ------------------------------ Tree basics ------------------------------
@@ -292,6 +293,18 @@ def test_enumeration_matches_networkx_generator(n):
 def test_enumeration_counts_match_height_recurrence(n):
     for d in range(1, n):
         assert sum(1 for _ in enumerate_trees(n, d)) == tree_count_by_diameter(n, d), d
+
+
+@pytest.mark.parametrize(
+    "n, d, digest",
+    [
+        (18, 7, "b281f37f5ed722c4113c89c8512bbb2f76f7160e118235652b0f9ca6604a1d39"),
+        (19, 8, "5336603f2344dc7ad88505cf589310998bbe51c331b3a3b5a4d94867fb04b4d4"),
+    ],
+)
+def test_generator_codes_are_frozen(n, d, digest):
+    # The codes of one order and diameter have one length, so this pins their bytes and their order.
+    assert hashlib.sha256(b"".join(_center_codes(n, d))).hexdigest() == digest
 
 
 # --------------------------- parse and render ----------------------------

@@ -60,9 +60,9 @@ def test_brute_force_rejects_bad_jobs():
         verify_classification(6, 5, jobs=0)
 
 
-@pytest.mark.parametrize("cpus, workers", [(3, [3]), (1, []), (None, [])])
-def test_jobs_are_capped_at_the_cpu_count(monkeypatch, cpus, workers):
-    # A huge job count must not fork that many processes; never run one for real.
+@pytest.fixture
+def pools_started(monkeypatch):
+    """max_workers of every pool _evaluate_all opens; the pool maps in process, never forking."""
     started = []
 
     class SerialPool:
@@ -79,10 +79,25 @@ def test_jobs_are_capped_at_the_cpu_count(monkeypatch, cpus, workers):
             return map(fn, chunks)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    return started
+
+
+@pytest.mark.parametrize("cpus, workers", [(3, [3]), (1, []), (None, [])])
+def test_jobs_are_capped_at_the_cpu_count(monkeypatch, pools_started, cpus, workers):
+    # A huge job count must not fork that many processes.  The 110 trees of (12, 5) span 7 chunks.
+    monkeypatch.setattr(verify_module, "_CHUNK", 16)
     monkeypatch.setattr(verify_module.os, "cpu_count", lambda: cpus)
     rows = verify_module._evaluate_all(12, 5, 10**6)
-    assert started == workers
+    assert pools_started == workers
     assert rows == verify_module._evaluate_all(12, 5, 1)
+
+
+def test_one_chunk_starts_no_pool(monkeypatch, pools_started):
+    # The 110 trees of (12, 5) are one chunk: three jobs would have nothing to share.
+    monkeypatch.setattr(verify_module.os, "cpu_count", lambda: 4)
+    rows = verify_module._evaluate_all(12, 5, 3)
+    assert pools_started == []
+    assert len(rows) == 110
 
 
 # ------------------------- classification runs -------------------------
