@@ -406,9 +406,9 @@ def _center_codes(n: int, d: int) -> list[bytes]:
     head, cut = (b"2", 0) if odd else (b"1(", 1)
     firsts, rests = [], {}
     for k in range(r + odd, n - r):  # a tree of height h has h+1 vertices or more
-        firsts += _rooted_codes(k, r - 1 + odd, memo)
+        firsts += ((a, k) for a in _rooted_codes(k, r - 1 + odd, memo))
         rests[k] = [b[cut:] for b in _rooted_codes(n - k, r, memo) if b.startswith(b"(" * (r + 1))]
-    codes = [head + a + b for a in sorted(firsts) for b in rests[len(a) // 2] if a <= b]
+    codes = [head + a + b for a, k in sorted(firsts) for b in rests[k] if a <= b]
     if any(x >= y for x, y in zip(codes, codes[1:])):
         raise RuntimeError(f"tree generator emitted codes out of order or twice at n={n}, d={d}")
     return codes

@@ -3,14 +3,14 @@
 Everything the classifier claims is checkable at desk scale by exhaustion:
 enumerate every unlabeled tree of a given order and diameter as its
 canonical code, compute lambda_2 from the leaf distance form P(-D/2)P
-straight from those codes, one batch (spectral._lambda2_batch) per
-chunk of _CHUNK codes, sharded over at most one process per CPU and
-chunk, and compare winner sets; and sweep the balanced family for
-unimodality, every mass of a radius in one call, as `steklov sweep`
-does.  Reports never hide a failure: verdicts are match /
-tie_unresolved / mismatch, with ties flagged only below the resolution
-of floating point.  The root equations that a tree's shape admits are
-listed here too, for `lambda2 --method root`.
+straight from those codes, one batch (spectral._lambda2_batch) per chunk
+of at most _CHUNK codes, shared equally over at most one process per CPU
+and chunk, and compare winner sets; and sweep the balanced family for
+unimodality, every mass of a radius in one call, as `steklov sweep` does.
+Reports never hide a failure: verdicts are match / tie_unresolved /
+mismatch, with ties flagged only below the resolution of floating point.
+The root equations that a tree's shape admits are listed here too, for
+`lambda2 --method root`.
 """
 
 from __future__ import annotations
@@ -71,15 +71,17 @@ def _resolve_jobs(jobs: int | None) -> int:
 def _evaluate_all(n: int, d: int, jobs: int | None) -> list[tuple[bytes, float]]:
     """(canonical code, lambda_2) for every tree of order n, diameter d, in code order.
 
-    The generator's codes are cut into chunks of _CHUNK and each chunk is
-    evaluated as one batch; no tree is built.  The chunks are mapped in
-    order, serially or over at most one process per job, CPU and chunk,
-    so the result is byte-identical for any job count.
+    The generator's codes are cut into chunks of at most _CHUNK, equal to
+    within one code and, past one chunk, a multiple of the workers in
+    number; each is one batch, built from codes alone, mapped in order,
+    serially or over at most one process per job, CPU and chunk, so the
+    result is byte-identical for any job count.
     """
     codes = _center_codes(n, d)
-    chunks = [codes[i : i + _CHUNK] for i in range(0, len(codes), _CHUNK)]
-    workers = min(_resolve_jobs(jobs), os.cpu_count() or 1, len(chunks))
-    if workers <= 1:
+    workers = min(_resolve_jobs(jobs), os.cpu_count() or 1)
+    count = -(-len(codes) // (_CHUNK * workers)) * workers if len(codes) > _CHUNK else 1
+    chunks = [codes[i * len(codes) // count : (i + 1) * len(codes) // count] for i in range(count)]
+    if min(workers, count) == 1:
         parts = map(_lambda2_batch, chunks)
     else:
         # Imported here: the pool machinery costs every other command start-up time and memory.

@@ -92,6 +92,19 @@ def test_jobs_are_capped_at_the_cpu_count(monkeypatch, pools_started, cpus, work
     assert rows == verify_module._evaluate_all(12, 5, 1)
 
 
+def test_chunks_are_shared_equally_between_workers(monkeypatch, pools_started):
+    # 110 codes need 7 chunks of at most 16; three workers get 9 chunks of 12 or 13, three each.
+    monkeypatch.setattr(verify_module, "_CHUNK", 16)
+    monkeypatch.setattr(verify_module.os, "cpu_count", lambda: 3)
+    sizes = []
+    batch = verify_module._lambda2_batch
+    monkeypatch.setattr(verify_module, "_lambda2_batch", lambda codes: sizes.append(len(codes)) or batch(codes))
+    rows = verify_module._evaluate_all(12, 5, 3)
+    assert pools_started == [3]
+    assert len(sizes) == 9 and sum(sizes) == 110 and set(sizes) == {12, 13}
+    assert rows == verify_module._evaluate_all(12, 5, 1)
+
+
 def test_one_chunk_starts_no_pool(monkeypatch, pools_started):
     # The 110 trees of (12, 5) are one chunk: three jobs would have nothing to share.
     monkeypatch.setattr(verify_module.os, "cpu_count", lambda: 4)
