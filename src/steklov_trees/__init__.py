@@ -59,7 +59,6 @@ from .classify import (
 )
 from .reduce import (
     arm_transfer,
-    balance_main_step,
     balance_side_step,
     dominating_double_spider,
     greedy_ascent_trace,
@@ -85,7 +84,6 @@ __all__ = [
     "UnimodalityReport",
     "VerificationReport",
     "arm_transfer",
-    "balance_main_step",
     "balance_side_step",
     "candidate_profiles",
     "canonical_code",

@@ -395,7 +395,7 @@ def _build_parser() -> _Parser:
     sub.add_argument("D", type=int)
     sub.add_argument("--all-orders", action="store_true", help="run every order from D+1 up to n")
     sub.add_argument(
-        "--jobs", type=int, default=None, help="worker processes, at most one per CPU and 4096-tree chunk (default: STEKLOV_JOBS or 1)"
+        "--jobs", type=int, default=1, help="worker processes, at most one per CPU and 4096-tree chunk (default: 1)"
     )
     _add_format_argument(sub)
     sub.set_defaults(handler=_cmd_verify)

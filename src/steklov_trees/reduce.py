@@ -3,7 +3,7 @@
 Three mechanisms: replacing an odd-diameter tree by the double spider
 that dominates it edge-for-edge (its sides read by the arm walk the
 recognizers use), transferring a branch between the two hubs of a double
-spider, and the two balancing moves on spider branch lengths.  Each move
+spider, and balancing a spider's side branch lengths.  Each move
 maps (profile, root) to (profile, root): the root passed in must be the
 profile's own (rho = 1/lambda_2 for a double spider, lambda_2 for a
 spider), and only the result's root is solved.  One check guards every
@@ -16,11 +16,10 @@ input's lambda_2 within classify's relative tie band.
 
 from __future__ import annotations
 
-from collections import Counter
 from numbers import Rational
 
 from .classify import _TIE_RTOL, _near_argmax
-from .roots import _double_spider_equation, _pole_sum, _resolvent_sum, double_spider_rho, spider_lambda2
+from .roots import _double_spider_equation, _pole_sum, _resolvent_sum, _spider_terms, double_spider_rho, spider_lambda2
 from .spectral import lambda2_numeric
 from .trees import DoubleSpiderProfile, SpiderProfile, Tree, _double_sweep, _lone_side_spider, _side_arm_lengths, diameter
 
@@ -29,7 +28,7 @@ Profile = SpiderProfile | DoubleSpiderProfile
 
 def _equation(p: Profile, x: Rational) -> Rational:
     if isinstance(p, SpiderProfile):
-        return _pole_sum(tuple(Counter(p.lengths).items()), x)
+        return _pole_sum(_spider_terms(p.lengths), x)
     return _double_spider_equation(p, x)
 
 
@@ -112,30 +111,6 @@ def arm_transfer(p: DoubleSpiderProfile, rho: float, k: int = 2) -> tuple[Double
 
 
 # -------------------------- balancing moves ----------------------------
-
-
-def balance_main_step(p: SpiderProfile, lam: float) -> tuple[SpiderProfile, float]:
-    """Shift one vertex from the longest branch to the second longest; the result with its lambda_2.
-
-    lam must be p's own root, spider_lambda2(p).  Requires
-    l1 >= l2 + 2 with l1 + l2 odd and at least three branches (side
-    branches never exceed l2 in a sorted profile); then
-    (l1, l2) -> (l1 - 1, l2 + 1) strictly increases lambda_2, keeping
-    order and diameter.
-    """
-    l1, l2 = p.lengths[0], p.lengths[1]
-    sides = p.lengths[2:]
-    if not sides:
-        raise ValueError("move needs at least three branches")
-    if l1 < l2 + 2:
-        raise ValueError(f"longest branches {l1}, {l2} differ by less than 2")
-    if (l1 + l2) % 2 == 0:
-        raise ValueError(f"main branches {l1}, {l2} must have odd total")
-
-    result = SpiderProfile((l1 - 1, l2 + 1) + sides)
-    if result.order != p.order or result.diameter != p.diameter:
-        raise RuntimeError(f"main balance changed order or diameter: {p} -> {result}")
-    return result, _checked_root(p, lam, result)
 
 
 def balance_side_step(p: SpiderProfile, lam: float) -> tuple[SpiderProfile, float]:

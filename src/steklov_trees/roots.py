@@ -5,10 +5,15 @@ also satisfies a one-variable equation: the spider equation F(lambda),
 its balanced-family form Phi_{r,M}, the two-sided resolvent equation for
 double spiders, and the threshold quadratic that orders the two
 balanced candidates.  The one-center equations are all the pole sum
-sum_i w_i/(1 - l_i lambda) with grouped weights, evaluated by one
-helper.  Each equation is strictly increasing on an explicit bracket
-whose endpoints are poles, and its root is the largest float of the
-bracket at which its float evaluation is <= 0: with no tolerance, and
+sum_i w_i/(1 - l_i lambda), evaluated by one helper over terms that one
+rule writes: the two principal branches as poles of weight 1, then the
+laterals grouped by length, longest first.  spider_lambda2, the sweep
+table and reduce's exact check sum those terms in that order, so they
+solve one equation; both Newton estimates read l1 and l2 from the
+first two terms and bound every later one in one upper model.  Each
+equation is strictly increasing on an explicit bracket whose endpoints
+are poles, and its root is the largest float of the bracket at which
+its float evaluation is <= 0: with no tolerance, and
 the same float whichever points a bisection evaluates, as long as that
 evaluation changes sign once.  That is a property test, not a runtime
 check.  One bisection walks from a Newton estimate, then halves only
@@ -141,25 +146,25 @@ def _pole_sum(terms: Sequence[tuple[int, float]], lam: float) -> float:
     return sum(w / (1 - l * lam) for l, w in terms)
 
 
-def _pole_sum_estimate(terms: Sequence[tuple[int, float]], l1: int, l2: int) -> float:
+def _pole_sum_estimate(terms: Sequence[tuple[int, float]]) -> float:
     """Newton estimate of the pole sum's zero in (1/l1, 1/l2), for _bisect.
 
-    h(x) = (1 - l1 x) sum w/(1 - l x) = w1 + (1 - l1 x) g(x) is concave
-    and decreasing there, as g is positive, increasing and convex.  Each
-    term of g with l < l2 is at least its value at 1/l1, so with those
-    constants h's two-pole model lies above h: Newton descends from its root.
+    l1 and l2 are the first two terms' lengths, every later term is a
+    lateral with l <= l2.  h(x) = (1 - l1 x) sum w/(1 - l x) = w1 +
+    (1 - l1 x) g(x) is concave and decreasing there, as g is positive,
+    increasing and convex.  Each lateral term of g is at least its value
+    at 1/l1, so with those constants h's two-pole model lies above h:
+    Newton descends from its root.
     """
-    w1 = sum(w for l, w in terms if l == l1)
-    rest = [(l, w) for l, w in terms if l != l1]
-    w2 = sum(w for l, w in rest if l == l2)
-    lateral = sum(w * l1 / (l1 - l) for l, w in rest if l != l2)
+    (l1, w1), (l2, w2), *laterals = terms
+    lateral = sum(w * l1 / (l1 - l) for l, w in laterals)
     # The model times (1 - l2 x): lateral l1 l2 x^2 - p x + q, positive at 1/l1 and negative at 1/l2.
     p = w1 * l2 + (w2 + lateral) * l1 + lateral * l2
     q = w1 + w2 + lateral
     x = 2 * q / (p + math.sqrt(max(p * p - 4 * lateral * l1 * l2 * q, 0.0)))
     for _ in range(_NEWTON_PASSES):
         g = slope = 0.0
-        for l, w in rest:
+        for l, w in terms[1:]:
             d = 1 - l * x
             g += w / d
             slope += w * l / (d * d)
@@ -170,22 +175,19 @@ def _pole_sum_estimate(terms: Sequence[tuple[int, float]], l1: int, l2: int) -> 
     return x
 
 
-def _stacked_estimate(terms: Sequence[tuple[np.ndarray | int, np.ndarray | int]], l1: int, l2: int) -> np.ndarray:
+def _stacked_estimate(terms: Sequence[tuple[np.ndarray | int, np.ndarray | int]]) -> np.ndarray:
     """_pole_sum_estimate elementwise, for terms of array (or scalar) lengths and weights.
 
-    A term joins w1, w2 or the lateral sum by mask, as a length may meet l1
-    or l2 in some entries only; where it is left out or weighs zero it adds
-    +0.0.  Each entry stops descending where the scalar loop would.
+    The same upper model read the same way: l1 and l2 from the first two
+    terms, every later term a lateral whose length is at most l2 in every
+    entry.  Each entry stops descending where the scalar loop would.
     """
-    terms = [(np.asarray(l), np.asarray(w)) for l, w in terms]
-    w1 = sum(np.where(l == l1, w, 0) for l, w in terms)
-    rest = [(l, np.where(l == l1, 0, w)) for l, w in terms]
-    w2 = sum(np.where(l == l2, w, 0) for l, w in rest)
-    lateral = sum(np.where((l == l1) | (l == l2), 0.0, w * float(l1) / (l1 - l)) for l, w in terms)
+    (l1, w1), (l2, w2), *laterals = terms
+    lateral = sum(w * float(l1) / (l1 - l) for l, w in laterals)
     p = w1 * l2 + (w2 + lateral) * l1 + lateral * l2
     q = w1 + w2 + lateral
     x = 2 * q / (p + np.sqrt(np.maximum(p * p - 4 * lateral * l1 * l2 * q, 0.0)))
-    rest = [(l, w, w * l) for l, w in rest if w.any()]
+    rest = [(l, w, w * l) for l, w in terms[1:]]
     for _ in range(_NEWTON_PASSES):
         g = slope = 0.0
         for l, w, wl in rest:
@@ -204,22 +206,30 @@ def _stacked_estimate(terms: Sequence[tuple[np.ndarray | int, np.ndarray | int]]
 # --------------------------- spider equation --------------------------
 
 
+def _spider_terms(lengths: Sequence[int]) -> tuple[tuple[int, int], ...]:
+    """The spider equation's poles, for lengths sorted longest first.
+
+    The two principal branches are separate poles of weight 1, then the
+    laterals follow grouped by length, longest first: (length, count).
+    """
+    return ((lengths[0], 1), (lengths[1], 1), *Counter(lengths[2:]).items())
+
+
 def spider_lambda2(lengths: SpiderProfile | Sequence[int]) -> float:
     """lambda_2 of a spider with a strict longest branch.
 
     Solves sum_i 1/(1 - l_i lambda) = 0 on (1/l_1, 1/l_2), where the
-    function climbs from -inf to +inf; equal lengths share one weighted
-    pole, so an evaluation costs O(distinct lengths).  A repeated longest branch makes
-    lambda_2 the pole 1/l_1 itself and is rejected.
+    function climbs from -inf to +inf, over _spider_terms: equal lateral
+    lengths share one weighted pole, so an evaluation costs O(distinct
+    lengths).  A repeated longest branch makes lambda_2 the pole 1/l_1
+    itself and is rejected.
     """
     profile = lengths if isinstance(lengths, SpiderProfile) else SpiderProfile(tuple(lengths))
     ls = profile.lengths
     if ls[0] == ls[1]:
         raise ValueError(f"longest branch must be strict, got lengths {ls}")
-    terms = tuple(Counter(ls).items())
-    return _bisect(
-        lambda lam: _pole_sum(terms, lam), 1.0 / ls[0], 1.0 / ls[1], lambda: _pole_sum_estimate(terms, ls[0], ls[1])
-    )
+    terms = _spider_terms(ls)
+    return _bisect(lambda lam: _pole_sum(terms, lam), 1.0 / ls[0], 1.0 / ls[1], lambda: _pole_sum_estimate(terms))
 
 
 # ------------------------- balanced family ----------------------------
@@ -238,11 +248,12 @@ def _sigma_tables(r: int, masses: Sequence[int]) -> list[tuple[tuple[int, float]
     sigma is the root in (1/(r+1), 1/r) of the balanced-family equation:
     the spider equation of principal branches (r+1, r) and q lateral
     branches of total length M spread as evenly as possible, c = M // q
-    long or one longer.  One stacked bisection solves every root from a
-    stacked estimate, with the pole sum's terms in a fixed order.  Where q divides M the weight
-    on the pole 1/(c+1) is zero instead of dropped; that pole lies
-    outside the open bracket, so the term adds +-0.0 and each value
-    equals the dropped-term scalar root's bit for bit.
+    long or one longer, with its terms in _spider_terms' order.  One
+    stacked bisection solves every root from a stacked estimate.  Where q
+    divides M the weight on the longer laterals is zero instead of
+    dropped, and their length is capped at r so that the term never sits
+    on the pole 1/(r+1): it adds +-0.0 inside the open bracket, and each
+    value equals spider_lambda2's of its balanced profile bit for bit.
     """
     spans = [q_range_integer(r, M) for M in masses]
     if not spans:
@@ -250,9 +261,9 @@ def _sigma_tables(r: int, masses: Sequence[int]) -> list[tuple[tuple[int, float]
     q = np.concatenate([np.arange(lo, hi + 1) for lo, hi in spans])
     m = np.repeat(masses, [hi - lo + 1 for lo, hi in spans])
     c = m // q
-    terms = ((r + 1, 1), (r, 1), (c + 1, m - c * q), (c, (c + 1) * q - m))
+    terms = ((r + 1, 1), (r, 1), (c + (c < r), m - c * q), (c, (c + 1) * q - m))
     brackets = np.full(len(q), 1.0 / (r + 1)), np.full(len(q), 1.0 / r)
-    sigma = _bisect_stacked(lambda lam: _pole_sum(terms, lam), *brackets, lambda: _stacked_estimate(terms, r + 1, r))
+    sigma = _bisect_stacked(lambda lam: _pole_sum(terms, lam), *brackets, lambda: _stacked_estimate(terms))
     rows = zip(q.tolist(), sigma.tolist())
     return [tuple(islice(rows, hi - lo + 1)) for lo, hi in spans]
 

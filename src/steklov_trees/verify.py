@@ -57,18 +57,7 @@ class UnimodalityReport:
 # ------------------------- sharded evaluation --------------------------
 
 
-def _resolve_jobs(jobs: int | None) -> int:
-    if jobs is not None:
-        if jobs < 1:
-            raise ValueError(f"jobs must be >= 1, got {jobs}")
-        return jobs
-    raw = os.environ.get("STEKLOV_JOBS", "1")
-    if not raw.strip().isdecimal() or int(raw) < 1:
-        raise ValueError(f"STEKLOV_JOBS must be an integer >= 1, got {raw!r}")
-    return int(raw)
-
-
-def _evaluate_all(n: int, d: int, jobs: int | None) -> list[tuple[bytes, float]]:
+def _evaluate_all(n: int, d: int, jobs: int) -> list[tuple[bytes, float]]:
     """(canonical code, lambda_2) for every tree of order n, diameter d, in code order.
 
     The generator's codes are cut into chunks of at most _CHUNK, equal to
@@ -77,8 +66,10 @@ def _evaluate_all(n: int, d: int, jobs: int | None) -> list[tuple[bytes, float]]
     serially or over at most one process per job, CPU and chunk, so the
     result is byte-identical for any job count.
     """
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
     codes = _center_codes(n, d)
-    workers = min(_resolve_jobs(jobs), os.cpu_count() or 1)
+    workers = min(jobs, os.cpu_count() or 1)
     count = -(-len(codes) // (_CHUNK * workers)) * workers if len(codes) > _CHUNK else 1
     chunks = [codes[i * len(codes) // count : (i + 1) * len(codes) // count] for i in range(count)]
     if min(workers, count) == 1:
@@ -92,7 +83,7 @@ def _evaluate_all(n: int, d: int, jobs: int | None) -> list[tuple[bytes, float]]
     return list(zip(codes, (lam for part in parts for lam in part.tolist())))
 
 
-def verify_classification(n: int, d: int, jobs: int | None = None) -> VerificationReport:
+def verify_classification(n: int, d: int, jobs: int = 1) -> VerificationReport:
     """Compare the classifier's winner set against exhaustive search."""
     # classify checks the domain; an empty enumeration would have no maximum.
     result = classify(n, d)

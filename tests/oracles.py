@@ -14,11 +14,11 @@ distance matrix.
 Keep this module free of imports from the package except where a test
 explicitly certifies one route against the other, as the certification
 harness at the end does: the double-spider domination inequality tree by
-tree, and every applicable lambda_2 route against the others.  Two
+tree, and every applicable lambda_2 route against the others.  Three
 test-only forms of package routes also live here: the scalar
 balanced-family root at real q, which the stacked sweep table must
-equal bit for bit, and the center-rooted generator's codes built into
-Tree objects.
+equal bit for bit, the center-rooted generator's codes built into
+Tree objects, and the main balancing move, which no subcommand runs.
 """
 
 from __future__ import annotations
@@ -37,6 +37,7 @@ import numpy as np
 from steklov_trees import (
     BoundaryFlux,
     DoubleSpiderProfile,
+    SpiderProfile,
     Tree,
     canonical_code,
     dominating_double_spider,
@@ -51,6 +52,7 @@ from steklov_trees import (
 )
 from steklov_trees import roots
 from steklov_trees.classify import _TIE_RTOL
+from steklov_trees.reduce import _checked_root
 from steklov_trees.roots import _resolvent_sum
 from steklov_trees.trees import _center_codes
 from steklov_trees.verify import _root_routes
@@ -198,7 +200,7 @@ def sigma_rM(r: int, M: int, q: float) -> float:
         lambda lam: roots._pole_sum(terms, lam),
         1.0 / (r + 1),
         1.0 / r,
-        lambda: roots._pole_sum_estimate(terms, r + 1, r),
+        lambda: roots._pole_sum_estimate(terms),
     )
 
 
@@ -277,6 +279,34 @@ def double_spider_maximizer(p: DoubleSpiderProfile):
     if abs(quotient - rho) > 1e-9 * max(1.0, abs(rho)):
         raise RuntimeError(f"maximizer quotient {quotient} does not match rho {rho}")
     return z
+
+
+# -------------------------- main balancing move ---------------------------
+# No subcommand or ascent runs it; the tests check it as the package's moves.
+
+
+def balance_main_step(p: SpiderProfile, lam: float) -> tuple[SpiderProfile, float]:
+    """Shift one vertex from the longest branch to the second longest; the result with its lambda_2.
+
+    lam must be p's own root, spider_lambda2(p).  Requires
+    l1 >= l2 + 2 with l1 + l2 odd and at least three branches (side
+    branches never exceed l2 in a sorted profile); then
+    (l1, l2) -> (l1 - 1, l2 + 1) strictly increases lambda_2, keeping
+    order and diameter.
+    """
+    l1, l2 = p.lengths[0], p.lengths[1]
+    sides = p.lengths[2:]
+    if not sides:
+        raise ValueError("move needs at least three branches")
+    if l1 < l2 + 2:
+        raise ValueError(f"longest branches {l1}, {l2} differ by less than 2")
+    if (l1 + l2) % 2 == 0:
+        raise ValueError(f"main branches {l1}, {l2} must have odd total")
+
+    result = SpiderProfile((l1 - 1, l2 + 1) + sides)
+    if result.order != p.order or result.diameter != p.diameter:
+        raise RuntimeError(f"main balance changed order or diameter: {p} -> {result}")
+    return result, _checked_root(p, lam, result)
 
 
 # --------------------------- arm decomposition ---------------------------

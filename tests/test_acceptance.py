@@ -20,7 +20,6 @@ from steklov_trees import (
     DoubleSpiderProfile,
     SpiderProfile,
     arm_transfer,
-    balance_main_step,
     balance_side_step,
     canonical_code,
     cut_sums,
@@ -40,7 +39,7 @@ from steklov_trees import (
     verify_unimodality,
 )
 
-from oracles import enumerate_trees, jacobi_eigenvalues, verify_cross_methods, verify_domination
+from oracles import balance_main_step, enumerate_trees, jacobi_eigenvalues, verify_cross_methods, verify_domination
 
 # (D, largest order) grid for the classification certification.
 CERTIFICATION_GRID = ((3, 16), (5, 16), (7, 15), (9, 14))

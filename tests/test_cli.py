@@ -458,21 +458,14 @@ def test_even_diameter_is_domain_error(capsys):
         (["verify", "3", "1"], "need diameter >= 3, got 1"),
         (["sweep", "--r", "2", "--M-max", "0"], "need --r >= 1 and --M-max >= 1, got --r 2, --M-max 0"),
         (["sweep", "--r", "0", "--M-max", "0"], "need --r >= 1 and --M-max >= 1, got --r 0, --M-max 0"),
+        (["verify", "6", "5", "--jobs", "0"], "jobs must be >= 1, got 0"),
     ],
-    ids=["verify-2-1", "verify-3-1", "sweep-M-max-0", "sweep-r-0"],
+    ids=["verify-2-1", "verify-3-1", "sweep-M-max-0", "sweep-r-0", "verify-jobs-0"],
 )
 def test_out_of_domain_arguments_are_one_line_errors(capsys, argv, message):
     code, out, err = _capture(capsys, argv)
     assert (code, out) == (2, "")
     assert err == f"error: {message}\n"
-
-
-@pytest.mark.parametrize("value", ["x", "0"])
-def test_bad_jobs_variable_is_domain_error(capsys, monkeypatch, value):
-    monkeypatch.setenv("STEKLOV_JOBS", value)
-    code, out, err = _capture(capsys, ["verify", "6", "5"])
-    assert (code, out) == (2, "")
-    assert err == f"error: STEKLOV_JOBS must be an integer >= 1, got {value!r}\n"
 
 
 def test_bad_shorthand_is_domain_error(capsys):
@@ -630,7 +623,7 @@ def test_verify_mismatch_exits_three(capsys, monkeypatch):
         classifier_winners=(),
         verdict="mismatch",
     )
-    monkeypatch.setattr(cli_module, "verify_classification", lambda n, d, jobs=None: fake)
+    monkeypatch.setattr(cli_module, "verify_classification", lambda n, d, jobs=1: fake)
     code, out, _ = _capture(capsys, ["verify", "7", "5"])
     assert code == 3
     assert "verdict=mismatch" in out
@@ -666,13 +659,10 @@ def test_shared_parser_keeps_no_state_between_runs(capsys):
     assert cli_module._build_parser() is cli_module._build_parser()
 
 
-def test_verify_jobs_do_not_change_bytes(capsys, monkeypatch):
+def test_verify_jobs_do_not_change_bytes(capsys):
     _, serial, _ = _capture(capsys, ["verify", "12", "5", "--jobs", "1"])
     _, sharded, _ = _capture(capsys, ["verify", "12", "5", "--jobs", "2"])
     assert serial == sharded
-    monkeypatch.setenv("STEKLOV_JOBS", "3")
-    _, via_env, _ = _capture(capsys, ["verify", "12", "5"])
-    assert via_env == serial
 
 
 def test_cli_import_leaves_the_process_pool_unloaded():
@@ -740,7 +730,6 @@ PUBLIC_NAMES = [
     "UnimodalityReport",
     "VerificationReport",
     "arm_transfer",
-    "balance_main_step",
     "balance_side_step",
     "candidate_profiles",
     "canonical_code",

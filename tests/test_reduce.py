@@ -11,7 +11,6 @@ from steklov_trees import (
     SpiderProfile,
     Tree,
     arm_transfer,
-    balance_main_step,
     balance_side_step,
     canonical_code,
     classify,
@@ -31,7 +30,7 @@ from steklov_trees import (
 import steklov_trees.reduce as reduce_module
 from steklov_trees.cli import run
 
-from oracles import enumerate_trees, prufer_to_edges
+from oracles import balance_main_step, enumerate_trees, prufer_to_edges
 
 INCREASE_MARGIN = 1e-10
 DOMINATION_SLACK = 1e-9

@@ -1,5 +1,6 @@
 """Scalar root equations: spider, balanced family, double spider, thresholds."""
 
+import hashlib
 import math
 import random
 import sys
@@ -199,10 +200,12 @@ def test_sigma_tables_equal_sigma_rM_bit_for_bit():
         _assert_tables_equal_sigma_rM(r, range(1, 83))
 
 
-@pytest.mark.parametrize("e", [48, 51, 54])
+@pytest.mark.parametrize("e", [48, 51, 54, 63])
 def test_sigma_tables_equal_sigma_rM_where_midpoints_hit_poles(e):
     # Brackets of a few floats, where some midpoints divide by zero: both
-    # bisections stop on that midpoint.
+    # bisections stop on that midpoint.  From 2**63 on, r does not fit the
+    # table's int64 lengths, so the length cap of its zero-weight lateral
+    # compares with r instead of storing it.
     for r in range(2**e - 3, 2**e + 4):
         _assert_tables_equal_sigma_rM(r, range(1, 6))
 
@@ -214,6 +217,28 @@ def test_sigma_tables_equal_sigma_rM_where_midpoints_hit_poles(e):
 )
 def test_sigma_tables_equal_sigma_rM_on_random_masses(r, masses):
     _assert_tables_equal_sigma_rM(r, masses)
+
+
+@pytest.mark.parametrize("r", range(2, 9))
+def test_sigma_tables_equal_spider_lambda2(r):
+    # One term rule: each table entry is spider_lambda2 of its balanced
+    # profile, bit for bit, also where a lateral is as long as the branch r.
+    masses = range(1, 83)
+    for m, rows in zip(masses, roots._sigma_tables(r, masses)):
+        for q, sigma in rows:
+            c, t = divmod(m, q)
+            lam = spider_lambda2((r + 1, r) + (c + 1,) * t + (c,) * (q - t))
+            assert sigma.hex() == lam.hex(), (r, m, q)
+
+
+def test_sigma_tables_golden_bits():
+    # Every root of the r <= 9, M <= 82 tables, down to its last bit:
+    # SHA-256 of their .hex() strings in (r, M, q) order.
+    digest = hashlib.sha256()
+    for r in range(1, 10):
+        for rows in roots._sigma_tables(r, range(1, 83)):
+            digest.update("".join(sigma.hex() for _, sigma in rows).encode())
+    assert digest.hexdigest() == "5426aa2d84b972e6f4dd531d573ff455d7a40cf92328464db561bffacbae6359"
 
 
 def _stacked_passes(monkeypatch, r, masses):
