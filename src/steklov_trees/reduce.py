@@ -21,7 +21,7 @@ from numbers import Rational
 from .classify import _TIE_RTOL, _near_argmax
 from .roots import _double_spider_equation, _pole_sum, _resolvent_sum, _spider_terms, double_spider_rho, spider_lambda2
 from .spectral import lambda2_numeric
-from .trees import DoubleSpiderProfile, SpiderProfile, Tree, _double_sweep, _lone_side_spider, _side_arm_lengths, diameter
+from .trees import DoubleSpiderProfile, SpiderProfile, Tree, _lone_side_spider, _side_arm_lengths, diameter
 
 Profile = SpiderProfile | DoubleSpiderProfile
 
@@ -63,7 +63,7 @@ def dominating_double_spider(t: Tree) -> DoubleSpiderProfile:
     path per boundary leaf.  Equality of the two lambda_2 values forces
     t to be a double spider already.
     """
-    d, centers = _double_sweep(t)
+    d, centers = t._sweep
     if d % 2 == 0:
         raise ValueError(f"diameter {d} is even; the two-sided split needs an odd diameter")
     if d < 3:

@@ -63,35 +63,57 @@ class Tree:
 
     @cached_property
     def adjacency(self) -> tuple[tuple[int, ...], ...]:
-        """Neighbor lists, each sorted ascending."""
+        """Neighbor lists, each ascending: the sorted (min, max) edges list a vertex's smaller neighbors first."""
         nbrs: list[list[int]] = [[] for _ in range(self.n)]
         for u, v in self.edges:
             nbrs[u].append(v)
             nbrs[v].append(u)
-        return tuple(tuple(sorted(a)) for a in nbrs)
+        return tuple(map(tuple, nbrs))
 
     @cached_property
     def degrees(self) -> tuple[int, ...]:
         return tuple(len(a) for a in self.adjacency)
+
+    @cached_property
+    def _walks(self) -> dict[tuple[int, int], tuple[list[int], list[int], list[int]]]:
+        return {}
 
     def _preorder(self, root: int, banned: int = -1) -> tuple[list[int], list[int], list[int]]:
         """Depth-first preorder from root, with every vertex's parent and depth.
 
         The walk never enters `banned`, so with a neighbor of the root it
         covers the root's side of their edge; vertices off the walk keep
-        parent and depth -1.  The root is its own parent.
+        parent and depth -1.  The root is its own parent.  Each (root,
+        banned) is walked once and kept on the tree, so callers share the
+        lists and must not mutate them.
         """
-        parent, depth = [-1] * self.n, [-1] * self.n
-        parent[root], depth[root] = root, 0
-        order, stack = [], [root]
-        while stack:
-            x = stack.pop()
-            order.append(x)
-            for y in self.adjacency[x]:
-                if depth[y] < 0 and y != banned:
-                    parent[y], depth[y] = x, depth[x] + 1
-                    stack.append(y)
-        return order, parent, depth
+        walk = self._walks.get((root, banned))
+        if walk is None:
+            parent, depth = [-1] * self.n, [-1] * self.n
+            parent[root], depth[root] = root, 0
+            order, stack = [], [root]
+            while stack:
+                x = stack.pop()
+                order.append(x)
+                for y in self.adjacency[x]:
+                    if depth[y] < 0 and y != banned:
+                        parent[y], depth[y] = x, depth[x] + 1
+                        stack.append(y)
+            walk = self._walks[root, banned] = order, parent, depth
+        return walk
+
+    @cached_property
+    def _sweep(self) -> tuple[int, tuple[int, ...]]:
+        """Diameter and center(s), the middle of a longest path, by a double sweep: in a tree depth is distance.
+
+        Each sweep ends at its deepest vertex, the smallest on ties; the first is the connectivity check's walk.
+        """
+        d0 = self._preorder(0)[2]
+        _, parent, depth = self._preorder(d0.index(max(d0)))
+        mid = end = depth.index(max(depth))
+        for _ in range(depth[end] // 2):
+            mid = parent[mid]
+        return depth[end], tuple(sorted({mid, parent[mid]} if depth[end] % 2 else {mid}))
 
 
 def leaf_set(t: Tree) -> list[int]:
@@ -99,26 +121,14 @@ def leaf_set(t: Tree) -> list[int]:
     return [v for v in range(t.n) if t.degrees[v] == 1]
 
 
-def _double_sweep(t: Tree) -> tuple[int, list[int]]:
-    """Diameter and center(s), the middle of a longest path, by a double sweep: in a tree depth is distance."""
-    d0 = t._preorder(0)[2]
-    far = max(range(t.n), key=lambda v: (d0[v], -v))
-    _, parent, depth = t._preorder(far)
-    end = max(range(t.n), key=lambda v: (depth[v], -v))
-    mid = end
-    for _ in range(depth[end] // 2):
-        mid = parent[mid]
-    return depth[end], sorted({mid, parent[mid]} if depth[end] % 2 else {mid})
-
-
 def diameter(t: Tree) -> int:
-    """Longest path length in edges, by a double sweep."""
-    return _double_sweep(t)[0]
+    """Longest path length in edges, by the tree's double sweep."""
+    return t._sweep[0]
 
 
 def tree_centers(t: Tree) -> list[int]:
-    """The one or two middle vertices of a longest path, ascending."""
-    return _double_sweep(t)[1]
+    """The one or two middle vertices of a longest path, ascending, as a new list."""
+    return list(t._sweep[1])
 
 
 # ------------------------------ profiles ------------------------------
@@ -353,7 +363,7 @@ def canonical_code(t: Tree) -> bytes:
     distinct prefixes so that a code never collides across the two
     shapes.
     """
-    centers = tree_centers(t)
+    centers = t._sweep[1]
     if len(centers) == 1:
         return b"1" + _rooted_code(t, centers[0], -1)
     a, b = centers

@@ -319,16 +319,27 @@ def side_arm_lengths_reference(t: Tree, root: int, banned: int) -> tuple[int, ..
     below it (lowest vertex id on ties); the arm length of a leaf is the
     number of edges charged to it.  Every charged leaf lies on the path
     from the root through its edges, so arms never exceed the depth.
+    The breadth-first walk is its own, built from the edge list, so it
+    shares nothing with the walks a Tree keeps.
     """
-    order, parent, depth = t._preorder(root, banned)
+    nbrs: dict[int, list[int]] = {v: [] for v in range(t.n)}
+    for a, b in t.edges:
+        nbrs[a].append(b)
+        nbrs[b].append(a)
+    order, parent, depth = [root], {root: root}, {root: 0}
+    for v in order:  # grows while it is read: breadth first
+        for w in nbrs[v]:
+            if w != banned and w not in depth:
+                parent[w], depth[w] = v, depth[v] + 1
+                order.append(w)
     # best[v] = (-depth, id) of the deepest leaf in the subtree of v.
     best: dict[int, tuple[int, int]] = {}
     arms: dict[int, int] = {}
     for v in reversed(order):
         if v == root:
             continue
-        key = (-depth[v], v) if t.degrees[v] == 1 else None
-        for w in t.adjacency[v]:
+        key = (-depth[v], v) if len(nbrs[v]) == 1 else None
+        for w in nbrs[v]:
             if w in best and parent[w] == v:
                 if key is None or best[w] < key:
                     key = best[w]

@@ -2,7 +2,10 @@
 
 import hashlib
 import itertools
+import pickle
+import random
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -38,6 +41,9 @@ from oracles import (
     side_arm_lengths_reference,
     tree_count_by_diameter,
 )
+from steklov_trees.cli import _tree_name
+from steklov_trees.reduce import greedy_ascent_trace
+from steklov_trees.spectral import lambda2_numeric
 from steklov_trees.trees import _center_codes, _side_arm_lengths
 
 
@@ -81,6 +87,72 @@ def test_diameter_and_centers():
     assert diameter(star) == 2
     assert tree_centers(star) == [0]
     assert diameter(Tree(2, ((0, 1),))) == 1
+
+
+def test_tree_centers_returns_a_new_list():
+    t = make_path(5)
+    centers = tree_centers(t)
+    centers.append(9)
+    centers[0] = 7
+    assert tree_centers(t) == [2, 3]
+    assert tree_centers(t) is not tree_centers(t)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.integers(min_value=2, max_value=40),
+    data=st.data(),
+    salt=st.randoms(use_true_random=False),
+)
+def test_sweep_and_adjacency_match_networkx_on_shuffled_edges(n, data, salt):
+    seq = data.draw(st.lists(st.integers(0, n - 1), min_size=n - 2, max_size=n - 2))
+    edges = [(v, u) if salt.random() < 0.5 else (u, v) for u, v in prufer_to_edges(seq, n)]
+    salt.shuffle(edges)
+    t = Tree(n, tuple(edges))
+    g = nx.Graph(edges)
+    for v in range(n):
+        assert list(t.adjacency[v]) == sorted(set(g[v])), (edges, v)  # so strictly ascending
+    assert diameter(t) == nx.diameter(g)
+    assert tree_centers(t) == sorted(nx.center(g))
+
+
+def test_kept_walks_are_not_part_of_a_trees_identity():
+    edges = tuple(prufer_to_edges([3, 3, 7, 1, 7, 0, 2], 9))
+    walked, fresh = Tree(9, edges), Tree(9, edges)
+    for read in (diameter, canonical_code, lambda2_numeric):
+        read(walked)
+    assert len(walked._walks) > len(fresh._walks) and "_sweep" not in vars(fresh)
+    assert walked == fresh and hash(walked) == hash(fresh) and repr(walked) == repr(fresh)
+    again = pickle.loads(pickle.dumps(walked))
+    assert again == fresh and hash(again) == hash(fresh) and repr(again) == repr(fresh)
+    assert canonical_code(again) == canonical_code(fresh)
+
+
+def _odd_diameter_prufer_tree(n: int) -> Tree:
+    rng = random.Random(n)
+    while True:
+        edges = tuple(prufer_to_edges([rng.randrange(n) for _ in range(n - 2)], n))
+        if nx.diameter(nx.Graph(edges)) % 2:
+            return Tree(n, edges)
+
+
+def test_reduce_and_naming_walk_the_input_four_times():
+    # From 0 (the connectivity check, the sweep's first leg and the distance form), from the far end,
+    # and from each center with the other banned (the arms of the domination and the canonical code).
+    t = _odd_diameter_prufer_tree(100)
+    greedy_ascent_trace(t)
+    assert render_shorthand(t) is None
+    _tree_name(t)
+    depth0 = t._walks[0, -1][2]
+    u, v = tree_centers(t)
+    assert len(t._walks) == 4
+    assert set(t._walks) == {(0, -1), (depth0.index(max(depth0)), -1), (u, v), (v, u)}
+
+
+def test_distance_form_of_a_path_walks_it_once():
+    t = make_path(3000)
+    lambda2_numeric(t)
+    assert list(t._walks) == [(0, -1)]
 
 
 # ------------------------------- profiles --------------------------------
