@@ -6,8 +6,11 @@ Laplacian Schur complement solved by LAPACK, and scalar root equations
 for spiders and double spiders.  Also the classification of the
 maximizers of that eigenvalue among trees of fixed order and odd
 diameter, and a brute-force enumeration harness that certifies the
-classification at small orders.
+classification at small orders.  Names from flux and reduce import their
+module on first access, as no subcommand but `steklov reduce` runs either.
 """
+
+import importlib
 
 from .trees import (
     ASParams,
@@ -37,13 +40,6 @@ from .spectral import (
     leaf_distance_matrix,
     steklov_spectrum,
 )
-from .flux import (
-    BoundaryFlux,
-    CutDecomposition,
-    cut_sums,
-    flux_potential,
-    q_form,
-)
 from .roots import (
     ThresholdData,
     double_spider_rho,
@@ -57,18 +53,28 @@ from .classify import (
     candidate_profiles,
     classify,
 )
-from .reduce import (
-    arm_transfer,
-    balance_side_step,
-    dominating_double_spider,
-    greedy_ascent_trace,
-)
 from .verify import (
     UnimodalityReport,
     VerificationReport,
     verify_classification,
     verify_unimodality,
 )
+
+_LAZY = {
+    **dict.fromkeys(["BoundaryFlux", "CutDecomposition", "cut_sums", "flux_potential", "q_form"], "flux"),
+    **dict.fromkeys(["arm_transfer", "balance_side_step", "dominating_double_spider", "greedy_ascent_trace"], "reduce"),
+}
+
+
+def __getattr__(name: str) -> object:
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f"{__name__}.{_LAZY[name]}"), name)
+
+
+def __dir__() -> list[str]:
+    return sorted([*globals(), *_LAZY])
+
 
 __all__ = [
     "ASParams",

@@ -1,28 +1,26 @@
 """Command-line front end for spectra, classification, and certification.
 
-One executable with one subcommand per library entry point.  Output is
-deterministic byte-for-byte for a fixed input and format: floats are
-printed to 12 significant digits, JSON carries them as decimal strings,
-and verification results come in canonical code order for any job
-count (`verify --jobs` starts at most one worker per CPU and per chunk
-of 4096 trees).  Exit codes: 0 success, 1 usage error, 2 domain error,
-3 verification mismatch, 4 internal numeric or resource failure, such
-as an order too large to build.  Every error is one line on stderr.
+One executable with one subcommand per library entry point; a process imports
+only what its subcommand runs, so reduce, csv, json and the process pool load
+on first use.  Output is deterministic byte-for-byte for a fixed input and
+format: floats are printed to 12 significant digits, JSON carries them as
+decimal strings, and verification results come in canonical code order for any
+job count (`verify --jobs` starts at most one worker per CPU and per chunk of
+4096 trees).  Exit codes: 0 success, 1 usage error, 2 domain error, 3
+verification mismatch, 4 internal numeric or resource failure, such as an
+order too large to build.  Every error is one line on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import io
-import json
 import sys
 
 import numpy as np
 
 from .classify import candidate_profiles, classify
-from .reduce import greedy_ascent_trace
 from .spectral import dtn_matrix, lambda2_numeric, steklov_spectrum
 from .trees import (
     DoubleSpiderProfile,
@@ -55,6 +53,7 @@ def _fmt(x: float) -> str:
 
 
 def _print_csv(header: list[str], rows: list[list[str]]) -> None:
+    import csv  # only --format csv needs it
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
@@ -63,6 +62,7 @@ def _print_csv(header: list[str], rows: list[list[str]]) -> None:
 
 
 def _print_json(obj: object) -> None:
+    import json  # only --format json needs it
     sys.stdout.write(json.dumps(obj, indent=2) + "\n")
 
 
@@ -260,6 +260,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_reduce(args: argparse.Namespace) -> int:
+    from .reduce import greedy_ascent_trace  # only this subcommand runs the reduction scheme
     trace = greedy_ascent_trace(_load_tree(args))
     steps = [(i, move, shape, _REDUCE_SHAPES[type(shape)][0](shape), lam) for i, (move, shape, lam) in enumerate(trace)]
     if args.format == "text":

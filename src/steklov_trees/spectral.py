@@ -174,7 +174,8 @@ def _lambda2_batch(codes: list[bytes]) -> np.ndarray:
     if codes:
         depth, leaf = _code_depths(codes)
         sizes = leaf.sum(axis=1)
-        for m in np.unique(sizes):
+        # Not np.unique: in numpy 2 its first call imports numpy.ma, which nothing else here needs.
+        for m in np.flatnonzero(np.bincount(sizes)):
             group = np.flatnonzero(sizes == m)
             out[group] = _distance_lambda2(_leaf_distances(depth[group], leaf[group]).astype(float))
     return out

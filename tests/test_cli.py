@@ -665,20 +665,63 @@ def test_verify_jobs_do_not_change_bytes(capsys):
     assert serial == sharded
 
 
+def _fresh_python(script):
+    """Lines that script prints, run in a fresh interpreter on this package."""
+    src = str(Path(steklov_trees.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, env={**os.environ, "PYTHONPATH": src}, check=True
+    )
+    return proc.stdout.decode().splitlines()
+
+
 def test_cli_import_leaves_the_process_pool_unloaded():
     # Only `verify --jobs N` with N > 1 needs the pool; every other start-up would pay for it.
     # Likewise only a move whose float roots order as a decrease needs `fractions`.
     # numpy is the one runtime dependency: the test oracles' networkx, scipy and
     # hypothesis must stay out of the package.
-    src = str(Path(steklov_trees.__file__).resolve().parents[1])
     unloaded = ["concurrent.futures.process", "fractions", "networkx", "scipy", "hypothesis"]
-    proc = subprocess.run(
-        [sys.executable, "-c", f"import sys, steklov_trees.cli; print([m for m in {unloaded} if m in sys.modules])"],
-        capture_output=True,
-        env={**os.environ, "PYTHONPATH": src},
-        check=True,
-    )
-    assert proc.stdout == b"[]\n"
+    assert _fresh_python(f"import sys, steklov_trees.cli; print([m for m in {unloaded} if m in sys.modules])") == ["[]"]
+
+
+# What a subcommand loads only if it needs it, and a script that runs subcommands in one
+# fresh interpreter, printing after each which of these it has loaded so far.
+ON_FIRST_USE = ["numpy.ma", "steklov_trees.flux", "steklov_trees.reduce", "csv", "json"]
+_RUN_AND_LIST = """
+import contextlib, io, sys
+from steklov_trees.cli import run
+for argv in {argvs}:
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = run(argv)
+    print(code, [m for m in {unloaded} if m in sys.modules])
+"""
+
+
+def test_subcommands_leave_what_they_do_not_run_unloaded():
+    # numpy.ma came from np.unique in the certification kernel; flux, reduce, csv and json
+    # from eager imports.  None of these subcommands runs any of them.
+    argvs = [
+        ["verify", "9", "5"],
+        ["classify", "15", "9"],
+        ["sweep", "--r", "3", "--M-max", "10"],
+        ["lambda2", "spider:3,2,1", "--method", "matrix"],
+        ["spectrum", "spider:3,2,1"],
+    ]
+    lines = _fresh_python(_RUN_AND_LIST.format(argvs=argvs, unloaded=ON_FIRST_USE))
+    assert lines == ["0 []"] * len(argvs)
+
+
+def test_reduce_csv_and_json_load_on_first_use():
+    argvs = [
+        ["reduce", "spider:4,1,1"],
+        ["lambda2", "spider:3,2,1", "--format", "csv"],
+        ["lambda2", "spider:3,2,1", "--format", "json"],
+    ]
+    lines = _fresh_python(_RUN_AND_LIST.format(argvs=argvs, unloaded=ON_FIRST_USE))
+    assert lines == [
+        "0 ['steklov_trees.reduce']",
+        "0 ['steklov_trees.reduce', 'csv']",
+        "0 ['steklov_trees.reduce', 'csv', 'json']",
+    ]
 
 
 @pytest.mark.parametrize(
@@ -770,6 +813,43 @@ def test_public_surface_is_frozen():
     assert PUBLIC_NAMES == sorted(set(PUBLIC_NAMES))
     assert steklov_trees.__all__ == PUBLIC_NAMES
     assert all(hasattr(steklov_trees, name) for name in PUBLIC_NAMES)
+
+
+def test_public_names_are_their_defining_modules_objects():
+    # The names from flux and reduce resolve on first access; each is its module's own object.
+    def defined(name):
+        obj = getattr(steklov_trees, name)
+        return getattr(importlib.import_module(obj.__module__), name) is obj
+
+    assert [name for name in PUBLIC_NAMES if not defined(name)] == []
+
+
+def test_public_names_are_listed_and_unknown_names_raise():
+    assert set(PUBLIC_NAMES) <= set(dir(steklov_trees))
+    with pytest.raises(AttributeError, match="module 'steklov_trees' has no attribute 'no_such_name'"):
+        getattr(steklov_trees, "no_such_name")
+
+
+def test_star_import_binds_every_public_name():
+    lines = _fresh_python(
+        "from steklov_trees import *\n"
+        "import steklov_trees\n"
+        "print(len(steklov_trees.__all__), set(steklov_trees.__all__) - set(globals()))\n"
+    )
+    assert lines == ["46 set()"]
+
+
+def test_package_import_defers_flux_and_reduce_and_keeps_classify_the_function():
+    # The package's `classify` function shadows its module; loading cli or reduce must not rebind it.
+    lines = _fresh_python(
+        "import inspect, sys, steklov_trees\n"
+        "print([m for m in ['steklov_trees.flux', 'steklov_trees.reduce'] if m in sys.modules])\n"
+        "import steklov_trees.cli\n"
+        "print(inspect.isfunction(steklov_trees.classify))\n"
+        "import steklov_trees.reduce\n"
+        "print(inspect.isfunction(steklov_trees.classify), steklov_trees.classify.__module__)\n"
+    )
+    assert lines == ["[]", "True", "True steklov_trees.classify"]
 
 
 def test_small_float_literals_are_named_constants():

@@ -1,5 +1,7 @@
 """Boundary fluxes: potentials, cut sums, distance form, inverse spectrum."""
 
+import random
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -249,3 +251,16 @@ def test_batched_kernel_is_chunk_independent(monkeypatch, chunk):
     whole = values()
     monkeypatch.setattr(verify_module, "_CHUNK", chunk)
     assert values().tobytes() == whole.tobytes()
+
+
+def test_batched_kernel_groups_interleaved_leaf_counts():
+    # All 106 trees of order 10, every diameter shuffled together, so each leaf-count group
+    # gathers rows from across the batch: a tree's bits are those of its one-code batch.
+    codes = [code for d in range(1, 10) for code in _center_codes(10, d)]
+    random.Random(10).shuffle(codes)
+    sizes = [code.count(b"()") for code in codes]
+    assert len(codes) == 106 and len(set(sizes)) == 8 and sizes != sorted(sizes)
+    alone = np.concatenate([_lambda2_batch([code]) for code in codes])
+    assert _lambda2_batch(codes).tobytes() == alone.tobytes()
+    empty = _lambda2_batch([])
+    assert empty.shape == (0,) and empty.dtype == np.float64
