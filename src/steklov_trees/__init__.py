@@ -21,7 +21,6 @@ from .trees import (
     diameter,
     format_tree_text,
     leaf_set,
-    make_as_tree,
     make_double_spider,
     make_path,
     make_spider,
@@ -106,7 +105,6 @@ __all__ = [
     "laplacian_matrix",
     "leaf_distance_matrix",
     "leaf_set",
-    "make_as_tree",
     "make_double_spider",
     "make_path",
     "make_spider",

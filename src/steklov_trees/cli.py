@@ -61,6 +61,15 @@ def _print_csv(header: list[str], rows: list[list[str]]) -> None:
     sys.stdout.write(buf.getvalue())
 
 
+def _print_rows(fmt: str, header: list[str], rows: list[list[str]]) -> None:
+    """csv: the header, then the rows; text: each row as one line of key=value pairs."""
+    if fmt == "csv":
+        _print_csv(header, rows)
+    else:
+        for row in rows:
+            print(" ".join(f"{k}={v}" for k, v in zip(header, row)))
+
+
 def _print_json(obj: object) -> None:
     import json  # only --format json needs it
     sys.stdout.write(json.dumps(obj, indent=2) + "\n")
@@ -262,16 +271,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 def _cmd_reduce(args: argparse.Namespace) -> int:
     from .reduce import greedy_ascent_trace  # only this subcommand runs the reduction scheme
     trace = greedy_ascent_trace(_load_tree(args))
-    steps = [(i, move, shape, _REDUCE_SHAPES[type(shape)][0](shape), lam) for i, (move, shape, lam) in enumerate(trace)]
-    if args.format == "text":
-        for i, move, _, name, lam in steps:
-            print(f"step={i} move={move} tree={name} lambda2={_fmt(lam)}")
-    elif args.format == "csv":
-        _print_csv(
-            ["step", "move", "tree", "lambda2"],
-            [[str(i), move, name, _fmt(lam)] for i, move, _, name, lam in steps],
-        )
-    else:
+    rows = [
+        [str(i), move, _REDUCE_SHAPES[type(shape)][0](shape), _fmt(lam)] for i, (move, shape, lam) in enumerate(trace)
+    ]
+    if args.format == "json":
         _print_json(
             {
                 "steps": [
@@ -280,43 +283,32 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
                         "move": move,
                         "tree": name,
                         "tree_text": format_tree_text(_REDUCE_SHAPES[type(shape)][1](shape)),
-                        "lambda2": _fmt(lam),
+                        "lambda2": lam,
                     }
-                    for i, move, shape, name, lam in steps
+                    for i, ((move, shape, _), (_, _, name, lam)) in enumerate(zip(trace, rows))
                 ]
             }
         )
+    else:
+        _print_rows(args.format, ["step", "move", "tree", "lambda2"], rows)
     return 0
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    if args.all_orders:
-        orders = range(args.D + 1, args.n + 1)
-    else:
-        orders = [args.n]
-    lines = []
-    worst = 0
-    for n in orders:
-        report = verify_classification(n, args.D, jobs=args.jobs)
-        winners = ";".join(_spider_shorthand(p) for p in report.classifier_winners)
-        lines.append((report, winners))
-        if report.verdict == "mismatch":
-            worst = 3
-    if args.format == "text":
-        for report, winners in lines:
-            print(
-                f"n={report.n} D={report.D} trees={report.trees_enumerated} "
-                f"winners={winners} lambda2={_fmt(report.argmax_lambda2)} verdict={report.verdict}"
-            )
-    elif args.format == "csv":
-        _print_csv(
-            ["n", "D", "trees", "winners", "lambda2", "verdict"],
-            [
-                [str(r.n), str(r.D), str(r.trees_enumerated), winners, _fmt(r.argmax_lambda2), r.verdict]
-                for r, winners in lines
-            ],
-        )
-    else:
+    orders = range(args.D + 1, args.n + 1) if args.all_orders else [args.n]
+    reports = [verify_classification(n, args.D, jobs=args.jobs) for n in orders]
+    rows = [
+        [
+            str(r.n),
+            str(r.D),
+            str(r.trees_enumerated),
+            ";".join(_spider_shorthand(p) for p in r.classifier_winners),
+            _fmt(r.argmax_lambda2),
+            r.verdict,
+        ]
+        for r in reports
+    ]
+    if args.format == "json":
         _print_json(
             [
                 {
@@ -326,13 +318,15 @@ def _cmd_verify(args: argparse.Namespace) -> int:
                     "winners": winners.split(";"),
                     "argmax_codes": [code.decode("ascii") for code in r.argmax_codes],
                     "classifier_codes": [code.decode("ascii") for code in r.classifier_codes],
-                    "lambda2": _fmt(r.argmax_lambda2),
+                    "lambda2": lam,
                     "verdict": r.verdict,
                 }
-                for r, winners in lines
+                for r, (_, _, _, winners, lam, _) in zip(reports, rows)
             ]
         )
-    return worst
+    else:
+        _print_rows(args.format, ["n", "D", "trees", "winners", "lambda2", "verdict"], rows)
+    return 3 if any(r.verdict == "mismatch" for r in reports) else 0
 
 
 # ------------------------------- parser --------------------------------
@@ -412,6 +406,8 @@ def run(argv: list[str] | None = None) -> int:
         if not hasattr(args, "handler"):
             parser.error("a subcommand is required")
         return args.handler(args)
+    except SystemExit:  # argparse exits only after printing --help, as error() raises instead
+        return 0
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

@@ -260,11 +260,6 @@ def make_spider(profile: SpiderProfile) -> Tree:
     return _lay_out((profile.lengths,))
 
 
-def make_as_tree(p: ASParams) -> Tree:
-    """Generalized almost seesaw tree, as the spider it abbreviates."""
-    return make_spider(p.spider_profile())
-
-
 def make_double_spider(profile: DoubleSpiderProfile) -> Tree:
     """Two-center tree: vertex 0 = u, vertex 1 = v, then branches outward."""
     return _lay_out((profile.a_lengths, profile.b_lengths))
@@ -315,27 +310,19 @@ def recognize_spider(t: Tree) -> Optional[SpiderProfile]:
 def recognize_double_spider(t: Tree) -> Optional[DoubleSpiderProfile]:
     """Profile of t if all branching sits on two adjacent vertices.
 
-    Trees with at most one branch vertex qualify too, split along a
-    longest branch; stars and paths with fewer than 3 edges do not admit
-    two nonempty sides and report None.
+    Any other tree with a spider profile splits it along its longest
+    branch, whose first edge becomes the central one: the inverse of
+    _lone_side_spider.  Stars and paths with fewer than 3 edges leave a
+    side empty and report None.
     """
     hubs = [v for v in range(t.n) if t.degrees[v] >= 3]
-    if len(hubs) > 2:
-        return None
-    if len(hubs) == 2:
+    if len(hubs) == 2 and hubs[1] in t.adjacency[hubs[0]]:
         u, v = hubs
-        if v not in t.adjacency[u]:
-            return None
         return DoubleSpiderProfile(_side_arm_lengths(t, u, v), _side_arm_lengths(t, v, u))
-    if len(hubs) == 1:
-        lengths = _side_arm_lengths(t, hubs[0])
-        if lengths[0] < 2:
-            return None  # star: the split would leave an empty side
-        return DoubleSpiderProfile(lengths[1:], (lengths[0] - 1,))
-    d = t.n - 1
-    if d < 3:
+    spider = recognize_spider(t)
+    if spider is None or spider.lengths[0] < 2:
         return None
-    return DoubleSpiderProfile((d // 2,), ((d - 1) // 2,))
+    return DoubleSpiderProfile(spider.lengths[1:], (spider.lengths[0] - 1,))
 
 
 # --------------------------- canonical code ---------------------------
@@ -453,7 +440,7 @@ def parse_tree(text: str) -> Tree:
                 )
             )
         r, q, c, t = (int(x) for x in body.split(","))
-        return make_as_tree(ASParams(r, q, c, t))
+        return make_spider(ASParams(r, q, c, t).spider_profile())
     except ValueError as exc:
         raise ValueError(f"bad tree shorthand {text!r}: {exc}") from exc
 

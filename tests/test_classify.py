@@ -117,6 +117,19 @@ def test_classify_keeps_tied_candidates_whole(monkeypatch):
     assert result.tie_flag
 
 
+def test_kappa_meets_an_integer_only_below_s():
+    # classify's threshold check (k >= s) has no tie band: a kappa near an integer k >= s would need one.
+    near = []
+    for r in range(3, 401):
+        s = (r + 1) // 2
+        for t in range(1, s):
+            data = threshold_data(r, t)
+            if data.regime == "threshold" and abs(data.kappa - round(data.kappa)) <= 1e-6:
+                assert data.kappa < s
+                near.append((r, t))
+    assert near == [(6, 2), (9, 1)]
+
+
 def test_classify_constant_regime_cases():
     # r=6, t=1 sits in the always-A regime once k reaches s.
     n = 2 * 6 + 2 + (3 * 3 + 1)

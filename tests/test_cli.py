@@ -26,7 +26,6 @@ from steklov_trees import (
     classify,
     diameter,
     format_tree_text,
-    make_as_tree,
     make_path,
     make_spider,
     parse_tree_text,
@@ -346,7 +345,7 @@ def test_candidates_are_named_as_their_trees(capsys, n, d):
         trees = [make_path(d)]
     else:
         params = [pair.as_minus] if pair.as_minus == pair.as_plus else [pair.as_minus, pair.as_plus]
-        trees = [make_as_tree(p) for p in params]
+        trees = [make_spider(p.spider_profile()) for p in params]
     code, out, _ = _capture(capsys, ["classify", str(n), str(d), "--format", "json"])
     assert code == 0
     entries = json.loads(out)["candidates"]
@@ -359,7 +358,7 @@ def test_candidates_are_named_as_their_trees(capsys, n, d):
         code, out, _ = _capture(capsys, ["candidates", str(n), str(d), "--format", "json"])
         assert code == 0
         named = [entry["tree"] for entry in json.loads(out)["candidates"]]
-        assert named == [render_shorthand(make_as_tree(p)) for p in (pair.as_minus, pair.as_plus)]
+        assert named == [render_shorthand(make_spider(p.spider_profile())) for p in (pair.as_minus, pair.as_plus)]
 
 
 def test_classify_builds_no_tree(capsys, monkeypatch):
@@ -435,6 +434,17 @@ def test_usage_errors(capsys, argv):
     code, _, err = _capture(capsys, argv)
     assert code == 1
     assert err.startswith("usage error:")
+
+
+def test_help_prints_to_stdout_and_returns_zero(capsys, monkeypatch):
+    for argv, usage in [(["--help"], "usage: steklov [-h]"), (["lambda2", "--help"], "usage: steklov lambda2 [-h]")]:
+        code, out, err = _capture(capsys, argv)
+        assert (code, err) == (0, "")
+        assert out.startswith(usage)
+    monkeypatch.setattr(sys, "argv", ["steklov", "--help"])
+    with pytest.raises(SystemExit) as exit_info:
+        cli_module.main()
+    assert exit_info.value.code == 0
 
 
 def test_both_tree_and_file_is_usage_error(tmp_path, capsys):
@@ -674,6 +684,20 @@ def _fresh_python(script):
     return proc.stdout.decode().splitlines()
 
 
+def test_benchmark_self_test_accepts_the_cli_output():
+    # The benchmark's output checks parse the CLI's text and csv; a printer that drifts fails them here.
+    root = Path(__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "perfbench/selftest.py"],
+        cwd=root,
+        capture_output=True,
+        env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1"},
+    )
+    last = proc.stdout.decode().splitlines()[-1]
+    assert proc.returncode == 0, proc.stdout.decode() + proc.stderr.decode()
+    assert re.fullmatch(r"(\d+)/\1 self-test cases behaved", last), last
+
+
 def test_cli_import_leaves_the_process_pool_unloaded():
     # Only `verify --jobs N` with N > 1 needs the pool; every other start-up would pay for it.
     # Likewise only a move whose float roots order as a decrease needs `fractions`.
@@ -789,7 +813,6 @@ PUBLIC_NAMES = [
     "laplacian_matrix",
     "leaf_distance_matrix",
     "leaf_set",
-    "make_as_tree",
     "make_double_spider",
     "make_path",
     "make_spider",
@@ -836,7 +859,7 @@ def test_star_import_binds_every_public_name():
         "import steklov_trees\n"
         "print(len(steklov_trees.__all__), set(steklov_trees.__all__) - set(globals()))\n"
     )
-    assert lines == ["46 set()"]
+    assert lines == ["45 set()"]
 
 
 def test_package_import_defers_flux_and_reduce_and_keeps_classify_the_function():

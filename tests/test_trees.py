@@ -19,7 +19,6 @@ from steklov_trees import (
     diameter,
     format_tree_text,
     leaf_set,
-    make_as_tree,
     make_double_spider,
     make_path,
     make_spider,
@@ -44,7 +43,7 @@ from oracles import (
 from steklov_trees.cli import _tree_name
 from steklov_trees.reduce import greedy_ascent_trace
 from steklov_trees.spectral import lambda2_numeric
-from steklov_trees.trees import _center_codes, _side_arm_lengths
+from steklov_trees.trees import _center_codes, _lone_side_spider, _side_arm_lengths
 
 
 # ------------------------------ Tree basics ------------------------------
@@ -217,7 +216,7 @@ def test_make_double_spider_shape(a, b):
 
 def test_make_as_tree_matches_profile():
     p = ASParams(4, 3, 1, 2)
-    t = make_as_tree(p)
+    t = parse_tree("as:4,3,1,2")
     assert recognize_spider(t).lengths == p.spider_profile().lengths
     assert t.n == p.order
     assert diameter(t) == p.diameter
@@ -263,6 +262,21 @@ def test_recognize_double_spider_special_shapes():
     t = Tree(7, ((0, 1), (0, 2), (0, 3), (3, 4), (4, 5), (4, 6)))
     assert recognize_spider(t) is None
     assert recognize_double_spider(t) is None
+
+
+def test_double_spider_split_of_a_spider_inverts_its_lone_side():
+    # A tree with at most one branch vertex splits into a double spider of the same tree,
+    # whose lone side gives back its spider; stars and paths of fewer than 3 edges have no split.
+    for n in range(2, 13):
+        for d in range(1, n):
+            for t in enumerate_trees(n, d):
+                if sum(deg >= 3 for deg in t.degrees) > 1:
+                    continue
+                profile = recognize_double_spider(t)
+                assert (profile is None) == (d <= 2)  # diameter <= 2: a star or a path of 1 or 2 edges
+                if profile is not None:
+                    assert canonical_code(make_double_spider(profile)) == canonical_code(t)
+                    assert _lone_side_spider(profile) == recognize_spider(t)
 
 
 def test_one_sided_double_spider_is_also_a_spider():
