@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .roots import spider_lambda2, threshold_data
-from .trees import ASParams, SpiderProfile
+from .trees import ASParams, SpiderProfile, _as_profile
 
 # Two lambda_2 values this close (relatively) are reported as tied
 # rather than ordered.  The threshold check needs no band of its own:
@@ -75,10 +75,6 @@ def _check_odd_case(n: int, D: int) -> None:
         raise ValueError(f"order {n} cannot carry diameter {D}; need n >= {D + 1}")
 
 
-def _division_params(r: int, M: int, q: int) -> ASParams:
-    return ASParams(r=r, q=q, c=M // q, t=M % q)
-
-
 def _predicted_counts(r: int, M: int) -> tuple[int, int, int]:
     """s = ceil(r/2) and the two branch counts nearest M/s that can win."""
     s = (r + 1) // 2
@@ -103,14 +99,7 @@ def candidate_profiles(n: int, D: int) -> CandidatePair | None:
     if M == 0:
         return None
     s, q_minus, q_plus = _predicted_counts(r, M)
-    return CandidatePair(
-        M=M,
-        s=s,
-        q_minus=q_minus,
-        q_plus=q_plus,
-        as_minus=_division_params(r, M, q_minus),
-        as_plus=_division_params(r, M, q_plus),
-    )
+    return CandidatePair(M, s, q_minus, q_plus, *(ASParams(r, q, *divmod(M, q)) for q in (q_minus, q_plus)))
 
 
 def classify(n: int, D: int) -> ClassificationResult:
@@ -123,20 +112,22 @@ def classify(n: int, D: int) -> ClassificationResult:
     additionally verified against the direct comparison; disagreement
     is an internal error, never silently resolved.
     """
+    _check_odd_case(n, D)
     r = (D - 1) // 2
-    pair = candidate_profiles(n, D)
-    if pair is None:
+    M = n - D - 1
+    s, q_minus, q_plus = _predicted_counts(r, M)
+    if M == 0:
         tag, profiles = "path", (SpiderProfile((r + 1, r)),)
-    elif pair.as_minus == pair.as_plus:
-        tag, profiles = ("single_small" if pair.M < pair.s else "divisible"), (pair.as_minus.spider_profile(),)
+    elif q_minus == q_plus:
+        tag, profiles = ("single_small" if M < s else "divisible"), (_as_profile(r, q_minus, M),)
     else:
-        tag, profiles = "initial_orders", (pair.as_minus.spider_profile(), pair.as_plus.spider_profile())
+        tag, profiles = "initial_orders", (_as_profile(r, q_minus, M), _as_profile(r, q_plus, M))
     candidates = tuple((p, spider_lambda2(p)) for p in profiles)
     keys, _ = _near_argmax(candidates, _TIE_RTOL)
     winners = tuple(row for row in candidates if row[0] in keys)
 
-    k, t = divmod(pair.M, pair.s) if pair else (0, 0)
-    if len(candidates) == 2 and k >= pair.s:
+    k, t = divmod(M, s)
+    if len(candidates) == 2 and k >= s:
         data = threshold_data(r, t)
         if data.regime == "A_always":
             tag, expect = "threshold_A", "minus"

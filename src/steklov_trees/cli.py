@@ -237,19 +237,11 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             verdict = "pass" if rep.passed else f"FAIL ({rep.detail})"
             print(f"r={rep.r} M={rep.M} peak_q={peaks} {verdict}")
     elif args.format == "csv":
-        rows = []
-        for rep in reports:
-            for q, sigma in rep.rows:
-                rows.append(
-                    [
-                        str(rep.r),
-                        str(rep.M),
-                        str(q),
-                        _fmt(sigma),
-                        str(q in rep.peak_q).lower(),
-                        str(rep.passed).lower(),
-                    ]
-                )
+        rows = [
+            [str(rep.r), str(rep.M), str(q), _fmt(sigma), str(q in rep.peak_q).lower(), str(rep.passed).lower()]
+            for rep in reports
+            for q, sigma in rep.rows
+        ]
         _print_csv(["r", "M", "q", "sigma", "peak", "passed"], rows)
     else:
         _print_json(
@@ -342,7 +334,7 @@ def _add_format_argument(sub: argparse.ArgumentParser) -> None:
 
 
 @functools.cache  # one parser per process, built on first use; parse_args keeps no state
-def _build_parser() -> _Parser:
+def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     parser = _Parser(prog="steklov", description=__doc__)
     subs = parser.add_subparsers(dest="command")
 
@@ -395,14 +387,16 @@ def _build_parser() -> _Parser:
     _add_format_argument(sub)
     sub.set_defaults(handler=_cmd_verify)
 
-    return parser
+    return parser, subs.choices
 
 
 def run(argv: list[str] | None = None) -> int:
     """Entry point returning the exit code instead of raising SystemExit."""
-    parser = _build_parser()
+    parser, subcommands = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        # A subcommand named first parses the arguments after it; the top level parses all other argv.
+        sub = subcommands.get(argv[0]) if argv else None
+        args = parser.parse_args(argv) if sub is None else sub.parse_args(argv[1:])
         if not hasattr(args, "handler"):
             parser.error("a subcommand is required")
         return args.handler(args)

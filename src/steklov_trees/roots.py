@@ -24,14 +24,13 @@ estimate, it solves a stacked table of balanced-family roots.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from itertools import islice
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .trees import DoubleSpiderProfile, SpiderProfile
+from .trees import DoubleSpiderProfile, SpiderProfile, _runs
 
 
 @dataclass(frozen=True)
@@ -206,13 +205,13 @@ def _stacked_estimate(terms: Sequence[tuple[np.ndarray | int, np.ndarray | int]]
 # --------------------------- spider equation --------------------------
 
 
-def _spider_terms(lengths: Sequence[int]) -> tuple[tuple[int, int], ...]:
+def _spider_terms(lengths: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
     """The spider equation's poles, for lengths sorted longest first.
 
     The two principal branches are separate poles of weight 1, then the
     laterals follow grouped by length, longest first: (length, count).
     """
-    return ((lengths[0], 1), (lengths[1], 1), *Counter(lengths[2:]).items())
+    return ((lengths[0], 1), (lengths[1], 1), *_runs(lengths, 2))
 
 
 def spider_lambda2(lengths: SpiderProfile | Sequence[int]) -> float:

@@ -19,9 +19,11 @@ from __future__ import annotations
 
 import re
 import sys
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional
+from operator import neg
+from typing import Iterator, Optional
 
 Edge = tuple[int, int]
 
@@ -192,8 +194,15 @@ class ASParams:
         return 2 * self.r + 1
 
     def spider_profile(self) -> SpiderProfile:
-        lateral = (self.c + 1,) * self.t + (self.c,) * (self.q - self.t)
-        return SpiderProfile((self.r + 1, self.r) + lateral)
+        return _as_profile(self.r, self.q, self.lateral_mass)
+
+
+def _as_profile(r: int, q: int, M: int) -> SpiderProfile:
+    """AS(r, q+2, c, t) with M = q*c + t as a spider: branches r+1 and r, t laterals of length c+1, q-t of c."""
+    c, t = divmod(M, q)
+    if c + (t > 0) > r:
+        raise ValueError(f"lateral length {c + (t > 0)} exceeds r={r}")
+    return SpiderProfile((r + 1, r) + (c + 1,) * t + (c,) * (q - t))
 
 
 @dataclass(frozen=True)
@@ -466,9 +475,22 @@ def format_tree_text(t: Tree) -> str:
     return "\n".join([str(t.n)] + [f"{u} {v}" for u, v in t.edges]) + "\n"
 
 
+def _runs(lengths: tuple[int, ...], start: int = 0) -> Iterator[tuple[int, int]]:
+    """(length, count) per run of equal lengths from index start on, of lengths sorted longest first; ends bisected."""
+    while start < len(lengths):
+        end = bisect_right(lengths, -lengths[start], start, key=neg)
+        yield lengths[start], end - start
+        start = end
+
+
+def _lengths_text(lengths: tuple[int, ...]) -> str:
+    """Sorted lengths comma-separated, written as one repeated string per run."""
+    return "".join(f"{l}," * k for l, k in _runs(lengths))[:-1]
+
+
 def _spider_shorthand(p: SpiderProfile) -> str:
     """Shorthand of make_spider(p), read off the profile: a path when it has two branches."""
-    return f"path:{p.diameter}" if len(p.lengths) == 2 else "spider:" + ",".join(str(l) for l in p.lengths)
+    return f"path:{p.diameter}" if len(p.lengths) == 2 else "spider:" + _lengths_text(p.lengths)
 
 
 def _lone_side_spider(p: DoubleSpiderProfile) -> Optional[SpiderProfile]:
@@ -484,7 +506,7 @@ def _double_spider_shorthand(p: DoubleSpiderProfile) -> str:
     spider = _lone_side_spider(p)
     if spider is not None:
         return _spider_shorthand(spider)
-    return "ds:" + ",".join(str(l) for l in p.a_lengths) + "/" + ",".join(str(l) for l in p.b_lengths)
+    return f"ds:{_lengths_text(p.a_lengths)}/{_lengths_text(p.b_lengths)}"
 
 
 def render_shorthand(t: Tree) -> Optional[str]:

@@ -14,18 +14,20 @@ distance matrix.
 Keep this module free of imports from the package except where a test
 explicitly certifies one route against the other, as the certification
 harness at the end does: the double-spider domination inequality tree by
-tree, and every applicable lambda_2 route against the others.  Three
+tree, and every applicable lambda_2 route against the others.  Four
 test-only forms of package routes also live here: the scalar
 balanced-family root at real q, which the stacked sweep table must
 equal bit for bit, the center-rooted generator's codes built into
-Tree objects, and the main balancing move, which no subcommand runs.
+Tree objects, the main balancing move, which no subcommand runs, and
+the per-length grouping of a spider's poles and shorthands, which the
+package's runs of equal lengths must reproduce.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -307,6 +309,29 @@ def balance_main_step(p: SpiderProfile, lam: float) -> tuple[SpiderProfile, floa
     if result.order != p.order or result.diameter != p.diameter:
         raise RuntimeError(f"main balance changed order or diameter: {p} -> {result}")
     return result, _checked_root(p, lam, result)
+
+
+# ------------------------- per-length grouping ----------------------------
+# The package groups sorted lengths by runs of equal lengths; these group
+# them one length at a time, with a Counter and one str() per branch.
+
+
+def spider_terms_by_counter(lengths: Sequence[int]) -> tuple[tuple[int, int], ...]:
+    """The spider equation's poles: the principal branches apart, then a Counter over the laterals."""
+    return ((lengths[0], 1), (lengths[1], 1), *Counter(lengths[2:]).items())
+
+
+def spider_shorthand_per_branch(p: SpiderProfile) -> str:
+    """Shorthand of make_spider(p), one str() per branch: a path when it has two branches."""
+    return f"path:{p.diameter}" if len(p.lengths) == 2 else "spider:" + ",".join(str(l) for l in p.lengths)
+
+
+def double_spider_shorthand_per_branch(p: DoubleSpiderProfile) -> str:
+    """Shorthand of make_double_spider(p), one str() per branch: a spider when a side has one branch."""
+    for lone, hub in ((p.b_lengths, p.a_lengths), (p.a_lengths, p.b_lengths)):
+        if len(lone) == 1:
+            return spider_shorthand_per_branch(SpiderProfile(hub + (lone[0] + 1,)))
+    return "ds:" + ",".join(str(l) for l in p.a_lengths) + "/" + ",".join(str(l) for l in p.b_lengths)
 
 
 # --------------------------- arm decomposition ---------------------------

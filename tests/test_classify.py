@@ -7,6 +7,7 @@ import pytest
 
 from steklov_trees import (
     ASParams,
+    SpiderProfile,
     candidate_profiles,
     canonical_code,
     classify,
@@ -64,6 +65,24 @@ def test_candidate_profiles_rejects_out_of_scope():
         candidate_profiles(3, 1)
     with pytest.raises(ValueError):
         candidate_profiles(5, 5)
+
+
+def test_classify_candidates_are_the_candidate_pairs_profiles():
+    # classify reads its candidates off the division M = q*c + t without
+    # building the pair; every odd D <= 41 and M <= 200 gives the pair's profiles.
+    for D in range(3, 42, 2):
+        r = (D - 1) // 2
+        for M in range(201):
+            got = [p for p, _ in classify(M + D + 1, D).candidates]
+            pair = candidate_profiles(M + D + 1, D)
+            if pair is None:
+                assert got == [SpiderProfile((r + 1, r))]
+                continue
+            params = [pair.as_minus] if pair.as_minus == pair.as_plus else [pair.as_minus, pair.as_plus]
+            assert got == [a.spider_profile() for a in params]
+            for p, a in zip(got, params):
+                assert p.lengths == (r + 1, r) + (a.c + 1,) * a.t + (a.c,) * (a.q - a.t)
+                assert (len(p.lengths) - 2, sum(p.lengths) - 2 * r - 1) == (a.q, M)
 
 
 # ------------------------------- classify ---------------------------------

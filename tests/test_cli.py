@@ -13,6 +13,7 @@ import re
 import resource
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -436,6 +437,41 @@ def test_usage_errors(capsys, argv):
     assert err.startswith("usage error:")
 
 
+# Exit code, stdout and stderr of argv that the top-level parser parses, or
+# that dispatch past it, as the two-level parse printed them.
+FRONT_END_GOLDENS = json.loads((Path(__file__).parent / "goldens" / "cli_front_end.json").read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("golden", FRONT_END_GOLDENS, ids=lambda golden: " ".join(golden["argv"]) or "no-arguments")
+def test_front_end_goldens(capsys, monkeypatch, golden):
+    monkeypatch.setenv("COLUMNS", "80")  # help wraps at the terminal width
+    assert _capture(capsys, golden["argv"]) == (golden["code"], golden["stdout"], golden["stderr"])
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["classify", "7", "5"],
+        ["candidates", "15", "9", "--format", "csv"],
+        ["lambda2", "path:5"],
+        ["classify", "10", "5", "--bogus"],
+        ["verify", "9", "5", "--jobs", "x"],
+        ["classify", "--help"],
+    ],
+)
+def test_a_named_subcommand_never_reaches_the_top_level_parse(capsys, monkeypatch, argv):
+    monkeypatch.setenv("COLUMNS", "80")
+    expected = _capture(capsys, argv)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"the top-level parser parsed {argv}")
+
+    monkeypatch.setattr(cli_module._build_parser()[0], "parse_args", refuse)
+    assert _capture(capsys, argv) == expected
+    with pytest.raises(AssertionError, match="top-level parser parsed"):
+        run(["nonsense"])
+
+
 def test_help_prints_to_stdout_and_returns_zero(capsys, monkeypatch):
     for argv, usage in [(["--help"], "usage: steklov [-h]"), (["lambda2", "--help"], "usage: steklov lambda2 [-h]")]:
         code, out, err = _capture(capsys, argv)
@@ -583,6 +619,35 @@ def test_order_too_large_to_build_exits_four(capsys, argv):
     code, out, err = _capture(capsys, argv)
     assert (code, out) == (4, "")
     assert err.startswith("error: ") and err != "error: \n" and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv, line",
+    [
+        (["classify", "9223372036854775807", "7"], "error: MemoryError\n"),
+        (["classify", "100000000000000000000000", "7"], "error: cannot fit 'int' into an index-sized integer\n"),
+    ],
+    ids=["index-max", "beyond-index"],
+)
+def test_orders_beyond_a_tuple_keep_their_one_line_errors(capsys, argv, line):
+    assert _capture(capsys, argv) == (4, "", line)
+
+
+# Peak traced memory of `classify 2000001 7` when candidates were built as
+# ASParams and named one str() per branch, measured as below.
+_PARENT_PEAK_MB_2000001_7 = 78.7
+
+
+def test_classify_at_two_million_laterals_peaks_below_half_the_per_branch_build(capsys):
+    tracemalloc.start()
+    try:
+        code, out, err = _capture(capsys, ["classify", "2000001", "7"])
+        peak_mb = tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == "4d0601e814f7dd88bccc03fb2a727c5fb48088b0f0c7716663f44ecba741914a"
+    assert peak_mb <= _PARENT_PEAK_MB_2000001_7 / 2
 
 
 def test_classify_prints_the_sweep_sigma_of_each_candidate(capsys):

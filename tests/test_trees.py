@@ -35,15 +35,25 @@ from oracles import (
     all_labeled_trees,
     count_trees,
     enumerate_trees,
+    double_spider_shorthand_per_branch,
     nonisomorphic_trees_by_diameter,
     prufer_to_edges,
     side_arm_lengths_reference,
+    spider_shorthand_per_branch,
+    spider_terms_by_counter,
     tree_count_by_diameter,
 )
 from steklov_trees.cli import _tree_name
 from steklov_trees.reduce import greedy_ascent_trace
+from steklov_trees.roots import _spider_terms
 from steklov_trees.spectral import lambda2_numeric
-from steklov_trees.trees import _center_codes, _lone_side_spider, _side_arm_lengths
+from steklov_trees.trees import (
+    _center_codes,
+    _double_spider_shorthand,
+    _lone_side_spider,
+    _side_arm_lengths,
+    _spider_shorthand,
+)
 
 
 # ------------------------------ Tree basics ------------------------------
@@ -435,3 +445,45 @@ def test_render_parse_round_trip_over_catalog():
         name = render_shorthand(t)
         if name is not None:
             assert canonical_code(parse_tree(name)) == canonical_code(t)
+
+
+# ------------------------- runs of equal lengths --------------------------
+
+# Distinct lengths, each repeated: sorted, a profile is a sequence of such runs.
+_RUNS = st.lists(st.tuples(st.integers(1, 40), st.integers(1, 5)), min_size=1, max_size=6, unique_by=lambda run: run[0])
+
+
+def _lengths_of(runs):
+    return tuple(l for l, k in runs for _ in range(k))
+
+
+@st.composite
+def _laterals_at_l2(draw):
+    """A strict longest branch, then laterals as long as the second branch and shorter ones."""
+    l2 = draw(st.integers(1, 30))
+    below = draw(st.lists(st.tuples(st.integers(1, l2), st.integers(1, 5)), max_size=4, unique_by=lambda run: run[0]))
+    return SpiderProfile((draw(st.integers(l2 + 1, l2 + 5)), l2) + (l2,) * draw(st.integers(1, 6)) + _lengths_of(below))
+
+
+@st.composite
+def _as_profiles(draw):
+    r = draw(st.integers(1, 12))
+    q, c = draw(st.integers(1, 30)), draw(st.integers(1, r))
+    return ASParams(r, q, c, draw(st.integers(0, q - 1 if c < r else 0))).spider_profile()
+
+
+_SPIDERS = st.one_of(_RUNS.map(_lengths_of).filter(lambda ls: len(ls) >= 2).map(SpiderProfile), _laterals_at_l2(), _as_profiles())
+
+
+@settings(max_examples=400, deadline=None)
+@given(_SPIDERS)
+def test_spider_runs_match_the_per_length_grouping(p):
+    assert _spider_terms(p.lengths) == spider_terms_by_counter(p.lengths)
+    assert _spider_shorthand(p) == spider_shorthand_per_branch(p)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_RUNS, _RUNS)
+def test_double_spider_shorthand_matches_the_per_branch_join(a, b):
+    p = DoubleSpiderProfile(_lengths_of(a), _lengths_of(b))
+    assert _double_spider_shorthand(p) == double_spider_shorthand_per_branch(p)
