@@ -31,12 +31,13 @@ from .trees import (
     canonical_code,
     format_tree_text,
     make_double_spider,
+    make_path,
     make_spider,
     parse_tree,
     parse_tree_text,
     render_shorthand,
 )
-from .verify import _root_routes, verify_classification, verify_unimodality
+from .verify import _root_routes, _sweep_tables, verify_classification, verify_unimodality
 
 
 class _UsageError(Exception):
@@ -173,12 +174,12 @@ def _cmd_classify(args: argparse.Namespace) -> int:
                 "candidates": [
                     {
                         "tree": name,
-                        "tree_text": format_tree_text(parse_tree(name)),
+                        "tree_text": format_tree_text(make_spider(p) if q else make_path(args.D)),
                         "q": q,
                         "lambda2": _fmt(lam),
                         "winner": won,
                     }
-                    for name, lam, q, won in rows
+                    for (p, _), (name, lam, q, won) in zip(result.candidates, rows)
                 ],
             }
         )
@@ -229,35 +230,36 @@ def _cmd_candidates(args: argparse.Namespace) -> int:
 def _cmd_sweep(args: argparse.Namespace) -> int:
     if args.r < 1 or args.m_max < 1:
         raise ValueError(f"need --r >= 1 and --M-max >= 1, got --r {args.r}, --M-max {args.m_max}")
-    reports = verify_unimodality(args.r, range(1, args.m_max + 1))
-    failed = [rep for rep in reports if not rep.passed]
-    if args.format == "text":
-        for rep in reports:
-            peaks = ",".join(str(q) for q in rep.peak_q)
-            verdict = "pass" if rep.passed else f"FAIL ({rep.detail})"
-            print(f"r={rep.r} M={rep.M} peak_q={peaks} {verdict}")
-    elif args.format == "csv":
-        rows = [
-            [str(rep.r), str(rep.M), str(q), _fmt(sigma), str(q in rep.peak_q).lower(), str(rep.passed).lower()]
-            for rep in reports
-            for q, sigma in rep.rows
-        ]
-        _print_csv(["r", "M", "q", "sigma", "peak", "passed"], rows)
+    masses, passed = range(1, args.m_max + 1), True
+    if args.format == "text":  # one write per stacked table, from its verdicts alone
+        for _, verdicts in _sweep_tables(args.r, masses):
+            passed = passed and all(ok for _, _, ok, _ in verdicts)
+            lines = (
+                f"r={args.r} M={M} peak_q={','.join(map(str, peaks))} {'pass' if ok else f'FAIL ({why})'}\n"
+                for M, peaks, ok, why in verdicts
+            )
+            sys.stdout.write("".join(lines))
+        return 0 if passed else 3
+    if args.format == "csv":
+        import csv  # only --format csv needs it
+        writer = csv.writer(sys.stdout, lineterminator="\n")
     else:
-        _print_json(
-            [
-                {
-                    "r": rep.r,
-                    "M": rep.M,
-                    "rows": [{"q": q, "sigma": _fmt(sigma)} for q, sigma in rep.rows],
-                    "peak_q": list(rep.peak_q),
-                    "passed": rep.passed,
-                    "detail": rep.detail,
-                }
-                for rep in reports
-            ]
-        )
-    return 3 if failed else 0
+        import json  # only --format json needs it
+    for n, rep in enumerate(verify_unimodality(args.r, masses)):  # a report at a time, as its table is solved
+        passed = passed and rep.passed
+        if args.format == "csv":
+            if n == 0:
+                writer.writerow(["r", "M", "q", "sigma", "peak", "passed"])
+            writer.writerows(
+                [str(rep.r), str(rep.M), str(q), _fmt(sigma), str(q in rep.peak_q).lower(), str(rep.passed).lower()]
+                for q, sigma in rep.rows
+            )
+        else:
+            # The bytes of json.dumps(reports, indent=2): the report's fields in order, indented inside the brackets.
+            item = {**vars(rep), "rows": [{"q": q, "sigma": _fmt(sigma)} for q, sigma in rep.rows]}
+            sys.stdout.write(("[\n  " if n == 0 else ",\n  ") + json.dumps(item, indent=2).replace("\n", "\n  "))
+    sys.stdout.write("\n]\n" if args.format == "json" else "")
+    return 0 if passed else 3
 
 
 def _cmd_reduce(args: argparse.Namespace) -> int:

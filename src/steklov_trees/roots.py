@@ -7,28 +7,24 @@ double spiders, and the threshold quadratic that orders the two
 balanced candidates.  The one-center equations are all the pole sum
 sum_i w_i/(1 - l_i lambda), evaluated by one helper over terms that one
 rule writes: the two principal branches as poles of weight 1, then the
-laterals grouped by length, longest first.  spider_lambda2, the sweep
-table and reduce's exact check sum those terms in that order, so they
-solve one equation; both Newton estimates read l1 and l2 from the
+laterals grouped by length, longest first.  spider_lambda2, verify's
+sweep table and reduce's exact check sum those terms in that order, so
+they solve one equation; both Newton estimates read l1 and l2 from the
 first two terms and bound every later one in one upper model.  Each
 equation is strictly increasing on an explicit bracket whose endpoints
 are poles, and its root is the largest float of the bracket at which
-its float evaluation is <= 0: with no tolerance, and
-the same float whichever points a bisection evaluates, as long as that
-evaluation changes sign once.  That is a property test, not a runtime
-check.  One bisection walks from a Newton estimate, then halves only
-between the points around the root; run elementwise from an elementwise
-estimate, it solves a stacked table of balanced-family roots.
+its float evaluation is <= 0: with no tolerance, and the same float
+whichever points a bisection evaluates, as long as that evaluation
+changes sign once.  That is a property test, not a runtime check.  One
+bisection walks from a Newton estimate, then halves only between the
+points around the root.  All of it is scalar arithmetic, without numpy.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import islice
 from typing import Callable, Sequence
-
-import numpy as np
 
 from .trees import DoubleSpiderProfile, SpiderProfile, _runs
 
@@ -106,40 +102,6 @@ def _bisect(f: Callable[[float], float], lo: float, hi: float, estimate: Callabl
     return a if a > lo else b
 
 
-def _bisect_stacked(
-    f: Callable[[np.ndarray], np.ndarray], lo: np.ndarray, hi: np.ndarray, estimate: Callable[[], np.ndarray]
-) -> np.ndarray:
-    """_bisect run elementwise over arrays of brackets, from an array estimate.
-
-    Each entry walks from its estimate and halves between its own a and b
-    as _bisect does, and stops where _bisect stops: when no float is left
-    between them, or on a point where f is not finite, a division by zero,
-    which it returns.  Every other entry returns a, or b when a is still lo.
-    The estimate is computed only if some bracket has inner floats; an
-    entry whose estimate is NaN or outside them halves from its midpoint.
-    """
-    inner_lo, inner_hi = lo + _POLE_ULPS * np.spacing(np.abs(lo)), hi - _POLE_ULPS * np.spacing(np.abs(hi))
-    a, b = lo, hi
-    with np.errstate(divide="ignore", invalid="ignore"):
-        guess = estimate() if (inner_lo < inner_hi).any() else np.nan
-        walk = (inner_lo < guess) & (guess < inner_hi)
-        value = np.where(walk, guess, 0.5 * (a + b))
-        step = np.where(walk, np.spacing(np.abs(guess)), np.inf)
-        active = (a < value) & (value < b)
-        while active.any():
-            y = f(value)
-            active &= np.isfinite(y)
-            up = active & (y > 0.0)
-            b = np.where(up, value, b)
-            a = np.where(active ^ up, value, a)
-            nxt = np.where(up, b - step, a + step)
-            step = 2 * step
-            halve = (lo < a) & (b < hi) | ~((inner_lo < nxt) & (nxt < inner_hi))
-            value = np.where(active, np.where(halve, 0.5 * (a + b), nxt), value)
-            active &= (a < value) & (value < b)
-    return np.where((a < value) & (value < b), value, np.where(a > lo, a, b))
-
-
 def _pole_sum(terms: Sequence[tuple[int, float]], lam: float) -> float:
     """sum_i w_i / (1 - l_i lam) over (length, weight) pairs, in order; elementwise on arrays, exact on Fractions."""
     return sum(w / (1 - l * lam) for l, w in terms)
@@ -171,34 +133,6 @@ def _pole_sum_estimate(terms: Sequence[tuple[int, float]]) -> float:
         if not nxt < x:
             break
         x = nxt
-    return x
-
-
-def _stacked_estimate(terms: Sequence[tuple[np.ndarray | int, np.ndarray | int]]) -> np.ndarray:
-    """_pole_sum_estimate elementwise, for terms of array (or scalar) lengths and weights.
-
-    The same upper model read the same way: l1 and l2 from the first two
-    terms, every later term a lateral whose length is at most l2 in every
-    entry.  Each entry stops descending where the scalar loop would.
-    """
-    (l1, w1), (l2, w2), *laterals = terms
-    lateral = sum(w * float(l1) / (l1 - l) for l, w in laterals)
-    p = w1 * l2 + (w2 + lateral) * l1 + lateral * l2
-    q = w1 + w2 + lateral
-    x = 2 * q / (p + np.sqrt(np.maximum(p * p - 4 * lateral * l1 * l2 * q, 0.0)))
-    rest = [(l, w, w * l) for l, w in terms[1:]]
-    for _ in range(_NEWTON_PASSES):
-        g = slope = 0.0
-        for l, w, wl in rest:
-            d = 1 - l * x
-            g = g + w / d
-            slope = slope + wl / (d * d)
-        d = 1 - l1 * x
-        nxt = x - (w1 + d * g) / (d * slope - l1 * g)
-        down = nxt < x
-        if not down.any():
-            break
-        x = np.where(down, nxt, x)
     return x
 
 
@@ -239,32 +173,6 @@ def q_range_integer(r: int, M: int) -> tuple[int, int]:
     if r < 1 or M < 1:
         raise ValueError(f"need r >= 1 and M >= 1, got r={r}, M={M}")
     return (max(1, -(-M // r)), M)
-
-
-def _sigma_tables(r: int, masses: Sequence[int]) -> list[tuple[tuple[int, float], ...]]:
-    """(q, sigma) at every feasible integer q, for each M in masses.
-
-    sigma is the root in (1/(r+1), 1/r) of the balanced-family equation:
-    the spider equation of principal branches (r+1, r) and q lateral
-    branches of total length M spread as evenly as possible, c = M // q
-    long or one longer, with its terms in _spider_terms' order.  One
-    stacked bisection solves every root from a stacked estimate.  Where q
-    divides M the weight on the longer laterals is zero instead of
-    dropped, and their length is capped at r so that the term never sits
-    on the pole 1/(r+1): it adds +-0.0 inside the open bracket, and each
-    value equals spider_lambda2's of its balanced profile bit for bit.
-    """
-    spans = [q_range_integer(r, M) for M in masses]
-    if not spans:
-        return []
-    q = np.concatenate([np.arange(lo, hi + 1) for lo, hi in spans])
-    m = np.repeat(masses, [hi - lo + 1 for lo, hi in spans])
-    c = m // q
-    terms = ((r + 1, 1), (r, 1), (c + (c < r), m - c * q), (c, (c + 1) * q - m))
-    brackets = np.full(len(q), 1.0 / (r + 1)), np.full(len(q), 1.0 / r)
-    sigma = _bisect_stacked(lambda lam: _pole_sum(terms, lam), *brackets, lambda: _stacked_estimate(terms))
-    rows = zip(q.tolist(), sigma.tolist())
-    return [tuple(islice(rows, hi - lo + 1)) for lo, hi in spans]
 
 
 # ------------------------ double-spider equation -----------------------

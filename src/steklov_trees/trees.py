@@ -202,7 +202,9 @@ def _as_profile(r: int, q: int, M: int) -> SpiderProfile:
     c, t = divmod(M, q)
     if c + (t > 0) > r:
         raise ValueError(f"lateral length {c + (t > 0)} exceeds r={r}")
-    return SpiderProfile((r + 1, r) + (c + 1,) * t + (c,) * (q - t))
+    profile = SpiderProfile((r + 1, r, c))  # checks the distinct lengths; the layout is longest first already
+    object.__setattr__(profile, "lengths", (r + 1, r) + (c + 1,) * t + (c,) * (q - t))
+    return profile
 
 
 @dataclass(frozen=True)

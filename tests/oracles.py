@@ -14,13 +14,15 @@ distance matrix.
 Keep this module free of imports from the package except where a test
 explicitly certifies one route against the other, as the certification
 harness at the end does: the double-spider domination inequality tree by
-tree, and every applicable lambda_2 route against the others.  Four
+tree, and every applicable lambda_2 route against the others.  Five
 test-only forms of package routes also live here: the scalar
 balanced-family root at real q, which the stacked sweep table must
-equal bit for bit, the center-rooted generator's codes built into
-Tree objects, the main balancing move, which no subcommand runs, and
-the per-length grouping of a spider's poles and shorthands, which the
-package's runs of equal lengths must reproduce.
+equal bit for bit, the sweep's verdicts as loops over one mass's rows,
+which verify's verdicts on whole tables must equal, the center-rooted
+generator's codes built into Tree objects, the main balancing move,
+which no subcommand runs, and the per-length grouping of a spider's
+poles and shorthands, which the package's runs of equal lengths must
+reproduce.
 """
 
 from __future__ import annotations
@@ -52,8 +54,8 @@ from steklov_trees import (
     q_form,
     recognize_double_spider,
 )
-from steklov_trees import roots
-from steklov_trees.classify import _TIE_RTOL
+from steklov_trees import roots, verify
+from steklov_trees.classify import _STRICT_RTOL, _TIE_RTOL
 from steklov_trees.reduce import _checked_root
 from steklov_trees.roots import _resolvent_sum
 from steklov_trees.trees import _center_codes
@@ -165,7 +167,7 @@ def sigma_exact(r: int, m: int, q: int) -> tuple[Fraction, Fraction]:
     return rational_root_bracket(terms, Fraction(1, r + 1), Fraction(1, r))
 
 
-# The balanced family at real q: the scalar reference for roots._sigma_tables,
+# The balanced family at real q: the scalar reference for verify._sigma_tables,
 # solved through roots._bisect so that tests can watch its calls.
 
 
@@ -204,6 +206,44 @@ def sigma_rM(r: int, M: int, q: float) -> float:
         1.0 / r,
         lambda: roots._pole_sum_estimate(terms),
     )
+
+
+def sigma_table_rows(r: int, masses: Sequence[int]) -> list[tuple[tuple[int, float], ...]]:
+    """verify._sigma_tables(r, masses), one flat table, split into one tuple of (q, sigma) rows per mass."""
+    q, sigma, starts = verify._sigma_tables(r, masses)
+    rows = list(zip(q.tolist(), sigma.tolist()))
+    bounds = [*starts.tolist(), len(rows)]
+    return [tuple(rows[a:b]) for a, b in zip(bounds, bounds[1:])]
+
+
+def unimodality_verdict(r: int, M: int, rows: Sequence[tuple[int, float]]) -> tuple[tuple[int, ...], bool, str]:
+    """(peak_q, passed, detail) of one mass's (q, sigma) rows, judged by per-mass loops.
+
+    The reference for the verdicts that verify reads off a whole table's
+    arrays at once.  The peaks are the q within 1e-12 (relative) of the
+    maximum; the scan compares neighbours within the rows alone, for drops
+    up to the first maximum and for rises after it; the peak must sit at
+    floor(M/s) (at least 1) or ceil(M/s), s = ceil(r/2).
+    """
+    vals = [lam for _, lam in rows]
+    best = max(vals)
+    band = _STRICT_RTOL * best
+    peak_q = tuple(q for q, lam in rows if best - lam <= band)
+    i_star = vals.index(best)
+
+    problems = []
+    for i in range(i_star):
+        if vals[i + 1] < vals[i] - band:
+            problems.append(f"drop before the peak at q={rows[i + 1][0]}")
+    for i in range(i_star, len(vals) - 1):
+        if vals[i + 1] > vals[i] + band:
+            problems.append(f"rise after the peak at q={rows[i + 1][0]}")
+
+    s = (r + 1) // 2
+    predicted = {max(1, M // s), -(-M // s)}
+    if not predicted.intersection(peak_q):
+        problems.append(f"peak at q={peak_q}, predicted {sorted(predicted)}")
+    return peak_q, not problems, "; ".join(problems)
 
 
 def _resolvent_poly(lengths: Sequence[int], rho: Fraction) -> tuple[Fraction, Fraction]:

@@ -29,7 +29,7 @@ from steklov_trees import (
     spider_lambda2,
     threshold_data,
 )
-from steklov_trees import roots
+from steklov_trees import roots, verify
 
 from oracles import (
     bisect_reference,
@@ -39,6 +39,7 @@ from oracles import (
     q_range_continuous,
     sigma_exact,
     sigma_rM,
+    sigma_table_rows,
     spider_lambda2_exact,
 )
 
@@ -190,7 +191,7 @@ def test_sigma_continuous_across_block_boundaries(r, m, c):
 
 
 def _assert_tables_equal_sigma_rM(r, masses):
-    for m, rows in zip(masses, roots._sigma_tables(r, masses)):
+    for m, rows in zip(masses, sigma_table_rows(r, masses)):
         lo, hi = q_range_integer(r, m)
         assert rows == tuple((q, sigma_rM(r, m, q)) for q in range(lo, hi + 1)), (r, m)
 
@@ -224,7 +225,7 @@ def test_sigma_tables_equal_spider_lambda2(r):
     # One term rule: each table entry is spider_lambda2 of its balanced
     # profile, bit for bit, also where a lateral is as long as the branch r.
     masses = range(1, 83)
-    for m, rows in zip(masses, roots._sigma_tables(r, masses)):
+    for m, rows in zip(masses, sigma_table_rows(r, masses)):
         for q, sigma in rows:
             c, t = divmod(m, q)
             lam = spider_lambda2((r + 1, r) + (c + 1,) * t + (c,) * (q - t))
@@ -236,15 +237,15 @@ def test_sigma_tables_golden_bits():
     # SHA-256 of their .hex() strings in (r, M, q) order.
     digest = hashlib.sha256()
     for r in range(1, 10):
-        for rows in roots._sigma_tables(r, range(1, 83)):
+        for rows in sigma_table_rows(r, range(1, 83)):
             digest.update("".join(sigma.hex() for _, sigma in rows).encode())
     assert digest.hexdigest() == "5426aa2d84b972e6f4dd531d573ff455d7a40cf92328464db561bffacbae6359"
 
 
 def _stacked_passes(monkeypatch, r, masses):
-    """(_sigma_tables(r, masses), its stacked passes), counted as calls of roots._pole_sum."""
+    """(the table's rows per mass, its stacked passes), counted as calls of the _pole_sum that verify's table calls."""
     calls = 0
-    pole_sum = roots._pole_sum
+    pole_sum = verify._pole_sum
 
     def counted(terms, lam):
         nonlocal calls
@@ -253,8 +254,10 @@ def _stacked_passes(monkeypatch, r, masses):
             raise AssertionError("stacked bisection did not stop")
         return pole_sum(terms, lam)
 
-    monkeypatch.setattr(roots, "_pole_sum", counted)
-    return roots._sigma_tables(r, masses), calls
+    monkeypatch.setattr(verify, "_pole_sum", counted)
+    rows = sigma_table_rows(r, masses)
+    assert calls >= 2, "the counter saw no stacked pass"
+    return rows, calls
 
 
 @pytest.mark.parametrize("r", range(2, 9))
@@ -288,7 +291,7 @@ def test_bisections_stop_on_a_midpoint_that_divides_by_zero():
     # bounds the bracket left; every loop returns it as it is.
     f = _divides_by_zero_at_half
     lo, hi = [0.0, 0.0, 0.25], [1.0, 0.5, 1.0]
-    stacked = roots._bisect_stacked(f, np.array(lo), np.array(hi), lambda: np.nan).tolist()
+    stacked = verify._bisect_stacked(f, np.array(lo), np.array(hi), lambda: np.nan).tolist()
     assert stacked[0] == 0.5
     assert stacked == [roots._bisect(f, a, b, lambda: math.nan) for a, b in zip(lo, hi)]
     assert stacked == [bisect_reference(f, a, b) for a, b in zip(lo, hi)]
@@ -314,8 +317,8 @@ def test_stacked_bad_estimate_gives_the_same_roots(estimate):
     # NaN, out-of-bracket and, where no pole stop is in reach, far-off
     # estimates: the first entry's plain bisection stops on the pole 0.5.
     lo, hi = np.array([0.0, 0.0, 0.25]), np.array([1.0, 0.5, 1.0])
-    want = roots._bisect_stacked(_divides_by_zero_at_half, lo, hi, lambda: np.nan)
-    got = roots._bisect_stacked(_divides_by_zero_at_half, lo, hi, lambda: np.broadcast_to(estimate, lo.shape))
+    want = verify._bisect_stacked(_divides_by_zero_at_half, lo, hi, lambda: np.nan)
+    got = verify._bisect_stacked(_divides_by_zero_at_half, lo, hi, lambda: np.broadcast_to(estimate, lo.shape))
     assert got.tobytes() == want.tobytes()
 
 

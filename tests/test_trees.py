@@ -24,6 +24,7 @@ from steklov_trees import (
     make_spider,
     parse_tree,
     parse_tree_text,
+    q_range_integer,
     recognize_double_spider,
     recognize_spider,
     render_shorthand,
@@ -48,6 +49,7 @@ from steklov_trees.reduce import greedy_ascent_trace
 from steklov_trees.roots import _spider_terms
 from steklov_trees.spectral import lambda2_numeric
 from steklov_trees.trees import (
+    _as_profile,
     _center_codes,
     _double_spider_shorthand,
     _lone_side_spider,
@@ -463,6 +465,20 @@ def _laterals_at_l2(draw):
     l2 = draw(st.integers(1, 30))
     below = draw(st.lists(st.tuples(st.integers(1, l2), st.integers(1, 5)), max_size=4, unique_by=lambda run: run[0]))
     return SpiderProfile((draw(st.integers(l2 + 1, l2 + 5)), l2) + (l2,) * draw(st.integers(1, 6)) + _lengths_of(below))
+
+
+def test_as_profile_equals_the_profile_of_its_lengths():
+    # _as_profile hands its longest-first layout to the profile without a sort.
+    # Each mass's candidate counts (s = ceil(r/2)) and the ends of its range.
+    for r in range(1, 21):  # every odd D = 2r + 1 <= 41
+        for m in range(1, 201):
+            lo, hi = q_range_integer(r, m)
+            s = (r + 1) // 2
+            for q in {lo, max(lo, m // s), min(hi, -(-m // s)), hi}:
+                c, t = divmod(m, q)
+                want = SpiderProfile((c,) * (q - t) + (c + 1,) * t + (r, r + 1))
+                got = _as_profile(r, q, m)
+                assert (got, hash(got), got.lengths) == (want, hash(want), want.lengths), (r, q, m)
 
 
 @st.composite

@@ -1,8 +1,11 @@
 """Certification runs: brute force vs classifier, sweeps, cross-checks."""
 
 import concurrent.futures
+import contextlib
+import io
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,11 +25,10 @@ from steklov_trees import (
     verify_unimodality,
 )
 import steklov_trees.verify as verify_module
-from steklov_trees import roots
 from steklov_trees.cli import run
 
 import oracles
-from oracles import enumerate_trees, verify_cross_methods, verify_domination
+from oracles import enumerate_trees, sigma_table_rows, unimodality_verdict, verify_cross_methods, verify_domination
 
 
 def _spider_code(*lengths):
@@ -208,12 +210,94 @@ def test_unimodality_rows_are_the_sweep_rows(capsys, r):
         assert (entry["peak_q"], entry["passed"]) == (list(report.peak_q), report.passed)
     # The sweep's one stacked call gives each mass the report of its own call.
     masses = range(1, m_max + 1)
-    assert verify_unimodality(r, masses) == [verify_unimodality(r, [m])[0] for m in masses]
+    assert list(verify_unimodality(r, masses)) == [next(verify_unimodality(r, [m])) for m in masses]
 
 
 def test_unimodality_of_no_masses_is_empty():
-    assert roots._sigma_tables(3, []) == []
-    assert verify_unimodality(3, []) == []
+    assert sigma_table_rows(3, []) == []
+    assert list(verify_unimodality(3, [])) == []
+
+
+def test_array_verdicts_equal_the_loop_oracle_on_every_table():
+    # Every table of r <= 9, M <= 82 (21,481 roots): peaks, verdict and detail.
+    for r in range(1, 10):
+        for report in verify_unimodality(r, range(1, 83)):
+            assert (report.peak_q, report.passed, report.detail) == unimodality_verdict(r, report.M, report.rows)
+
+
+# A tie at the band's edge: EDGE_BEST - EDGE_VAL equals _STRICT_RTOL * EDGE_BEST exactly.
+EDGE_BEST = 2252 * 10**12 * 2.0**-54
+EDGE_VAL = EDGE_BEST - 1e-12 * EDGE_BEST
+
+# r = 5, so s = 3: M = 12 must peak at q = 4 and M = 13 at q = 4 or 5.  No real
+# table fails, so these (M, q values, sigma values, expected verdict) pin the detail text.
+SYNTHETIC_TABLE = [
+    (12, [1, 2, 4, 5], [0.2, 0.1, 0.3, 0.25], ((4,), False, "drop before the peak at q=2")),
+    (12, [3, 4, 5, 6], [0.1, 0.3, 0.2, 0.25], ((4,), False, "rise after the peak at q=6")),
+    (12, [4, 5, 6], [EDGE_VAL, EDGE_BEST, 0.1], ((4, 5), True, "")),
+    (13, [2, 3, 4], [0.1, 0.3, 0.2], ((3,), False, "peak at q=(3,), predicted [4, 5]")),
+    (
+        12,
+        [2, 3, 4, 5, 6],
+        [0.1, 0.3, 0.2, 0.3, 0.1],
+        ((3, 5), False, "rise after the peak at q=5; peak at q=(3, 5), predicted [4]"),
+    ),
+    # Starts below the last entry of the mass before it: no drop.
+    (12, [3, 4, 5], [0.05, 0.2, 0.15], ((4,), True, "")),
+    # Starts above the last entry of the mass before it, at its own maximum: no rise.
+    (12, [4, 5], [0.3, 0.29], ((4,), True, "")),
+]
+
+
+def test_array_verdicts_on_synthetic_tables(monkeypatch):
+    assert EDGE_BEST - EDGE_VAL == verify_module._STRICT_RTOL * EDGE_BEST
+    masses = [m for m, _, _, _ in SYNTHETIC_TABLE]
+    q = np.array([k for _, qs, _, _ in SYNTHETIC_TABLE for k in qs])
+    sigma = np.array([v for _, _, vals, _ in SYNTHETIC_TABLE for v in vals])
+    starts = np.cumsum([0] + [len(qs) for _, qs, _, _ in SYNTHETIC_TABLE[:-1]])
+    monkeypatch.setattr(verify_module, "_sigma_tables", lambda r, run: (q, sigma, starts))
+    ((_, verdicts),) = verify_module._sweep_tables(5, masses)
+    for (m, qs, vals, want), verdict in zip(SYNTHETIC_TABLE, verdicts, strict=True):
+        assert verdict == (m, *want)
+        assert want == unimodality_verdict(5, m, list(zip(qs, vals)))
+
+
+def _sweep_outputs(capsys):
+    reports, printed = {}, {}
+    for r in range(1, 10):
+        reports[r] = list(verify_unimodality(r, range(1, 83)))
+        for fmt in ("text", "csv", "json"):
+            printed[r, fmt] = (run(["sweep", "--r", str(r), "--M-max", "82", "--format", fmt]), capsys.readouterr())
+    return reports, printed
+
+
+@pytest.mark.parametrize("entries", [1, 7, 64])
+def test_sweeps_are_table_size_independent(monkeypatch, capsys, entries):
+    # As the batched kernel is chunk-independent: cutting the masses into
+    # more, smaller stacked tables moves no report and no output byte.
+    whole = _sweep_outputs(capsys)
+    monkeypatch.setattr(verify_module, "_ENTRIES", entries)
+    for r in (2, 9):
+        tables = [(len(q), len(verdicts)) for (q, _, _), verdicts in verify_module._sweep_tables(r, range(1, 83))]
+        assert len(tables) > 1 and all(size <= entries or masses == 1 for size, masses in tables)
+    assert _sweep_outputs(capsys) == whole
+
+
+def _sweep_peak_bytes(m_max):
+    out = io.StringIO()
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(out):
+            assert run(["sweep", "--r", "5", "--M-max", str(m_max)]) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_sweep_memory_is_bounded_by_its_tables():
+    # One stacked table of every mass grows with M^2: about 26 MB at M <= 600.
+    # Tables of at most _ENTRIES entries hold the peak level as M grows.
+    assert _sweep_peak_bytes(900) <= 1.15 * _sweep_peak_bytes(600)
 
 
 # ------------------------------ domination ------------------------------
