@@ -13,7 +13,6 @@ module on first access, as no subcommand but `steklov reduce` runs either.
 import importlib
 
 from .trees import (
-    ASParams,
     DoubleSpiderProfile,
     SpiderProfile,
     Tree,
@@ -29,7 +28,6 @@ from .trees import (
     recognize_double_spider,
     recognize_spider,
     render_shorthand,
-    tree_centers,
 )
 from .spectral import (
     Spectrum,
@@ -47,9 +45,7 @@ from .roots import (
     threshold_data,
 )
 from .classify import (
-    CandidatePair,
     ClassificationResult,
-    candidate_profiles,
     classify,
 )
 from .verify import (
@@ -76,9 +72,7 @@ def __dir__() -> list[str]:
 
 
 __all__ = [
-    "ASParams",
     "BoundaryFlux",
-    "CandidatePair",
     "ClassificationResult",
     "CutDecomposition",
     "DoubleSpiderProfile",
@@ -90,7 +84,6 @@ __all__ = [
     "VerificationReport",
     "arm_transfer",
     "balance_side_step",
-    "candidate_profiles",
     "canonical_code",
     "classify",
     "cut_sums",
@@ -118,7 +111,6 @@ __all__ = [
     "spider_lambda2",
     "steklov_spectrum",
     "threshold_data",
-    "tree_centers",
     "verify_classification",
     "verify_unimodality",
 ]

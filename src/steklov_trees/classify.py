@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .roots import spider_lambda2, threshold_data
-from .trees import ASParams, SpiderProfile, _as_profile
+from .trees import SpiderProfile, _as_profile
 
 # Two lambda_2 values this close (relatively) are reported as tied
 # rather than ordered.  The threshold check needs no band of its own:
@@ -24,27 +24,6 @@ from .trees import ASParams, SpiderProfile, _as_profile
 # 1e-6 of an integer only at (6, 2) and (9, 1), both below s, and the
 # check runs only for k >= s; a real tie shows as two winners, which skip it.
 _TIE_RTOL = 1e-9
-
-# Relative band inside which values on the sigma table count as equal
-# when the peak and the rise-then-fall shape are checked.
-_STRICT_RTOL = 1e-12
-
-
-@dataclass(frozen=True)
-class CandidatePair:
-    """The two nearly-balanced candidates for given (n, D) with M >= 1.
-
-    q_minus and q_plus are the branch counts bracketing M/s; the
-    parameter sets come from the Euclidean divisions M = q*c + t.  The
-    pair collapses (as_minus == as_plus) when s divides M or M < s.
-    """
-
-    M: int
-    s: int
-    q_minus: int
-    q_plus: int
-    as_minus: ASParams
-    as_plus: ASParams
 
 
 @dataclass(frozen=True)
@@ -63,7 +42,8 @@ class ClassificationResult:
     tie_flag: bool
 
 
-def _check_odd_case(n: int, D: int) -> None:
+def _odd_case(n: int, D: int) -> tuple[int, int]:
+    """Radius r = (D-1)/2 and lateral mass M = n-D-1 of an order and odd diameter in scope."""
     if D % 2 == 0:
         raise ValueError(
             f"diameter {D} is even; even-diameter maximizers are classified by "
@@ -73,6 +53,7 @@ def _check_odd_case(n: int, D: int) -> None:
         raise ValueError(f"need diameter >= 3, got {D}")
     if n < D + 1:
         raise ValueError(f"order {n} cannot carry diameter {D}; need n >= {D + 1}")
+    return (D - 1) // 2, n - D - 1
 
 
 def _predicted_counts(r: int, M: int) -> tuple[int, int, int]:
@@ -87,21 +68,6 @@ def _near_argmax(rows: Sequence[tuple[object, float]], rtol: float) -> tuple[tup
     return tuple(key for key, val in rows if best - val <= rtol * best), best
 
 
-def candidate_profiles(n: int, D: int) -> CandidatePair | None:
-    """The candidate parameter sets for (n, D), or None when the path wins.
-
-    None is the path marker: M = 0 leaves nothing to hang off the
-    principal branches and P_{D+1} is the unique maximizer.
-    """
-    _check_odd_case(n, D)
-    r = (D - 1) // 2
-    M = n - D - 1
-    if M == 0:
-        return None
-    s, q_minus, q_plus = _predicted_counts(r, M)
-    return CandidatePair(M, s, q_minus, q_plus, *(ASParams(r, q, *divmod(M, q)) for q in (q_minus, q_plus)))
-
-
 def classify(n: int, D: int) -> ClassificationResult:
     """Maximizer set for order n and odd diameter D.
 
@@ -112,9 +78,7 @@ def classify(n: int, D: int) -> ClassificationResult:
     additionally verified against the direct comparison; disagreement
     is an internal error, never silently resolved.
     """
-    _check_odd_case(n, D)
-    r = (D - 1) // 2
-    M = n - D - 1
+    r, M = _odd_case(n, D)
     s, q_minus, q_plus = _predicted_counts(r, M)
     if M == 0:
         tag, profiles = "path", (SpiderProfile((r + 1, r)),)

@@ -20,12 +20,14 @@ import sys
 
 import numpy as np
 
-from .classify import candidate_profiles, classify
+from .classify import _odd_case, _predicted_counts, classify
+from .roots import _root_routes
 from .spectral import dtn_matrix, lambda2_numeric, steklov_spectrum
 from .trees import (
     DoubleSpiderProfile,
     SpiderProfile,
     Tree,
+    _as_profile,
     _double_spider_shorthand,
     _spider_shorthand,
     canonical_code,
@@ -37,7 +39,7 @@ from .trees import (
     parse_tree_text,
     render_shorthand,
 )
-from .verify import _root_routes, _sweep_tables, verify_classification, verify_unimodality
+from .verify import _sweep_tables, verify_classification, verify_unimodality
 
 
 class _UsageError(Exception):
@@ -187,43 +189,27 @@ def _cmd_classify(args: argparse.Namespace) -> int:
 
 
 def _cmd_candidates(args: argparse.Namespace) -> int:
-    pair = candidate_profiles(args.n, args.D)
-    if pair is None:
-        name = f"path:{args.D}"
-        if args.format == "text":
-            print(f"n={args.n} D={args.D} M=0 path tree={name}")
-        elif args.format == "csv":
-            _print_csv(["slot", "q", "c", "t", "tree"], [["path", "", "", "", name]])
-        else:
-            _print_json({"n": args.n, "D": args.D, "M": 0, "candidates": [{"slot": "path", "tree": name}]})
-        return 0
-
-    slots = [("minus", pair.q_minus, pair.as_minus), ("plus", pair.q_plus, pair.as_plus)]
-    named = [(slot, q, p, _spider_shorthand(p.spider_profile())) for slot, q, p in slots]
-    if args.format == "text":
-        print(f"n={args.n} D={args.D} M={pair.M} s={pair.s} q_minus={pair.q_minus} q_plus={pair.q_plus}")
-        for slot, q, p, name in named:
-            print(f"{slot} q={q} c={p.c} t={p.t} tree={name}")
-    elif args.format == "csv":
-        _print_csv(
-            ["slot", "q", "c", "t", "tree"],
-            [[slot, str(q), str(p.c), str(p.t), name] for slot, q, p, name in named],
-        )
+    r, M = _odd_case(args.n, args.D)
+    head = {"n": args.n, "D": args.D, "M": M}
+    if M == 0:
+        rows = [{"slot": "path", "tree": f"path:{args.D}"}]
     else:
-        _print_json(
-            {
-                "n": args.n,
-                "D": args.D,
-                "M": pair.M,
-                "s": pair.s,
-                "q_minus": pair.q_minus,
-                "q_plus": pair.q_plus,
-                "candidates": [
-                    {"slot": slot, "q": q, "c": p.c, "t": p.t, "tree": name}
-                    for slot, q, p, name in named
-                ],
-            }
-        )
+        s, q_minus, q_plus = _predicted_counts(r, M)
+        head.update(s=s, q_minus=q_minus, q_plus=q_plus)
+        # Every name is built before the first print: an order too large to build prints nothing.
+        rows = [
+            {"slot": slot, "q": q, "c": M // q, "t": M % q, "tree": _spider_shorthand(_as_profile(r, q, M))}
+            for slot, q in (("minus", q_minus), ("plus", q_plus))
+        ]
+    if args.format == "text":  # the path's one row shares the head line
+        lines = [" ".join(f"{k}={v}" for k, v in head.items())]
+        lines += [" ".join([row["slot"], *(f"{k}={v}" for k, v in row.items() if k != "slot")]) for row in rows]
+        print(*lines, sep=" " if M == 0 else "\n")
+    elif args.format == "csv":
+        header = ["slot", "q", "c", "t", "tree"]
+        _print_csv(header, [[str(row.get(k, "")) for k in header] for row in rows])
+    else:
+        _print_json({**head, "candidates": rows})
     return 0
 
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from numbers import Rational
 
-from .classify import _TIE_RTOL, _near_argmax
+from .classify import _TIE_RTOL
 from .roots import _double_spider_equation, _pole_sum, _resolvent_sum, _spider_terms, double_spider_rho, spider_lambda2
 from .spectral import lambda2_numeric
 from .trees import DoubleSpiderProfile, SpiderProfile, Tree, _lone_side_spider, _side_arm_lengths, diameter
@@ -175,6 +175,7 @@ def greedy_ascent_trace(t: Tree) -> tuple[tuple[str, Tree | Profile, float], ...
         trace.append(("balance_side", spider, lam))  # ends: each step lowers the sum of squared sides
 
     trace.append(("result", spider, lam))
-    if "result" not in _near_argmax((("input", trace[0][2]), ("result", lam)), _TIE_RTOL)[0]:
-        raise RuntimeError(f"ascent lost ground: lambda_2 fell from {trace[0][2]} to {lam}")
+    x_in = trace[0][2]
+    if not x_in - lam <= _TIE_RTOL * x_in:  # written as a failed <=, so that a NaN fails too
+        raise RuntimeError(f"ascent lost ground: lambda_2 fell from {x_in} to {lam}")
     return tuple(trace)

@@ -128,11 +128,6 @@ def diameter(t: Tree) -> int:
     return t._sweep[0]
 
 
-def tree_centers(t: Tree) -> list[int]:
-    """The one or two middle vertices of a longest path, ascending, as a new list."""
-    return list(t._sweep[1])
-
-
 # ------------------------------ profiles ------------------------------
 
 
@@ -156,45 +151,6 @@ class SpiderProfile:
     @property
     def diameter(self) -> int:
         return self.lengths[0] + self.lengths[1]
-
-
-@dataclass(frozen=True)
-class ASParams:
-    """Generalized almost seesaw tree AS(r, q+2, c, t).
-
-    The spider with principal branches r+1 and r plus q lateral branches:
-    t of length c+1 and q-t of length c.  Lateral mass M = q*c + t.
-    """
-
-    r: int
-    q: int
-    c: int
-    t: int
-
-    def __post_init__(self) -> None:
-        if self.r < 1 or self.q < 1 or self.c < 1:
-            raise ValueError(f"need r,q,c >= 1, got {self!r}")
-        if not 0 <= self.t <= self.q - 1:
-            raise ValueError(f"need 0 <= t <= q-1, got {self!r}")
-        if self.c > self.r:
-            raise ValueError(f"lateral length c={self.c} exceeds r={self.r}")
-        if self.t > 0 and self.c + 1 > self.r:
-            raise ValueError(f"lateral length c+1={self.c + 1} exceeds r={self.r}")
-
-    @property
-    def lateral_mass(self) -> int:
-        return self.q * self.c + self.t
-
-    @property
-    def order(self) -> int:
-        return 2 * self.r + 2 + self.lateral_mass
-
-    @property
-    def diameter(self) -> int:
-        return 2 * self.r + 1
-
-    def spider_profile(self) -> SpiderProfile:
-        return _as_profile(self.r, self.q, self.lateral_mass)
 
 
 def _as_profile(r: int, q: int, M: int) -> SpiderProfile:
@@ -451,7 +407,9 @@ def parse_tree(text: str) -> Tree:
                 )
             )
         r, q, c, t = (int(x) for x in body.split(","))
-        return make_spider(ASParams(r, q, c, t).spider_profile())
+        if min(r, q, c) < 1 or not 0 <= t < q:  # _as_profile checks the lengths against r
+            raise ValueError("need r, q, c >= 1 and 0 <= t < q")
+        return make_spider(_as_profile(r, q, q * c + t))
     except ValueError as exc:
         raise ValueError(f"bad tree shorthand {text!r}: {exc}") from exc
 

@@ -10,8 +10,6 @@ unimodality, one stacked table of at most _ENTRIES roots at a time, with
 verdicts read off its arrays, as `steklov sweep` does.
 Reports never hide a failure: verdicts are match / tie_unresolved /
 mismatch, with ties flagged only below the resolution of floating point.
-The root equations that a tree's shape admits are listed here too, for
-`lambda2 --method root`.
 """
 
 from __future__ import annotations
@@ -22,10 +20,10 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .classify import _STRICT_RTOL, _TIE_RTOL, _near_argmax, _predicted_counts, classify
-from .roots import _NEWTON_PASSES, _POLE_ULPS, _pole_sum, double_spider_rho, q_range_integer, spider_lambda2
+from .classify import _TIE_RTOL, _near_argmax, _predicted_counts, classify
+from .roots import _NEWTON_PASSES, _POLE_ULPS, _pole_sum, q_range_integer
 from .spectral import _lambda2_batch
-from .trees import SpiderProfile, Tree, _center_codes, canonical_code, make_spider, recognize_double_spider, recognize_spider
+from .trees import SpiderProfile, _center_codes, canonical_code, make_spider
 
 # Trees per stacked batch; bounds the kernel's memory at O(_CHUNK n^2) bytes.
 _CHUNK = 4096
@@ -209,6 +207,11 @@ def _sigma_tables(r: int, masses: Sequence[int]) -> tuple[np.ndarray, np.ndarray
     return q, sigma, starts
 
 
+# Relative band inside which values on the sigma table count as equal
+# when the peak and the rise-then-fall shape are checked.
+_STRICT_RTOL = 1e-12
+
+
 def _sweep_tables(r: int, masses: Iterable[int]) -> Iterator[tuple[tuple[np.ndarray, ...], list[tuple]]]:
     """Each _sigma_tables of a sweep, in order, with (M, peak_q, passed, detail) for each of its masses.
 
@@ -269,19 +272,3 @@ def verify_unimodality(r: int, masses: Iterable[int]) -> Iterator[UnimodalityRep
         for (M, peak_q, passed, detail), a, b in zip(verdicts, bounds, bounds[1:]):
             yield UnimodalityReport(r, M, tuple(rows[a:b]), peak_q, passed, detail)
 
-
-# ----------------------------- root routes -----------------------------
-
-
-def _root_routes(t: Tree) -> Iterator[tuple[str, float]]:
-    """lambda_2 from each root equation that t's shape admits, spider first.
-
-    The spider equation needs a strict longest branch; the double-spider
-    equation needs equal longest sides.  Values are solved only as drawn.
-    """
-    spider = recognize_spider(t)
-    if spider is not None and spider.lengths[0] > spider.lengths[1]:
-        yield "spider_root", spider_lambda2(spider)
-    double = recognize_double_spider(t)
-    if double is not None and double.a_lengths[0] == double.b_lengths[0]:
-        yield "double_spider_root", 1.0 / double_spider_rho(double)

@@ -10,19 +10,21 @@ tree generator and a count recurrence instead of the center-rooted
 tree generator, cyclic Jacobi rotations instead of
 LAPACK, an explicit harmonic extension instead of the Schur complement,
 one breadth-first search per leaf instead of the one-traversal leaf
-distance matrix.
+distance matrix, and the almost seesaw candidates laid out from their
+parameters (r, q, c, t) and the two branch counts next to M/s instead of
+the package's layout from (r, q, M).
 Keep this module free of imports from the package except where a test
 explicitly certifies one route against the other, as the certification
 harness at the end does: the double-spider domination inequality tree by
-tree, and every applicable lambda_2 route against the others.  Five
+tree, and every applicable lambda_2 route against the others.  Six
 test-only forms of package routes also live here: the scalar
 balanced-family root at real q, which the stacked sweep table must
 equal bit for bit, the sweep's verdicts as loops over one mass's rows,
 which verify's verdicts on whole tables must equal, the center-rooted
 generator's codes built into Tree objects, the main balancing move,
-which no subcommand runs, and the per-length grouping of a spider's
+which no subcommand runs, the per-length grouping of a spider's
 poles and shorthands, which the package's runs of equal lengths must
-reproduce.
+reproduce, and a tree's centers as a new list, read off its double sweep.
 """
 
 from __future__ import annotations
@@ -55,11 +57,11 @@ from steklov_trees import (
     recognize_double_spider,
 )
 from steklov_trees import roots, verify
-from steklov_trees.classify import _STRICT_RTOL, _TIE_RTOL
+from steklov_trees.classify import _TIE_RTOL, _odd_case
 from steklov_trees.reduce import _checked_root
-from steklov_trees.roots import _resolvent_sum
+from steklov_trees.roots import _resolvent_sum, _root_routes
 from steklov_trees.trees import _center_codes
-from steklov_trees.verify import _root_routes
+from steklov_trees.verify import _STRICT_RTOL
 
 # Distinct unlabeled trees on n = 1..16 vertices, frozen by hand.
 FREE_TREE_COUNTS = [1, 1, 1, 2, 3, 6, 11, 23, 47, 106, 235, 551, 1301, 3159, 7741, 19320]
@@ -165,6 +167,87 @@ def sigma_exact(r: int, m: int, q: int) -> tuple[Fraction, Fraction]:
     c = m // q
     terms = [(1, r + 1), (1, r), (m - c * q, c + 1), ((c + 1) * q - m, c)]
     return rational_root_bracket(terms, Fraction(1, r + 1), Fraction(1, r))
+
+
+# ----------------------- AS parameters and centers -----------------------
+# The package names a candidate by (r, q, M) alone and lays it out in
+# trees._as_profile; these lay out AS(r, q+2, c, t) from its four
+# parameters directly, with their own checks, as the layout tests' reference.
+
+
+@dataclass(frozen=True)
+class ASParams:
+    """Generalized almost seesaw tree AS(r, q+2, c, t).
+
+    The spider with principal branches r+1 and r plus q lateral branches:
+    t of length c+1 and q-t of length c.  Lateral mass M = q*c + t.
+    """
+
+    r: int
+    q: int
+    c: int
+    t: int
+
+    def __post_init__(self) -> None:
+        if self.r < 1 or self.q < 1 or self.c < 1:
+            raise ValueError(f"need r,q,c >= 1, got {self!r}")
+        if not 0 <= self.t <= self.q - 1:
+            raise ValueError(f"need 0 <= t <= q-1, got {self!r}")
+        if self.c > self.r:
+            raise ValueError(f"lateral length c={self.c} exceeds r={self.r}")
+        if self.t > 0 and self.c + 1 > self.r:
+            raise ValueError(f"lateral length c+1={self.c + 1} exceeds r={self.r}")
+
+    @property
+    def lateral_mass(self) -> int:
+        return self.q * self.c + self.t
+
+    @property
+    def order(self) -> int:
+        return 2 * self.r + 2 + self.lateral_mass
+
+    @property
+    def diameter(self) -> int:
+        return 2 * self.r + 1
+
+    def spider_profile(self) -> SpiderProfile:
+        return SpiderProfile((self.r + 1, self.r) + (self.c + 1,) * self.t + (self.c,) * (self.q - self.t))
+
+
+@dataclass(frozen=True)
+class CandidatePair:
+    """The two nearly-balanced candidates for given (n, D) with M >= 1.
+
+    q_minus and q_plus are the branch counts bracketing M/s; the
+    parameter sets come from the Euclidean divisions M = q*c + t.  The
+    pair collapses (as_minus == as_plus) when s divides M or M < s.
+    """
+
+    M: int
+    s: int
+    q_minus: int
+    q_plus: int
+    as_minus: ASParams
+    as_plus: ASParams
+
+
+def candidate_profiles(n: int, D: int) -> CandidatePair | None:
+    """The candidate parameter sets for (n, D), or None when the path wins (M = 0).
+
+    The domain is the package's one check, classify._odd_case, so that the
+    tests of its rejections run it; the counts and divisions are redone here.
+    """
+    r, M = _odd_case(n, D)
+    if M == 0:
+        return None
+    s = -(-r // 2)
+    q_minus, q_plus = max(1, M // s), -(-M // s)
+    return CandidatePair(M, s, q_minus, q_plus, *(ASParams(r, q, M // q, M % q) for q in (q_minus, q_plus)))
+
+
+def tree_centers(t: Tree) -> list[int]:
+    """The one or two middle vertices of a longest path, ascending, as a new list: the tree's double sweep."""
+    return list(t._sweep[1])
 
 
 # The balanced family at real q: the scalar reference for verify._sigma_tables,

@@ -6,9 +6,7 @@ import math
 import pytest
 
 from steklov_trees import (
-    ASParams,
     SpiderProfile,
-    candidate_profiles,
     canonical_code,
     classify,
     diameter,
@@ -20,7 +18,7 @@ from steklov_trees import (
     verify_unimodality,
 )
 
-from oracles import bracket_contains, sigma_exact, spider_lambda2_exact
+from oracles import ASParams, bracket_contains, candidate_profiles, sigma_exact, spider_lambda2_exact
 
 # The package's `classify` function shadows its module of that name.
 CLASSIFY_MODULE = importlib.import_module("steklov_trees.classify")

@@ -4,6 +4,7 @@ import ast
 import csv
 import hashlib
 import importlib
+import importlib.util
 import io
 import json
 import math
@@ -22,7 +23,6 @@ import pytest
 from steklov_trees import (
     SpiderProfile,
     Tree,
-    candidate_profiles,
     canonical_code,
     classify,
     diameter,
@@ -39,7 +39,7 @@ import steklov_trees
 import steklov_trees.cli as cli_module
 import steklov_trees.verify as verify_module
 
-from oracles import prufer_to_edges, sigma_exact, spider_lambda2_exact
+from oracles import candidate_profiles, prufer_to_edges, sigma_exact, spider_lambda2_exact
 
 # The package's `classify` function shadows its module of that name.
 CLASSIFY_MODULE = importlib.import_module("steklov_trees.classify")
@@ -158,6 +158,32 @@ def test_candidates_path_case(capsys):
     code, out, _ = _capture(capsys, ["candidates", "6", "5"])
     assert code == 0
     assert out == "n=6 D=5 M=0 path tree=path:5\n"
+
+
+# Path cases (n = D + 1), M < s (D >= 5), the collapsed and the split pair, a long
+# AS tree and the 2^54 radius; the digests were taken when candidates was built
+# from CandidatePair and ASParams objects.
+_CANDIDATES_GRID = [(n, d) for d in (3, 5, 7, 9, 21, 41) for n in range(d + 1, d + 61)] + [
+    (3042, 41),
+    (63050394783186947, 36028797018963969),
+]
+
+
+@pytest.mark.parametrize(
+    "fmt, hexdigest",
+    [
+        ("text", "c281101c1dbbdc7e260075c29feb117803016420ed71469048acb8124e88ba77"),
+        ("csv", "96bb50820dca5b22e8a38f9d7afa343921ecd06abccb0f76f819f7b78226f246"),
+        ("json", "50f3f98524486b2a01a34053ab13dc2dd047deee249dbb934196ea3e9563dff7"),
+    ],
+)
+def test_candidates_digest_golden(capsys, fmt, hexdigest):
+    digest = hashlib.sha256()
+    for n, d in _CANDIDATES_GRID:
+        code, out, err = _capture(capsys, ["candidates", str(n), str(d), "--format", fmt])
+        assert (code, err) == (0, "")
+        digest.update(out.encode())
+    assert digest.hexdigest() == hexdigest
 
 
 def test_spectrum_csv_golden(capsys):
@@ -520,6 +546,15 @@ def test_bad_shorthand_is_domain_error(capsys):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("tree", ["as:2,0,1,0", "as:2,3,1,3", "as:0,1,1,0", "as:2,1,0,0", "as:2,2,2,1"])
+def test_malformed_as_shorthand_is_one_line_domain_error(capsys, tree):
+    # q = 0 included: the parameters are checked before the division M = q*c + t.
+    code, out, err = _capture(capsys, ["lambda2", tree])
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: bad tree shorthand {tree!r}: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_root_method_shape_mismatch_is_domain_error(capsys):
     code, _, err = _capture(capsys, ["lambda2", "spider:3,3,1", "--method", "root"])
     assert code == 2
@@ -849,9 +884,7 @@ def test_optimized_interpreter_prints_the_same_bytes(capsys, argv):
 
 # The package's public surface, frozen: a name added or dropped shows in this list's diff.
 PUBLIC_NAMES = [
-    "ASParams",
     "BoundaryFlux",
-    "CandidatePair",
     "ClassificationResult",
     "CutDecomposition",
     "DoubleSpiderProfile",
@@ -863,7 +896,6 @@ PUBLIC_NAMES = [
     "VerificationReport",
     "arm_transfer",
     "balance_side_step",
-    "candidate_profiles",
     "canonical_code",
     "classify",
     "cut_sums",
@@ -891,7 +923,6 @@ PUBLIC_NAMES = [
     "spider_lambda2",
     "steklov_spectrum",
     "threshold_data",
-    "tree_centers",
     "verify_classification",
     "verify_unimodality",
 ]
@@ -924,7 +955,7 @@ def test_star_import_binds_every_public_name():
         "import steklov_trees\n"
         "print(len(steklov_trees.__all__), set(steklov_trees.__all__) - set(globals()))\n"
     )
-    assert lines == ["45 set()"]
+    assert lines == ["41 set()"]
 
 
 def test_package_import_defers_flux_and_reduce_and_keeps_classify_the_function():
@@ -953,3 +984,24 @@ def test_small_float_literals_are_named_constants():
         for node in ast.walk(module):
             if isinstance(node, ast.Constant) and isinstance(node.value, float) and 0 < abs(node.value) < 1e-3:
                 assert id(node) in named, f"{path.name}:{node.lineno}: unnamed float literal {node.value!r}"
+
+
+def test_benchmark_tracer_wraps_the_package_as_it_is_laid_out(capsys):
+    # perfbench/tracer.py names the package's modules from outside (its MODULES);
+    # a module moved or renamed must fail here, not leave the traced benchmark run broken.
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer_module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer_module)
+    tracer = tracer_module.Tracer()
+    tracer.install()
+    try:
+        assert _capture(capsys, ["classify", "15", "9"])[0] == 0
+        classify_spans = {span[1] for span in tracer.reset()}
+        assert _capture(capsys, ["sweep", "--r", "3", "--M-max", "5"])[0] == 0
+        sweep_spans = {span[1] for span in tracer.reset()}
+    finally:
+        tracer.uninstall()
+    assert {"classify.classify", "roots.spider_lambda2", "roots.threshold_data"} <= classify_spans
+    assert "roots.q_range_integer" in sweep_spans
+    assert cli_module.classify is steklov_trees.classify  # unwrapped again

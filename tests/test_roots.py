@@ -16,7 +16,6 @@ from steklov_trees import (
     BoundaryFlux,
     DoubleSpiderProfile,
     SpiderProfile,
-    candidate_profiles,
     classify,
     double_spider_rho,
     greedy_ascent_trace,
@@ -34,6 +33,7 @@ from steklov_trees import roots, verify
 from oracles import (
     bisect_reference,
     bracket_contains,
+    candidate_profiles,
     double_spider_maximizer,
     double_spider_rho_exact,
     q_range_continuous,

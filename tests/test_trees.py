@@ -11,7 +11,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from steklov_trees import (
-    ASParams,
     DoubleSpiderProfile,
     SpiderProfile,
     Tree,
@@ -28,11 +27,11 @@ from steklov_trees import (
     recognize_double_spider,
     recognize_spider,
     render_shorthand,
-    tree_centers,
 )
 
 from oracles import (
     FREE_TREE_COUNTS,
+    ASParams,
     all_labeled_trees,
     count_trees,
     enumerate_trees,
@@ -43,6 +42,7 @@ from oracles import (
     spider_shorthand_per_branch,
     spider_terms_by_counter,
     tree_count_by_diameter,
+    tree_centers,
 )
 from steklov_trees.cli import _tree_name
 from steklov_trees.reduce import greedy_ascent_trace
@@ -181,19 +181,19 @@ def test_spider_profile_sorts_and_validates():
 
 
 def test_as_params_shape():
-    p = ASParams(2, 3, 1, 0)
-    assert p.spider_profile().lengths == (3, 2, 1, 1, 1)
-    assert p.lateral_mass == 3
-    assert p.order == 9
-    assert p.diameter == 5
-    p = ASParams(4, 2, 2, 1)
-    assert p.spider_profile().lengths == (5, 4, 3, 2)
+    t = parse_tree("as:2,3,1,0")
+    assert recognize_spider(t).lengths == (3, 2, 1, 1, 1)
+    assert t.n - diameter(t) - 1 == 3  # the lateral mass
+    assert t.n == 9
+    assert diameter(t) == 5
+    t = parse_tree("as:4,2,2,1")
+    assert recognize_spider(t).lengths == (5, 4, 3, 2)
     with pytest.raises(ValueError):
-        ASParams(2, 3, 1, 3)  # t must stay below q
+        parse_tree("as:2,3,1,3")  # t must stay below q
     with pytest.raises(ValueError):
-        ASParams(2, 1, 3, 0)  # lateral branch longer than r
+        parse_tree("as:2,1,3,0")  # lateral branch longer than r
     with pytest.raises(ValueError):
-        ASParams(2, 2, 2, 1)  # c+1 branch ties the principal r+1
+        parse_tree("as:2,2,2,1")  # c+1 branch ties the principal r+1
 
 
 def test_double_spider_profile_canonical_order():
