@@ -12,8 +12,7 @@ here against direct root comparison in every case.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .roots import spider_lambda2, threshold_data
 from .trees import SpiderProfile, _as_profile
@@ -26,14 +25,14 @@ from .trees import SpiderProfile, _as_profile
 _TIE_RTOL = 1e-9
 
 
-@dataclass(frozen=True)
-class ClassificationResult:
+class ClassificationResult(NamedTuple):
     """Winner set for (n, D), with the case of the decision recorded.
 
     candidates holds every candidate as its branch-length profile with
     its lambda_2; the path is the two-branch profile (r+1, r).  winners
     is the sublist attaining the maximum, with ties (gap below 1e-9
-    relative) kept whole and flagged.  make_spider builds the trees.
+    relative) kept whole and flagged.  make_spider builds the trees.  A
+    NamedTuple, compared as a tuple.
     """
 
     case_tag: str

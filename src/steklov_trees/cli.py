@@ -196,9 +196,10 @@ def _cmd_candidates(args: argparse.Namespace) -> int:
     else:
         s, q_minus, q_plus = _predicted_counts(r, M)
         head.update(s=s, q_minus=q_minus, q_plus=q_plus)
-        # Every name is built before the first print: an order too large to build prints nothing.
+        # Every name is built before the first print, once per distinct q: an order too large to build prints nothing.
+        names = {q: _spider_shorthand(_as_profile(r, q, M)) for q in dict.fromkeys((q_minus, q_plus))}
         rows = [
-            {"slot": slot, "q": q, "c": M // q, "t": M % q, "tree": _spider_shorthand(_as_profile(r, q, M))}
+            {"slot": slot, "q": q, "c": M // q, "t": M % q, "tree": names[q]}
             for slot, q in (("minus", q_minus), ("plus", q_plus))
         ]
     if args.format == "text":  # the path's one row shares the head line
@@ -242,7 +243,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             )
         else:
             # The bytes of json.dumps(reports, indent=2): the report's fields in order, indented inside the brackets.
-            item = {**vars(rep), "rows": [{"q": q, "sigma": _fmt(sigma)} for q, sigma in rep.rows]}
+            item = {**rep._asdict(), "rows": [{"q": q, "sigma": _fmt(sigma)} for q, sigma in rep.rows]}
             sys.stdout.write(("[\n  " if n == 0 else ",\n  ") + json.dumps(item, indent=2).replace("\n", "\n  "))
     sys.stdout.write("\n]\n" if args.format == "json" else "")
     return 0 if passed else 3
@@ -312,81 +313,79 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 # ------------------------------- parser --------------------------------
 
 
-def _add_tree_arguments(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("tree", nargs="?", help="shorthand: path:L, spider:3,2,1, ds:2,1/2, as:r,q,c,t")
-    sub.add_argument("--file", help="read the tree from an edge-list file instead")
+_TREE = [
+    ("tree", dict(nargs="?", help="shorthand: path:L, spider:3,2,1, ds:2,1/2, as:r,q,c,t")),
+    ("--file", dict(help="read the tree from an edge-list file instead")),
+]
+_ORDER = [("n", dict(type=int)), ("D", dict(type=int))]
+_FORMAT = ("--format", dict(choices=["text", "csv", "json"], default="text"))
+_METHOD = dict(
+    choices=["matrix", "distance", "root"],
+    default="distance",
+    help="distance: leaf distance form, as in spectrum; matrix: DtN Schur complement; root: root equation",
+)
+_JOBS = dict(type=int, default=1, help="worker processes, at most one per CPU and 4096-tree chunk (default: 1)")
+
+# Each subcommand's help line, handler and arguments, in the order its usage lists them.
+_SUBCOMMANDS = {
+    "spectrum": ("full Steklov spectrum of a tree", _cmd_spectrum, [*_TREE, _FORMAT]),
+    "lambda2": ("first nonzero Steklov eigenvalue", _cmd_lambda2, [*_TREE, ("--method", _METHOD), _FORMAT]),
+    "classify": ("maximizer set for order n and odd diameter D", _cmd_classify, [*_ORDER, _FORMAT]),
+    "candidates": ("balanced candidate parameters for (n, D)", _cmd_candidates, [*_ORDER, _FORMAT]),
+    "sweep": (
+        "balanced-family tables and unimodality verdicts",
+        _cmd_sweep,
+        [("--r", dict(type=int, required=True)), ("--M-max", dict(dest="m_max", type=int, required=True)), _FORMAT],
+    ),
+    "reduce": ("greedy ascent trace from a tree to an almost seesaw tree", _cmd_reduce, [*_TREE, _FORMAT]),
+    "verify": (
+        "certify the classifier against brute force",
+        _cmd_verify,
+        [
+            ("n", dict(type=int, help="order, or the largest order with --all-orders")),
+            ("D", dict(type=int)),
+            ("--all-orders", dict(action="store_true", help="run every order from D+1 up to n")),
+            ("--jobs", _JOBS),
+            _FORMAT,
+        ],
+    ),
+}
 
 
-def _add_format_argument(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--format", choices=["text", "csv", "json"], default="text")
+def _add_arguments(sub: _Parser, name: str) -> _Parser:
+    """Give sub the arguments and handler of the subcommand `name`, from its row of _SUBCOMMANDS."""
+    _, handler, arguments = _SUBCOMMANDS[name]
+    for flag, options in arguments:
+        sub.add_argument(flag, **options)
+    sub.set_defaults(handler=handler)
+    return sub
 
 
-@functools.cache  # one parser per process, built on first use; parse_args keeps no state
-def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
+@functools.cache  # one parser per subcommand and process, built on its first run; parse_args keeps no state
+def _subcommand_parser(name: str) -> _Parser:
+    return _add_arguments(_Parser(prog=f"steklov {name}"), name)
+
+
+def _top_level_parser() -> _Parser:
+    """`steklov` with every subcommand: built only for argv that names none first."""
     parser = _Parser(prog="steklov", description=__doc__)
     subs = parser.add_subparsers(dest="command")
-
-    sub = subs.add_parser("spectrum", help="full Steklov spectrum of a tree")
-    _add_tree_arguments(sub)
-    _add_format_argument(sub)
-    sub.set_defaults(handler=_cmd_spectrum)
-
-    sub = subs.add_parser("lambda2", help="first nonzero Steklov eigenvalue")
-    _add_tree_arguments(sub)
-    sub.add_argument(
-        "--method",
-        choices=["matrix", "distance", "root"],
-        default="distance",
-        help="distance: leaf distance form, as in spectrum; matrix: DtN Schur complement; root: root equation",
-    )
-    _add_format_argument(sub)
-    sub.set_defaults(handler=_cmd_lambda2)
-
-    sub = subs.add_parser("classify", help="maximizer set for order n and odd diameter D")
-    sub.add_argument("n", type=int)
-    sub.add_argument("D", type=int)
-    _add_format_argument(sub)
-    sub.set_defaults(handler=_cmd_classify)
-
-    sub = subs.add_parser("candidates", help="balanced candidate parameters for (n, D)")
-    sub.add_argument("n", type=int)
-    sub.add_argument("D", type=int)
-    _add_format_argument(sub)
-    sub.set_defaults(handler=_cmd_candidates)
-
-    sub = subs.add_parser("sweep", help="balanced-family tables and unimodality verdicts")
-    sub.add_argument("--r", type=int, required=True)
-    sub.add_argument("--M-max", dest="m_max", type=int, required=True)
-    _add_format_argument(sub)
-    sub.set_defaults(handler=_cmd_sweep)
-
-    sub = subs.add_parser("reduce", help="greedy ascent trace from a tree to an almost seesaw tree")
-    _add_tree_arguments(sub)
-    _add_format_argument(sub)
-    sub.set_defaults(handler=_cmd_reduce)
-
-    sub = subs.add_parser("verify", help="certify the classifier against brute force")
-    sub.add_argument("n", type=int, help="order, or the largest order with --all-orders")
-    sub.add_argument("D", type=int)
-    sub.add_argument("--all-orders", action="store_true", help="run every order from D+1 up to n")
-    sub.add_argument(
-        "--jobs", type=int, default=1, help="worker processes, at most one per CPU and 4096-tree chunk (default: 1)"
-    )
-    _add_format_argument(sub)
-    sub.set_defaults(handler=_cmd_verify)
-
-    return parser, subs.choices
+    for name, (help_line, _, _) in _SUBCOMMANDS.items():
+        _add_arguments(subs.add_parser(name, help=help_line), name)
+    return parser
 
 
 def run(argv: list[str] | None = None) -> int:
     """Entry point returning the exit code instead of raising SystemExit."""
-    parser, subcommands = _build_parser()
     try:
-        # A subcommand named first parses the arguments after it; the top level parses all other argv.
-        sub = subcommands.get(argv[0]) if argv else None
-        args = parser.parse_args(argv) if sub is None else sub.parse_args(argv[1:])
-        if not hasattr(args, "handler"):
-            parser.error("a subcommand is required")
+        # A subcommand named first builds only its own parser, for the arguments after its name.
+        if argv and argv[0] in _SUBCOMMANDS:
+            args = _subcommand_parser(argv[0]).parse_args(argv[1:])
+        else:
+            parser = _top_level_parser()
+            args = parser.parse_args(argv)
+            if not hasattr(args, "handler"):
+                parser.error("a subcommand is required")
         return args.handler(args)
     except SystemExit:  # argparse exits only after printing --help, as error() raises instead
         return 0

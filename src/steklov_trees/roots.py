@@ -25,20 +25,19 @@ The equations that a tree's shape admits are listed here too, for
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .trees import DoubleSpiderProfile, SpiderProfile, Tree, _runs, recognize_double_spider, recognize_spider
 
 
-@dataclass(frozen=True)
-class ThresholdData:
+class ThresholdData(NamedTuple):
     """Which of the two balanced candidates wins, for given (r, t).
 
     regime A_always / B_always means one candidate dominates for every
     branch count k; regime threshold carries the crossover data: zeta is
     the root of the comparison quadratic in (1/(r+1), 1/r) and kappa the
-    critical branch count, with ties possible only at integer kappa.
+    critical branch count, with ties possible only at integer kappa.  A
+    NamedTuple, compared as a tuple.
     """
 
     r: int

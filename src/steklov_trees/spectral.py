@@ -20,25 +20,28 @@ Laplacian onto the leaf block, is the independent route that
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .trees import Tree, leaf_set
 
 
-@dataclass(frozen=True)
-class Spectrum:
-    """Nondecreasing Steklov eigenvalues, one per boundary leaf."""
+class Spectrum(NamedTuple("Spectrum", [("eigenvalues", tuple[float, ...])])):
+    """Nondecreasing Steklov eigenvalues, one per boundary leaf.
 
-    eigenvalues: tuple[float, ...]
+    A NamedTuple (eigenvalues,): spectra compare and hash as that tuple.
+    """
 
-    def __post_init__(self) -> None:
-        lams = self.eigenvalues
+    __slots__ = ()
+
+    def __new__(cls, eigenvalues: tuple[float, ...]) -> Spectrum:
+        lams = eigenvalues
         if any(b < a for a, b in zip(lams, lams[1:])):
             raise ValueError("eigenvalues must be nondecreasing")
         if lams and lams[0] < 0.0:
             raise ValueError(f"negative bottom eigenvalue {lams[0]}")
+        return super().__new__(cls, eigenvalues)
 
 
 def laplacian_matrix(t: Tree) -> np.ndarray:

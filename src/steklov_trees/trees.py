@@ -20,10 +20,9 @@ from __future__ import annotations
 import re
 import sys
 from bisect import bisect_right
-from dataclasses import dataclass
 from functools import cached_property
 from operator import neg
-from typing import Iterator, Optional
+from typing import Iterator, NamedTuple, Optional
 
 Edge = tuple[int, int]
 
@@ -31,37 +30,39 @@ Edge = tuple[int, int]
 # ------------------------------ core type ------------------------------
 
 
-@dataclass(frozen=True)
-class Tree:
+class Tree(NamedTuple("Tree", [("n", int), ("edges", tuple[Edge, ...])])):
     """Finite unweighted tree on vertices {0..n-1}.
 
     Invariants checked on construction: exactly n-1 edges, no self-loops,
     no repeated edges, connected.  Edges are normalized to (min, max) and
     sorted, so two Tree objects are equal iff they are the same labeled
-    tree.
+    tree.  A NamedTuple (n, edges): trees compare and hash as that tuple.
+    No attribute can be assigned; the cached walks live in the instance
+    __dict__.
     """
 
-    n: int
-    edges: tuple[Edge, ...]
-
-    def __post_init__(self) -> None:
-        if self.n < 2:
-            raise ValueError(f"tree needs at least 2 vertices, got n={self.n}")
+    def __new__(cls, n: int, edges: tuple[Edge, ...]) -> Tree:
+        if n < 2:
+            raise ValueError(f"tree needs at least 2 vertices, got n={n}")
         normalized = []
-        for u, v in self.edges:
+        for u, v in edges:
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
-            if not (0 <= u < self.n and 0 <= v < self.n):
-                raise ValueError(f"edge ({u},{v}) out of range for n={self.n}")
+            if not (0 <= u < n and 0 <= v < n):
+                raise ValueError(f"edge ({u},{v}) out of range for n={n}")
             normalized.append((u, v) if u < v else (v, u))
         normalized.sort()
-        if len(normalized) != self.n - 1:
-            raise ValueError(f"expected {self.n - 1} edges, got {len(normalized)}")
+        if len(normalized) != n - 1:
+            raise ValueError(f"expected {n - 1} edges, got {len(normalized)}")
         if len(set(normalized)) != len(normalized):
             raise ValueError("repeated edge")
-        object.__setattr__(self, "edges", tuple(normalized))
-        if len(self._preorder(0)[0]) != self.n:
+        self = super().__new__(cls, n, tuple(normalized))
+        if len(self._preorder(0)[0]) != n:
             raise ValueError("edge list is not connected")
+        return self
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
 
     @cached_property
     def adjacency(self) -> tuple[tuple[int, ...], ...]:
@@ -131,18 +132,20 @@ def diameter(t: Tree) -> int:
 # ------------------------------ profiles ------------------------------
 
 
-@dataclass(frozen=True)
-class SpiderProfile:
-    """Branch-length multiset of a one-center tree, stored longest first."""
+class SpiderProfile(NamedTuple("SpiderProfile", [("lengths", tuple[int, ...])])):
+    """Branch-length multiset of a one-center tree, stored longest first.
 
-    lengths: tuple[int, ...]
+    A NamedTuple (lengths,): profiles compare and hash as that tuple.
+    """
 
-    def __post_init__(self) -> None:
-        if len(self.lengths) < 2:
+    __slots__ = ()
+
+    def __new__(cls, lengths: tuple[int, ...]) -> SpiderProfile:
+        if len(lengths) < 2:
             raise ValueError("spider needs at least 2 branches")
-        if min(self.lengths) < 1:
-            raise ValueError(f"branch lengths must be >= 1, got {self.lengths}")
-        object.__setattr__(self, "lengths", tuple(sorted(self.lengths, reverse=True)))
+        if min(lengths) < 1:
+            raise ValueError(f"branch lengths must be >= 1, got {lengths}")
+        return super().__new__(cls, tuple(sorted(lengths, reverse=True)))
 
     @property
     def order(self) -> int:
@@ -158,34 +161,33 @@ def _as_profile(r: int, q: int, M: int) -> SpiderProfile:
     c, t = divmod(M, q)
     if c + (t > 0) > r:
         raise ValueError(f"lateral length {c + (t > 0)} exceeds r={r}")
-    profile = SpiderProfile((r + 1, r, c))  # checks the distinct lengths; the layout is longest first already
-    object.__setattr__(profile, "lengths", (r + 1, r) + (c + 1,) * t + (c,) * (q - t))
-    return profile
+    SpiderProfile((r + 1, r, c))  # checks the distinct lengths; _make skips the re-sort, the layout is longest first
+    return SpiderProfile._make([(r + 1, r) + (c + 1,) * t + (c,) * (q - t)])
 
 
-@dataclass(frozen=True)
-class DoubleSpiderProfile:
+class DoubleSpiderProfile(
+    NamedTuple("DoubleSpiderProfile", [("a_lengths", tuple[int, ...]), ("b_lengths", tuple[int, ...])])
+):
     """Two adjacent centers u, v carrying disjoint pendant paths.
 
     Sides are stored longest-first and ordered so that the a-side is the
     lexicographically larger tuple; DS(x;y) and DS(y;x) are the same
-    unlabeled tree, so the constructor canonicalizes.
+    unlabeled tree, so the constructor canonicalizes.  A NamedTuple
+    (a_lengths, b_lengths): profiles compare and hash as that tuple.
     """
 
-    a_lengths: tuple[int, ...]
-    b_lengths: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not self.a_lengths or not self.b_lengths:
+    def __new__(cls, a_lengths: tuple[int, ...], b_lengths: tuple[int, ...]) -> DoubleSpiderProfile:
+        if not a_lengths or not b_lengths:
             raise ValueError("double spider needs a nonempty branch list on each side")
-        if min(self.a_lengths + self.b_lengths) < 1:
+        if min(a_lengths + b_lengths) < 1:
             raise ValueError("branch lengths must be >= 1")
-        a = tuple(sorted(self.a_lengths, reverse=True))
-        b = tuple(sorted(self.b_lengths, reverse=True))
+        a = tuple(sorted(a_lengths, reverse=True))
+        b = tuple(sorted(b_lengths, reverse=True))
         if a < b:
             a, b = b, a
-        object.__setattr__(self, "a_lengths", a)
-        object.__setattr__(self, "b_lengths", b)
+        return super().__new__(cls, a, b)
 
     @property
     def order(self) -> int:

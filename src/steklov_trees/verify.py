@@ -15,8 +15,7 @@ mismatch, with ties flagged only below the resolution of floating point.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -32,9 +31,8 @@ _CHUNK = 4096
 _ENTRIES = 65536
 
 
-@dataclass(frozen=True)
-class VerificationReport:
-    """Outcome of one classification certification run."""
+class VerificationReport(NamedTuple):
+    """Outcome of one classification certification run; a NamedTuple, compared as a tuple."""
 
     n: int
     D: int
@@ -46,9 +44,8 @@ class VerificationReport:
     verdict: str
 
 
-@dataclass(frozen=True)
-class UnimodalityReport:
-    """Shape check of the balanced family over integer branch counts."""
+class UnimodalityReport(NamedTuple):
+    """Shape check of the balanced family over integer branch counts; a NamedTuple, compared as a tuple."""
 
     r: int
     M: int

@@ -186,6 +186,26 @@ def test_candidates_digest_golden(capsys, fmt, hexdigest):
     assert digest.hexdigest() == hexdigest
 
 
+@pytest.mark.parametrize(
+    "n, d, built",
+    [
+        (2000008, 7, [10**6]),  # s divides M: both slots are q = 10^6
+        (13, 11, [1]),  # M < s: both slots are q = 1
+        (13, 7, [2, 3]),  # the split pair
+        (8, 7, []),  # the path
+    ],
+)
+def test_candidates_build_each_distinct_profile_once(capsys, monkeypatch, n, d, built):
+    calls = []
+    real = cli_module._as_profile
+    monkeypatch.setattr(cli_module, "_as_profile", lambda r, q, m: (calls.append(q), real(r, q, m))[1])
+    for fmt in ("text", "csv", "json"):
+        code, out, _ = _capture(capsys, ["candidates", str(n), str(d), "--format", fmt])
+        assert code == 0 and out.count("spider:") == 2 * bool(built)  # a collapsed pair still prints two rows
+        assert calls == built
+        calls.clear()
+
+
 def test_spectrum_csv_golden(capsys):
     code, out, _ = _capture(capsys, ["spectrum", "path:3", "--format", "csv"])
     assert code == 0
@@ -390,8 +410,8 @@ def test_candidates_are_named_as_their_trees(capsys, n, d):
 
 def test_classify_builds_no_tree(capsys, monkeypatch):
     built = []
-    real = Tree.__post_init__
-    monkeypatch.setattr(Tree, "__post_init__", lambda self: (built.append(self.n), real(self)))
+    real = Tree.__new__
+    monkeypatch.setattr(Tree, "__new__", lambda cls, n, edges: (built.append(n), real(cls, n, edges))[1])
     classify(3042, 41)
     for fmt in ("text", "csv"):
         code, _, _ = _capture(capsys, ["classify", "3042", "41", "--format", fmt])
@@ -411,8 +431,8 @@ def test_reduce_builds_only_its_input(capsys, monkeypatch, tmp_path):
     path = tmp_path / "tree.txt"
     path.write_text(format_tree_text(t), encoding="utf-8")
     built = []
-    real = Tree.__post_init__
-    monkeypatch.setattr(Tree, "__post_init__", lambda self: (built.append(self.n), real(self)))
+    real = Tree.__new__
+    monkeypatch.setattr(Tree, "__new__", lambda cls, n, edges: (built.append(n), real(cls, n, edges))[1])
     for fmt in ("text", "csv"):
         code, _, _ = _capture(capsys, ["reduce", "--file", str(path), "--format", fmt])
         assert code == 0
@@ -490,11 +510,11 @@ def test_a_named_subcommand_never_reaches_the_top_level_parse(capsys, monkeypatc
     expected = _capture(capsys, argv)
 
     def refuse(*args, **kwargs):
-        raise AssertionError(f"the top-level parser parsed {argv}")
+        raise AssertionError(f"the top-level parser was built for {argv}")
 
-    monkeypatch.setattr(cli_module._build_parser()[0], "parse_args", refuse)
+    monkeypatch.setattr(cli_module, "_top_level_parser", refuse)
     assert _capture(capsys, argv) == expected
-    with pytest.raises(AssertionError, match="top-level parser parsed"):
+    with pytest.raises(AssertionError, match="top-level parser was built"):
         run(["nonsense"])
 
 
@@ -748,8 +768,8 @@ def test_output_is_byte_stable(capsys):
     assert first == second
 
 
-def test_shared_parser_keeps_no_state_between_runs(capsys):
-    # The parser is built once per process; no run may leak into the next.
+def test_shared_parser_keeps_no_state_between_runs(capsys, monkeypatch):
+    # A process builds the parser of each subcommand it runs, once; no run may leak into the next.
     sequence = [
         ["classify", "15", "9"],
         ["classify", "15", "9", "--format", "csv"],
@@ -761,12 +781,18 @@ def test_shared_parser_keeps_no_state_between_runs(capsys):
         ["classify", "10", "6"],
         ["verify", "9", "5"],
     ]
-    cli_module._build_parser.cache_clear()  # the first pass starts on a fresh parser
+    built = []
+    real = cli_module._Parser.__init__
+    monkeypatch.setattr(
+        cli_module._Parser, "__init__", lambda self, **kw: (built.append(kw["prog"]), real(self, **kw))[1]
+    )
+    cli_module._subcommand_parser.cache_clear()  # the first pass starts on fresh parsers
     first = [_capture(capsys, argv) for argv in sequence]
     second = [_capture(capsys, argv) for argv in sequence]
     assert second == first
     assert [code for code, _, _ in first] == [0, 0, 0, 0, 0, 0, 1, 2, 0]
-    assert cli_module._build_parser() is cli_module._build_parser()
+    assert cli_module._subcommand_parser("classify") is cli_module._subcommand_parser("classify")
+    assert built == [f"steklov {name}" for name in dict.fromkeys(argv[0] for argv in sequence)]
 
 
 def test_verify_jobs_do_not_change_bytes(capsys):
@@ -802,8 +828,9 @@ def test_cli_import_leaves_the_process_pool_unloaded():
     # Only `verify --jobs N` with N > 1 needs the pool; every other start-up would pay for it.
     # Likewise only a move whose float roots order as a decrease needs `fractions`.
     # numpy is the one runtime dependency: the test oracles' networkx, scipy and
-    # hypothesis must stay out of the package.
-    unloaded = ["concurrent.futures.process", "fractions", "networkx", "scipy", "hypothesis"]
+    # hypothesis must stay out of the package.  The records and value types are NamedTuples: the
+    # dataclass decorator generates their methods' code at import, in every process.
+    unloaded = ["concurrent.futures.process", "fractions", "networkx", "scipy", "hypothesis", "dataclasses"]
     assert _fresh_python(f"import sys, steklov_trees.cli; print([m for m in {unloaded} if m in sys.modules])") == ["[]"]
 
 
@@ -822,15 +849,16 @@ for argv in {argvs}:
 
 def test_subcommands_leave_what_they_do_not_run_unloaded():
     # numpy.ma came from np.unique in the certification kernel; flux, reduce, csv and json
-    # from eager imports.  None of these subcommands runs any of them.
+    # from eager imports, dataclasses from the records' decorator.  None of these subcommands runs any of them.
     argvs = [
         ["verify", "9", "5"],
         ["classify", "15", "9"],
+        ["candidates", "15", "9"],
         ["sweep", "--r", "3", "--M-max", "10"],
         ["lambda2", "spider:3,2,1", "--method", "matrix"],
         ["spectrum", "spider:3,2,1"],
     ]
-    lines = _fresh_python(_RUN_AND_LIST.format(argvs=argvs, unloaded=ON_FIRST_USE))
+    lines = _fresh_python(_RUN_AND_LIST.format(argvs=argvs, unloaded=[*ON_FIRST_USE, "dataclasses"]))
     assert lines == ["0 []"] * len(argvs)
 
 

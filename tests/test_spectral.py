@@ -316,6 +316,12 @@ def test_spectrum_type_validates():
         Spectrum((0.0, 2.0, 1.0))
     with pytest.raises(ValueError):
         Spectrum((-1.0, 2.0))
+    spectrum = Spectrum((0.0, 1.0, 1.5))
+    assert spectrum == Spectrum(eigenvalues=(0.0, 1.0, 1.5)) and hash(spectrum) == hash(((0.0, 1.0, 1.5),))
+    assert repr(spectrum) == "Spectrum(eigenvalues=(0.0, 1.0, 1.5))"
+    for name in ("eigenvalues", "color"):
+        with pytest.raises(AttributeError):
+            setattr(spectrum, name, ())
 
 
 def test_lambda2_closed_forms():

@@ -74,6 +74,12 @@ def test_tree_validates_shape():
         Tree(4, ((0, 1), (2, 3), (0, 1)))  # disconnected plus duplicate
     with pytest.raises(ValueError, match="not connected"):
         Tree(4, ((0, 1), (1, 2), (0, 2)))  # cycle plus isolated vertex
+    t = Tree(3, [(2, 1), (1, 0)])  # edges normalized and sorted; compared, hashed and printed as (n, edges)
+    assert t == Tree(edges=((0, 1), (1, 2)), n=3) == (3, ((0, 1), (1, 2))) and hash(t) == hash((3, ((0, 1), (1, 2))))
+    assert repr(t) == "Tree(n=3, edges=((0, 1), (1, 2)))"
+    for name in ("n", "edges", "adjacency", "color"):
+        with pytest.raises(AttributeError):
+            setattr(t, name, None)
 
 
 def test_tree_degrees_and_adjacency():
@@ -178,6 +184,11 @@ def test_spider_profile_sorts_and_validates():
         SpiderProfile((3,))
     with pytest.raises(ValueError):
         SpiderProfile((3, 0))
+    assert p == SpiderProfile(lengths=(2, 1, 3)) and hash(p) == hash(((3, 2, 1),))
+    assert repr(p) == "SpiderProfile(lengths=(3, 2, 1))"
+    for name in ("lengths", "color"):
+        with pytest.raises(AttributeError):
+            setattr(p, name, (4, 4))
 
 
 def test_as_params_shape():
@@ -202,6 +213,14 @@ def test_double_spider_profile_canonical_order():
     assert p.b_lengths == (2, 1)
     assert p.order == 8
     assert p.diameter == 6
+    assert p == DoubleSpiderProfile((3,), (2, 1)) and hash(p) == hash(((3,), (2, 1)))
+    assert repr(p) == "DoubleSpiderProfile(a_lengths=(3,), b_lengths=(2, 1))"
+    for a, b in [((), (1,)), ((2,), ()), ((2, 0), (1,))]:
+        with pytest.raises(ValueError):
+            DoubleSpiderProfile(a, b)
+    for name in ("a_lengths", "b_lengths", "color"):
+        with pytest.raises(AttributeError):
+            setattr(p, name, (4,))
 
 
 # -------------------------------- makers ---------------------------------
