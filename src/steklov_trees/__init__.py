@@ -6,8 +6,8 @@ Laplacian Schur complement solved by LAPACK, and scalar root equations
 for spiders and double spiders.  Also the classification of the
 maximizers of that eigenvalue among trees of fixed order and odd
 diameter, and a brute-force enumeration harness that certifies the
-classification at small orders.  Names from flux and reduce import their
-module on first access, as no subcommand but `steklov reduce` runs either.
+classification at small orders.  Names from reduce import their module on
+first access, as no subcommand but `steklov reduce` runs it.
 """
 
 import importlib
@@ -55,10 +55,7 @@ from .verify import (
     verify_unimodality,
 )
 
-_LAZY = {
-    **dict.fromkeys(["BoundaryFlux", "CutDecomposition", "cut_sums", "flux_potential", "q_form"], "flux"),
-    **dict.fromkeys(["arm_transfer", "balance_side_step", "dominating_double_spider", "greedy_ascent_trace"], "reduce"),
-}
+_LAZY = dict.fromkeys(["arm_transfer", "balance_side_step", "dominating_double_spider", "greedy_ascent_trace"], "reduce")
 
 
 def __getattr__(name: str) -> object:
@@ -72,9 +69,7 @@ def __dir__() -> list[str]:
 
 
 __all__ = [
-    "BoundaryFlux",
     "ClassificationResult",
-    "CutDecomposition",
     "DoubleSpiderProfile",
     "Spectrum",
     "SpiderProfile",
@@ -86,12 +81,10 @@ __all__ = [
     "balance_side_step",
     "canonical_code",
     "classify",
-    "cut_sums",
     "diameter",
     "dominating_double_spider",
     "double_spider_rho",
     "dtn_matrix",
-    "flux_potential",
     "format_tree_text",
     "greedy_ascent_trace",
     "lambda2_numeric",
@@ -103,7 +96,6 @@ __all__ = [
     "make_spider",
     "parse_tree",
     "parse_tree_text",
-    "q_form",
     "q_range_integer",
     "recognize_double_spider",
     "recognize_spider",

@@ -9,7 +9,8 @@ and chunk, and compare winner sets; and sweep the balanced family for
 unimodality, one stacked table of at most _ENTRIES roots at a time, with
 verdicts read off its arrays, as `steklov sweep` does.
 Reports never hide a failure: verdicts are match / tie_unresolved /
-mismatch, with ties flagged only below the resolution of floating point.
+mismatch, where trees within the relative band _TIE_RTOL (1e-9) of the
+maximum count as tied.
 """
 
 from __future__ import annotations

@@ -16,20 +16,17 @@ import numpy as np
 import pytest
 
 from steklov_trees import (
-    BoundaryFlux,
     DoubleSpiderProfile,
     SpiderProfile,
     arm_transfer,
     balance_side_step,
     canonical_code,
-    cut_sums,
     double_spider_rho,
     dtn_matrix,
     lambda2_numeric,
     leaf_distance_matrix,
     leaf_set,
     make_path,
-    q_form,
     recognize_double_spider,
     recognize_spider,
     spider_lambda2,
@@ -39,7 +36,16 @@ from steklov_trees import (
     verify_unimodality,
 )
 
-from oracles import balance_main_step, enumerate_trees, jacobi_eigenvalues, verify_cross_methods, verify_domination
+from oracles import (
+    BoundaryFlux,
+    balance_main_step,
+    cut_sums,
+    enumerate_trees,
+    jacobi_eigenvalues,
+    q_form,
+    verify_cross_methods,
+    verify_domination,
+)
 
 # (D, largest order) grid for the classification certification.
 CERTIFICATION_GRID = ((3, 16), (5, 16), (7, 15), (9, 14))

@@ -17,6 +17,7 @@ from steklov_trees import (
     threshold_data,
     verify_unimodality,
 )
+from steklov_trees.cli import run
 
 from oracles import ASParams, bracket_contains, candidate_profiles, sigma_exact, spider_lambda2_exact
 
@@ -125,13 +126,25 @@ def test_classify_threshold_compare_case():
 
 
 def test_classify_keeps_tied_candidates_whole(monkeypatch):
-    # No real input ties its two candidates; equal roots must make both winners, with no contradiction.
+    # Equal roots must make both winners, with no contradiction.
     monkeypatch.setattr(CLASSIFY_MODULE, "spider_lambda2", lambda p: 0.25)
     result = classify(15, 9)
     assert result.case_tag == "threshold_compare"
     assert len(result.candidates) == 2
     assert result.winners == result.candidates
     assert result.tie_flag
+
+
+def test_threshold_prediction_that_contradicts_the_roots_raises(capsys, monkeypatch):
+    # (13, 7) is always-B: the q_plus root wins.  A regime that names the other candidate is an internal error.
+    assert classify(13, 7).case_tag == "threshold_B"
+    real = CLASSIFY_MODULE.threshold_data
+    monkeypatch.setattr(CLASSIFY_MODULE, "threshold_data", lambda r, t: real(r, t)._replace(regime="A_always"))
+    line = "threshold prediction minus contradicts direct comparison at n=13, D=7"
+    with pytest.raises(RuntimeError, match=f"^{line}$"):
+        classify(13, 7)
+    assert run(["classify", "13", "7"]) == 4
+    assert capsys.readouterr() == ("", f"error: {line}\n")
 
 
 def test_kappa_meets_an_integer_only_below_s():

@@ -484,7 +484,8 @@ def test_usage_errors(capsys, argv):
 
 
 # Exit code, stdout and stderr of argv that the top-level parser parses, or
-# that dispatch past it, as the two-level parse printed them.
+# that dispatch past it, as the two-level parse printed them; and of `reduce
+# path:1`, the smallest input that a subcommand answers with a trace.
 FRONT_END_GOLDENS = json.loads((Path(__file__).parent / "goldens" / "cli_front_end.json").read_text(encoding="utf-8"))
 
 
@@ -551,11 +552,24 @@ def test_even_diameter_is_domain_error(capsys):
         (["sweep", "--r", "2", "--M-max", "0"], "need --r >= 1 and --M-max >= 1, got --r 2, --M-max 0"),
         (["sweep", "--r", "0", "--M-max", "0"], "need --r >= 1 and --M-max >= 1, got --r 0, --M-max 0"),
         (["verify", "6", "5", "--jobs", "0"], "jobs must be >= 1, got 0"),
+        (["lambda2", "path:0"], "bad tree shorthand 'path:0': path length must be >= 1, got 0"),
+        (["spectrum", "--file", "{tmp}/one-vertex.txt"], "tree needs at least 2 vertices, got n=1"),
+        (["reduce", "path:2"], "diameter 2 is even; ascent is defined for odd diameters"),
     ],
-    ids=["verify-2-1", "verify-3-1", "sweep-M-max-0", "sweep-r-0", "verify-jobs-0"],
+    ids=[
+        "verify-2-1",
+        "verify-3-1",
+        "sweep-M-max-0",
+        "sweep-r-0",
+        "verify-jobs-0",
+        "lambda2-path-0",
+        "spectrum-one-vertex-file",
+        "reduce-path-2",
+    ],
 )
-def test_out_of_domain_arguments_are_one_line_errors(capsys, argv, message):
-    code, out, err = _capture(capsys, argv)
+def test_out_of_domain_arguments_are_one_line_errors(capsys, tmp_path, argv, message):
+    (tmp_path / "one-vertex.txt").write_text("1\n", encoding="utf-8")
+    code, out, err = _capture(capsys, [arg.format(tmp=tmp_path) for arg in argv])
     assert (code, out) == (2, "")
     assert err == f"error: {message}\n"
 
@@ -912,9 +926,7 @@ def test_optimized_interpreter_prints_the_same_bytes(capsys, argv):
 
 # The package's public surface, frozen: a name added or dropped shows in this list's diff.
 PUBLIC_NAMES = [
-    "BoundaryFlux",
     "ClassificationResult",
-    "CutDecomposition",
     "DoubleSpiderProfile",
     "Spectrum",
     "SpiderProfile",
@@ -926,12 +938,10 @@ PUBLIC_NAMES = [
     "balance_side_step",
     "canonical_code",
     "classify",
-    "cut_sums",
     "diameter",
     "dominating_double_spider",
     "double_spider_rho",
     "dtn_matrix",
-    "flux_potential",
     "format_tree_text",
     "greedy_ascent_trace",
     "lambda2_numeric",
@@ -943,7 +953,6 @@ PUBLIC_NAMES = [
     "make_spider",
     "parse_tree",
     "parse_tree_text",
-    "q_form",
     "q_range_integer",
     "recognize_double_spider",
     "recognize_spider",
@@ -963,7 +972,7 @@ def test_public_surface_is_frozen():
 
 
 def test_public_names_are_their_defining_modules_objects():
-    # The names from flux and reduce resolve on first access; each is its module's own object.
+    # The names from reduce resolve on first access; each is its module's own object.
     def defined(name):
         obj = getattr(steklov_trees, name)
         return getattr(importlib.import_module(obj.__module__), name) is obj
@@ -983,7 +992,7 @@ def test_star_import_binds_every_public_name():
         "import steklov_trees\n"
         "print(len(steklov_trees.__all__), set(steklov_trees.__all__) - set(globals()))\n"
     )
-    assert lines == ["41 set()"]
+    assert lines == ["36 set()"]
 
 
 def test_package_import_defers_flux_and_reduce_and_keeps_classify_the_function():
@@ -1012,6 +1021,24 @@ def test_small_float_literals_are_named_constants():
         for node in ast.walk(module):
             if isinstance(node, ast.Constant) and isinstance(node.value, float) and 0 < abs(node.value) < 1e-3:
                 assert id(node) in named, f"{path.name}:{node.lineno}: unnamed float literal {node.value!r}"
+
+
+def test_package_imports_only_itself_numpy_and_the_standard_library():
+    # Every import statement, also one inside a function that no test reaches: numpy is
+    # the one runtime dependency, and the records are NamedTuples, never dataclasses.
+    for path in sorted(Path(steklov_trees.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                top = name.partition(".")[0]
+                where = f"{path.name}:{node.lineno}: import {name}"
+                assert top == "numpy" or top in sys.stdlib_module_names, where
+                assert top != "dataclasses", where
 
 
 def test_benchmark_tracer_wraps_the_package_as_it_is_laid_out(capsys):

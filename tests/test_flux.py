@@ -8,27 +8,31 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from steklov_trees import (
-    BoundaryFlux,
     DoubleSpiderProfile,
     SpiderProfile,
     Tree,
-    cut_sums,
     dtn_matrix,
-    flux_potential,
     lambda2_numeric,
     leaf_distance_matrix,
     leaf_set,
     make_double_spider,
     make_path,
     make_spider,
-    q_form,
 )
 
 from steklov_trees.spectral import _lambda2_batch
 from steklov_trees.trees import _center_codes
 import steklov_trees.verify as verify_module
 
-from oracles import _code_tree, prufer_to_edges, spider_lambda2_exact
+from oracles import (
+    BoundaryFlux,
+    _code_tree,
+    cut_sums,
+    flux_potential,
+    prufer_to_edges,
+    q_form,
+    spider_lambda2_exact,
+)
 
 RTOL = 1e-10
 

@@ -13,7 +13,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from steklov_trees import (
-    BoundaryFlux,
     DoubleSpiderProfile,
     SpiderProfile,
     classify,
@@ -23,7 +22,6 @@ from steklov_trees import (
     make_double_spider,
     make_spider,
     parse_tree_text,
-    q_form,
     q_range_integer,
     spider_lambda2,
     threshold_data,
@@ -31,11 +29,13 @@ from steklov_trees import (
 from steklov_trees import roots, verify
 
 from oracles import (
+    BoundaryFlux,
     bisect_reference,
     bracket_contains,
     candidate_profiles,
     double_spider_maximizer,
     double_spider_rho_exact,
+    q_form,
     q_range_continuous,
     sigma_exact,
     sigma_rM,

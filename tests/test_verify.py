@@ -21,6 +21,7 @@ from steklov_trees import (
     make_path,
     make_spider,
     recognize_spider,
+    spider_lambda2,
     verify_classification,
     verify_unimodality,
 )
@@ -146,6 +147,35 @@ def test_verify_classification_reports_match_small_grid():
             assert report.verdict == "match", (n, d, report)
             assert report.n == n and report.D == d
             assert report.trees_enumerated >= 1
+
+
+def test_a_non_maximal_winner_is_a_mismatch(capsys, monkeypatch):
+    # At (12, 7) the maximum is spider:4,3,2,2 alone; a classifier that names spider:4,3,2,1,1 must fail.
+    wrong = SpiderProfile((4, 3, 2, 1, 1))
+    real = verify_module.classify
+    monkeypatch.setattr(
+        verify_module, "classify", lambda n, d: real(n, d)._replace(winners=((wrong, spider_lambda2(wrong)),))
+    )
+    report = verify_classification(12, 7)
+    assert report.verdict == "mismatch"
+    assert report.argmax_codes == (_spider_code(4, 3, 2, 2),)
+    assert report.classifier_codes == (_spider_code(4, 3, 2, 1, 1),)
+    assert run(["verify", "12", "7"]) == 3
+    line = "n=12 D=7 trees=128 winners=spider:4,3,2,1,1 lambda2=0.27469597861 verdict=mismatch\n"
+    assert capsys.readouterr() == (line, "")
+
+
+def test_a_winner_set_short_of_the_tie_band_is_unresolved(capsys, monkeypatch):
+    # A band of 1.0 relative puts every tree of (12, 7) within it; one named winner leaves the tie unresolved.
+    monkeypatch.setattr(verify_module, "_TIE_RTOL", 1.0)
+    report = verify_classification(12, 7)
+    assert report.verdict == "tie_unresolved"
+    assert len(report.argmax_codes) == report.trees_enumerated == 128
+    assert report.classifier_codes == (_spider_code(4, 3, 2, 2),)
+    # Only a mismatch fails the command.
+    assert run(["verify", "12", "7"]) == 0
+    line = "n=12 D=7 trees=128 winners=spider:4,3,2,2 lambda2=0.27469597861 verdict=tie_unresolved\n"
+    assert capsys.readouterr() == (line, "")
 
 
 def test_verify_classification_deterministic_across_jobs():
