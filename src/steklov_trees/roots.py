@@ -5,9 +5,10 @@ also satisfies a one-variable equation: the spider equation F(lambda),
 its balanced-family form Phi_{r,M}, the two-sided resolvent equation for
 double spiders, and the threshold quadratic that orders the two
 balanced candidates.  The one-center equations are all the pole sum
-sum_i w_i/(1 - l_i lambda), evaluated by one helper over terms that one
-rule writes: the two principal branches as poles of weight 1, then the
-laterals grouped by length, longest first.  spider_lambda2, verify's
+sum_i w_i/(1 - l_i lambda), evaluated by one loop, on floats, arrays
+and Fractions alike, over terms that one rule writes: the two
+principal branches as poles of weight 1, then the laterals grouped by
+length, longest first.  spider_lambda2, verify's
 sweep table and reduce's exact check sum those terms in that order, so
 they solve one equation; both Newton estimates read l1 and l2 from the
 first two terms and bound every later one in one upper model.  Each
@@ -25,6 +26,7 @@ The equations that a tree's shape admits are listed here too, for
 from __future__ import annotations
 
 import math
+from functools import partial
 from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .trees import DoubleSpiderProfile, SpiderProfile, Tree, _runs, recognize_double_spider, recognize_spider
@@ -105,7 +107,10 @@ def _bisect(f: Callable[[float], float], lo: float, hi: float, estimate: Callabl
 
 def _pole_sum(terms: Sequence[tuple[int, float]], lam: float) -> float:
     """sum_i w_i / (1 - l_i lam) over (length, weight) pairs, in order; elementwise on arrays, exact on Fractions."""
-    return sum(w / (1 - l * lam) for l, w in terms)
+    total = 0
+    for l, w in terms:
+        total += w / (1 - l * lam)
+    return total
 
 
 def _pole_sum_estimate(terms: Sequence[tuple[int, float]]) -> float:
@@ -120,13 +125,14 @@ def _pole_sum_estimate(terms: Sequence[tuple[int, float]]) -> float:
     """
     (l1, w1), (l2, w2), *laterals = terms
     lateral = sum(w * l1 / (l1 - l) for l, w in laterals)
+    rest = terms[1:]
     # The model times (1 - l2 x): lateral l1 l2 x^2 - p x + q, positive at 1/l1 and negative at 1/l2.
     p = w1 * l2 + (w2 + lateral) * l1 + lateral * l2
     q = w1 + w2 + lateral
     x = 2 * q / (p + math.sqrt(max(p * p - 4 * lateral * l1 * l2 * q, 0.0)))
     for _ in range(_NEWTON_PASSES):
         g = slope = 0.0
-        for l, w in terms[1:]:
+        for l, w in rest:
             d = 1 - l * x
             g += w / d
             slope += w * l / (d * d)
@@ -163,7 +169,7 @@ def spider_lambda2(lengths: SpiderProfile | Sequence[int]) -> float:
     if ls[0] == ls[1]:
         raise ValueError(f"longest branch must be strict, got lengths {ls}")
     terms = _spider_terms(ls)
-    return _bisect(lambda lam: _pole_sum(terms, lam), 1.0 / ls[0], 1.0 / ls[1], lambda: _pole_sum_estimate(terms))
+    return _bisect(partial(_pole_sum, terms), 1.0 / ls[0], 1.0 / ls[1], partial(_pole_sum_estimate, terms))
 
 
 # ------------------------- balanced family ----------------------------
@@ -226,9 +232,7 @@ def double_spider_rho(p: DoubleSpiderProfile) -> float:
     if p.b_lengths[0] != r:
         raise ValueError(f"both sides must share the longest length, got {p.a_lengths[0]} and {p.b_lengths[0]}")
     total = sum(p.a_lengths) + sum(p.b_lengths)
-    return _bisect(
-        lambda rho: _double_spider_equation(p, rho), float(r), float(r + total + 1), lambda: _rho_estimate(p, r)
-    )
+    return _bisect(partial(_double_spider_equation, p), float(r), float(r + total + 1), partial(_rho_estimate, p, r))
 
 
 # ----------------------------- root routes -----------------------------

@@ -91,11 +91,12 @@ def _leaf_distances(depth: np.ndarray, leaf: np.ndarray) -> np.ndarray:
     # A row's last leaf + 1 is the next row's first vertex, so a segment also starts at
     # every row's first vertex: no gap runs into the next row.  Column 0 is that segment.
     gap = np.minimum.reduceat(flat, np.concatenate(([0], at[:-1] + 1))).reshape(k, m)[:, 1:] - 1
-    i = np.arange(m - 1)  # lca[r, i, j]: leaves i and j + 1 of row r
-    lca = np.minimum.accumulate(np.where(i[:, None] <= i, gap[:, None, :], n), axis=2)
+    i = np.arange(m - 1)
+    upper = i[:, None] <= i  # lca[r, i, j]: leaves i and j + 1 of row r, for i <= j
+    lca = np.minimum.accumulate(np.where(upper, gap[:, None, :], n), axis=2)
     dep = flat[at].reshape(k, m)
     dist = np.zeros((k, m, m), dtype=depth.dtype)
-    dist[:, :-1, 1:] = np.triu(dep[:, :-1, None] + dep[:, None, 1:] - 2 * lca)
+    dist[:, :-1, 1:] = np.where(upper, dep[:, :-1, None] + dep[:, None, 1:] - 2 * lca, 0)
     return dist + np.swapaxes(dist, 1, 2)
 
 
@@ -108,20 +109,21 @@ def leaf_distance_matrix(t: Tree) -> np.ndarray:
     order, _, depth = t._preorder(0)
     pre = np.array(order)
     leaf = np.array(t.degrees)[pre] == 1
-    dmat = _leaf_distances(np.array(depth)[pre][None], leaf[None])[0]
-    rank = np.argsort(pre[leaf])
-    return dmat[np.ix_(rank, rank)]
+    rank = pre[leaf].argsort()
+    return _leaf_distances(np.array(depth)[pre][None], leaf[None])[0][rank[:, None], rank]
 
 
 def _gram_eigenvalues(dmat: np.ndarray) -> np.ndarray:
     """Ascending eigenvalues of P(-D/2)P for each stacked m x m distance matrix.
 
     With row means r, its entries are (r_i + r_j - mean(r) - D_ij) / 2,
-    symmetric in floats as D is.
+    symmetric in floats as D is.  Integer D needs no cast: its row sums
+    are exact in floats, so both dtypes give the same bits.
     """
-    rows = dmat.mean(axis=-1)
+    m = dmat.shape[-1]
+    rows = dmat.sum(axis=-1) / m  # mean's own arithmetic, without its Python wrapper
     gram = rows[..., :, None] + rows[..., None, :]
-    gram -= rows.mean(axis=-1)[..., None, None]
+    gram -= (rows.sum(axis=-1) / m)[..., None, None]
     gram -= dmat
     gram /= 2.0
     return np.linalg.eigvalsh(gram)
@@ -130,14 +132,14 @@ def _gram_eigenvalues(dmat: np.ndarray) -> np.ndarray:
 def _distance_lambda2(dmat: np.ndarray) -> np.ndarray:
     """lambda_2 = 1 / top eigenvalue of P(-D/2)P for each stacked m x m distance matrix."""
     top = _gram_eigenvalues(dmat)[..., -1]
-    if np.any(top <= 0.0):
+    if (top <= 0.0).any():
         raise RuntimeError(f"centered distance form has no positive eigenvalue (top={np.min(top)})")
     return 1.0 / top
 
 
 def lambda2_numeric(t: Tree) -> float:
     """First nonzero Steklov eigenvalue, from the leaf distance form."""
-    return float(_distance_lambda2(leaf_distance_matrix(t).astype(float)))
+    return float(_distance_lambda2(leaf_distance_matrix(t)))
 
 
 def steklov_spectrum(t: Tree) -> Spectrum:
@@ -149,7 +151,7 @@ def steklov_spectrum(t: Tree) -> Spectrum:
     the identity.  Their reciprocals are the rest of the spectrum, the
     first of them lambda2_numeric's value bit for bit.
     """
-    gram = _gram_eigenvalues(leaf_distance_matrix(t).astype(float))
+    gram = _gram_eigenvalues(leaf_distance_matrix(t))
     if gram[1] <= 0.0:
         raise RuntimeError(f"centered distance form has a second eigenvalue {gram[1]} that is not positive")
     return Spectrum((0.0, *(1.0 / gram[:0:-1]).tolist()))

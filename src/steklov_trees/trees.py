@@ -78,6 +78,11 @@ class Tree(NamedTuple("Tree", [("n", int), ("edges", tuple[Edge, ...])])):
         return tuple(len(a) for a in self.adjacency)
 
     @cached_property
+    def _hubs(self) -> tuple[int, ...]:
+        """Vertices of degree >= 3, ascending: scanned once for every recognizer."""
+        return tuple([v for v, deg in enumerate(self.degrees) if deg >= 3])
+
+    @cached_property
     def _walks(self) -> dict[tuple[int, int], tuple[list[int], list[int], list[int]]]:
         return {}
 
@@ -92,13 +97,13 @@ class Tree(NamedTuple("Tree", [("n", int), ("edges", tuple[Edge, ...])])):
         """
         walk = self._walks.get((root, banned))
         if walk is None:
-            parent, depth = [-1] * self.n, [-1] * self.n
+            adjacency, parent, depth = self.adjacency, [-1] * self.n, [-1] * self.n
             parent[root], depth[root] = root, 0
             order, stack = [], [root]
             while stack:
                 x = stack.pop()
                 order.append(x)
-                for y in self.adjacency[x]:
+                for y in adjacency[x]:
                     if depth[y] < 0 and y != banned:
                         parent[y], depth[y] = x, depth[x] + 1
                         stack.append(y)
@@ -265,7 +270,7 @@ def recognize_spider(t: Tree) -> Optional[SpiderProfile]:
     (ceil(d/2), floor(d/2)); the single edge has no valid profile and
     reports None.
     """
-    hubs = [v for v in range(t.n) if t.degrees[v] >= 3]
+    hubs = t._hubs
     if len(hubs) > 1:
         return None
     if not hubs:
@@ -284,7 +289,7 @@ def recognize_double_spider(t: Tree) -> Optional[DoubleSpiderProfile]:
     _lone_side_spider.  Stars and paths with fewer than 3 edges leave a
     side empty and report None.
     """
-    hubs = [v for v in range(t.n) if t.degrees[v] >= 3]
+    hubs = t._hubs
     if len(hubs) == 2 and hubs[1] in t.adjacency[hubs[0]]:
         u, v = hubs
         return DoubleSpiderProfile(_side_arm_lengths(t, u, v), _side_arm_lengths(t, v, u))
@@ -301,15 +306,16 @@ def _rooted_code(t: Tree, root: int, banned: int) -> bytes:
     """AHU code of the subtree at root, not crossing the vertex `banned`.
 
     Children are sorted by code, so the result is invariant under
-    relabeling.  Reversed preorder codes every child before its parent,
-    with no recursion to overflow on long CLI-constructed paths.
+    relabeling.  Reversed preorder codes a vertex after its children and
+    files it among its parent's, the root (its own parent) last, with no
+    recursion to overflow on long CLI-constructed paths.
     """
     order, parent, _ = t._preorder(root, banned)
-    code: dict[int, bytes] = {}
+    kids: list[list[bytes]] = [[] for _ in parent]
     for v in reversed(order):
-        kids = sorted(code[w] for w in t.adjacency[v] if parent[w] == v)
-        code[v] = b"(" + b"".join(kids) + b")"
-    return code[root]
+        kids[v].sort()
+        kids[parent[v]].append(b"(%b)" % b"".join(kids[v]))
+    return kids[root][-1]
 
 
 def canonical_code(t: Tree) -> bytes:
@@ -418,18 +424,15 @@ def parse_tree(text: str) -> Tree:
 
 def parse_tree_text(text: str) -> Tree:
     """Tree from the edge-list format: first line n, then n-1 lines 'u v'."""
-    lines = [ln for ln in (raw.strip() for raw in text.splitlines()) if ln]
+    lines = [ln for ln in map(str.strip, text.splitlines()) if ln]
     if not lines:
         raise ValueError("empty tree description")
-    try:
+    try:  # a line's token count, then its integers, line by line: the first fault in input order is reported
         n = int(lines[0])
-        edges = []
-        for ln in lines[1:]:
-            u, v = ln.split()
-            edges.append((int(u), int(v)))
+        edges = tuple([(int(u), int(v)) for u, v in map(str.split, lines[1:])])
     except ValueError as exc:
         raise ValueError(f"bad tree file: {exc}") from exc
-    return Tree(n, tuple(edges))
+    return Tree(n, edges)
 
 
 def format_tree_text(t: Tree) -> str:
@@ -473,7 +476,7 @@ def _double_spider_shorthand(p: DoubleSpiderProfile) -> str:
 
 def render_shorthand(t: Tree) -> Optional[str]:
     """Most specific shorthand describing t, or None for other shapes."""
-    if all(deg <= 2 for deg in t.degrees):
+    if not t._hubs:
         return f"path:{t.n - 1}"
     spider = recognize_spider(t)
     if spider is not None:

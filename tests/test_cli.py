@@ -243,6 +243,33 @@ def test_reduce_csv_golden(capsys):
     )
 
 
+def _odd_diameter_prufer_tree(rng: random.Random, n: int) -> Tree:
+    """The first of rng's Pruefer trees of order n whose diameter is odd."""
+    while True:
+        t = Tree(n, tuple(prufer_to_edges([rng.randrange(n) for _ in range(n - 2)], n)))
+        if diameter(t) % 2:
+            return t
+
+
+@pytest.mark.parametrize(
+    "fmt, hexdigest",
+    [
+        ("text", "8f512f1f9a8f68bc27c8634cbc5a2fd4d9c4e58b08ea69e4b4145f8d5427c0fc"),
+        ("csv", "ed12c12a1c3d2282fddcc7af666017bd21e5564e10ca5ded0f8db687ce1c52c4"),
+        ("json", "7af3daeb21a623650100d166e4c9c6f9e9f9d2804c62b910dbe7be46a2a8b91a"),
+    ],
+)
+def test_reduce_digest_golden(capsys, tmp_path, fmt, hexdigest):
+    # reduce on a seeded odd-diameter Pruefer tree of each order 60-120: inputs that no shorthand names.
+    rng, path, digest = random.Random(6120), tmp_path / "tree.txt", hashlib.sha256()
+    for n in range(60, 121):
+        path.write_text(format_tree_text(_odd_diameter_prufer_tree(rng, n)), encoding="utf-8")
+        code, out, err = _capture(capsys, ["reduce", "--file", str(path), "--format", fmt])
+        assert (code, err) == (0, "")
+        digest.update(out.encode())
+    assert digest.hexdigest() == hexdigest
+
+
 @pytest.mark.parametrize(
     "groups",
     [
@@ -572,6 +599,38 @@ def test_out_of_domain_arguments_are_one_line_errors(capsys, tmp_path, argv, mes
     code, out, err = _capture(capsys, [arg.format(tmp=tmp_path) for arg in argv])
     assert (code, out) == (2, "")
     assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("3\n0 0\n1 2\n", "self-loop at vertex 0"),
+        ("3\n0 1\n1 3\n", "edge (1,3) out of range for n=3"),
+        ("4\n0 4\n2 2\n1 2\n", "edge (0,4) out of range for n=4"),
+        ("4\n0 1\n2 2\n1 4\n", "self-loop at vertex 2"),
+        ("4\n0 1\n1 2\n", "expected 3 edges, got 2"),
+        ("4\n0 1\n1 0\n2 3\n", "repeated edge"),
+        ("3\n0 1\n1 two\n", "bad tree file: invalid literal for int() with base 10: 'two'"),
+        ("3\n0 1 2\n1 2\n", "bad tree file: too many values to unpack (expected 2)"),
+        ("3\n0 x\n1\n", "bad tree file: invalid literal for int() with base 10: 'x'"),
+    ],
+    ids=[
+        "self-loop",
+        "out-of-range",
+        "out-of-range-before-self-loop",
+        "self-loop-before-out-of-range",
+        "edge-count",
+        "repeated-edge-of-a-disconnected-list",
+        "bad-integer",
+        "three-tokens",
+        "bad-integer-before-one-token",
+    ],
+)
+def test_malformed_tree_files_are_one_line_errors(capsys, tmp_path, text, message):
+    # The first fault in input order is reported, and the edge checks run before the connectivity walk.
+    path = tmp_path / "tree.txt"
+    path.write_text(text, encoding="utf-8")
+    assert _capture(capsys, ["lambda2", "--file", str(path)]) == (2, "", f"error: {message}\n")
 
 
 def test_bad_shorthand_is_domain_error(capsys):

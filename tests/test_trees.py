@@ -352,6 +352,28 @@ def test_canonical_code_relabel_invariant(seq, salt):
     assert canonical_code(t) == canonical_code(relabeled)
 
 
+def _shuffled_labeled_trees(rng: random.Random):
+    """Seeded Pruefer trees of orders 2-150, one per center count that the order has, labels and edges shuffled."""
+    for n in range(2, 151):
+        kinds = set()
+        while len(kinds) < 1 + (n > 3):  # n = 2 has only two-center trees, n = 3 only one-center
+            edges = prufer_to_edges([rng.randrange(n) for _ in range(n - 2)], n)
+            perm = list(range(n))
+            rng.shuffle(perm)
+            edges = [(perm[v], perm[u]) if rng.random() < 0.5 else (perm[u], perm[v]) for u, v in edges]
+            rng.shuffle(edges)
+            t = Tree(n, tuple(edges))
+            if diameter(t) % 2 not in kinds:
+                kinds.add(diameter(t) % 2)
+                yield t
+
+
+def test_canonical_codes_are_frozen():
+    codes = [canonical_code(t) for t in _shuffled_labeled_trees(random.Random(2150))]
+    assert len(codes) == 296 and {code[:1] for code in codes} == {b"1", b"2"}
+    assert hashlib.sha256(b"\n".join(codes)).hexdigest() == "be46e0bca2211c78b576895d737fbcd71ff6c487bbe8a6667c96dd9a9b09895f"
+
+
 def test_canonical_code_separates_shapes():
     star = make_spider(SpiderProfile((1, 1, 1)))
     path = make_path(3)
