@@ -33,7 +33,6 @@ from .spectral import (
     Spectrum,
     dtn_matrix,
     lambda2_numeric,
-    laplacian_matrix,
     leaf_distance_matrix,
     steklov_spectrum,
 )
@@ -88,7 +87,6 @@ __all__ = [
     "format_tree_text",
     "greedy_ascent_trace",
     "lambda2_numeric",
-    "laplacian_matrix",
     "leaf_distance_matrix",
     "leaf_set",
     "make_double_spider",

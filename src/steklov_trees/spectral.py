@@ -14,7 +14,8 @@ with one stacked kernel, _leaf_distances, from preorder depths and leaf
 masks.
 
 The Dirichlet-to-Neumann matrix, the Schur complement of the graph
-Laplacian onto the leaf block, is the independent route that
+Laplacian onto the leaf block, built from the interior block alone as
+L_BB = I and each leaf has one neighbour, is the independent route that
 `lambda2 --method matrix` prints and the test oracles check against.
 """
 
@@ -44,34 +45,27 @@ class Spectrum(NamedTuple("Spectrum", [("eigenvalues", tuple[float, ...])])):
         return super().__new__(cls, eigenvalues)
 
 
-def laplacian_matrix(t: Tree) -> np.ndarray:
-    """Dense combinatorial Laplacian L = D - A."""
-    lap = np.zeros((t.n, t.n))
-    for u, v in t.edges:
-        lap[u, u] += 1.0
-        lap[v, v] += 1.0
-        lap[u, v] -= 1.0
-        lap[v, u] -= 1.0
-    return lap
-
-
 def dtn_matrix(t: Tree) -> np.ndarray:
-    """Dirichlet-to-Neumann matrix on the leaves.
+    """Dirichlet-to-Neumann matrix on the leaves, in leaf_set order.
 
     Schur complement L_BB - L_BI L_II^{-1} L_IB of the Laplacian;
-    symmetric, positive semidefinite, row sums zero.  Output is
-    symmetrized to kill the last-bit asymmetry of the solve.
+    symmetric, positive semidefinite, row sums zero.  Past the single
+    edge L_BB = I and a leaf's row of L_BI is one -1 at its only
+    neighbour, its hub, so the complement is exactly I + X[hub] with
+    X = L_II^{-1} L_IB.  Symmetrized against the solve's last-bit asymmetry.
     """
-    boundary = leaf_set(t)
-    interior = [v for v in range(t.n) if t.degrees[v] > 1]
-    lap = laplacian_matrix(t)
-    l_bb = lap[np.ix_(boundary, boundary)]
-    if not interior:
-        return l_bb
-    l_bi = lap[np.ix_(boundary, interior)]
-    l_ib = lap[np.ix_(interior, boundary)]
-    l_ii = lap[np.ix_(interior, interior)]
-    schur = l_bb - l_bi @ np.linalg.solve(l_ii, l_ib)
+    if t.n == 2:
+        return np.array([[1.0, -1.0], [-1.0, 1.0]])
+    deg = np.array(t.degrees)
+    row = np.cumsum(deg > 1) - 1  # an interior vertex's row in L_II, interior ascending
+    edges = np.array(t.edges)
+    a, b = row[edges[(deg[edges] > 1).all(axis=1)]].T  # the interior edges
+    l_ii = np.diag(deg[deg > 1].astype(float))
+    l_ii[a, b] = l_ii[b, a] = -1.0
+    hub = row[[t.adjacency[leaf][0] for leaf in leaf_set(t)]]
+    l_ib = np.zeros((len(l_ii), len(hub)))
+    l_ib[hub, np.arange(len(hub))] = -1.0
+    schur = np.eye(len(hub)) + np.linalg.solve(l_ii, l_ib)[hub]
     return (schur + schur.T) / 2.0
 
 

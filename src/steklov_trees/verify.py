@@ -210,24 +210,31 @@ def _sigma_tables(r: int, masses: Sequence[int]) -> tuple[np.ndarray, np.ndarray
 _STRICT_RTOL = 1e-12
 
 
+def _mass_runs(r: int, masses: Iterable[int]) -> Iterator[list[int]]:
+    """The masses cut greedily, as they arrive, into runs of at most _ENTRIES entries (a larger mass alone)."""
+    run, size = [], 0
+    for M in masses:
+        lo, hi = q_range_integer(r, M)
+        if run and size + hi - lo + 1 > _ENTRIES:
+            yield run
+            run, size = [], 0
+        run.append(M)
+        size += hi - lo + 1
+    if run:
+        yield run
+
+
 def _sweep_tables(r: int, masses: Iterable[int]) -> Iterator[tuple[tuple[np.ndarray, ...], list[tuple]]]:
     """Each _sigma_tables of a sweep, in order, with (M, peak_q, passed, detail) for each of its masses.
 
-    The masses are cut greedily into runs of at most _ENTRIES entries (a
-    larger mass alone), so a sweep holds O(_ENTRIES + M) floats at a time.
+    Each run is solved and yielded as soon as _mass_runs closes it, on
+    the first mass that does not fit, so a sweep holds O(_ENTRIES + M)
+    floats at a time and never a list of its masses.
     Peaks are _near_argmax's within _STRICT_RTOL, and each entry is held
     against the one before it in its mass with that band: drops up to the
     first maximum, rises after it.  Detail text is built only on a failure.
     """
-    runs, size = [[]], 0
-    for M in masses:
-        lo, hi = q_range_integer(r, M)
-        size += hi - lo + 1
-        if runs[-1] and size > _ENTRIES:
-            runs.append([])
-            size = hi - lo + 1
-        runs[-1].append(M)
-    for run in filter(None, runs):
+    for run in _mass_runs(r, masses):
         q, sigma, starts = table = _sigma_tables(r, run)
         counts = np.diff(starts, append=len(q))
         best = np.maximum.reduceat(sigma, starts)

@@ -12,6 +12,7 @@ import os
 import random
 import re
 import resource
+import select
 import subprocess
 import sys
 import tracemalloc
@@ -815,6 +816,25 @@ def test_shorthand_too_large_to_build_exits_four(shorthand):
     assert proc.stderr.startswith(b"error: tree order ") and proc.stderr.count(b"\n") == 1
 
 
+def test_sweep_prints_before_it_reads_every_mass():
+    # The masses are cut into tables as they arrive, so an unbounded --M-max prints its first table at once.
+    src = str(Path(steklov_trees.__file__).resolve().parents[1])
+    with subprocess.Popen(
+        [sys.executable, "-m", "steklov_trees.cli", "sweep", "--r", "3", "--M-max", "99999999999999999999"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.DEVNULL,
+        env={**os.environ, "PYTHONPATH": src},
+        preexec_fn=_limit_memory,
+    ) as proc:
+        try:
+            ready, _, _ = select.select([proc.stdout], [], [], 10)
+            assert ready, "no output within 10 s"
+            assert proc.stdout.readline() == b"r=3 M=1 peak_q=1 pass\n"
+        finally:
+            proc.kill()
+            proc.wait(timeout=10)
+
+
 def test_verify_mismatch_exits_three(capsys, monkeypatch):
     fake = VerificationReport(
         n=7,
@@ -1004,7 +1024,6 @@ PUBLIC_NAMES = [
     "format_tree_text",
     "greedy_ascent_trace",
     "lambda2_numeric",
-    "laplacian_matrix",
     "leaf_distance_matrix",
     "leaf_set",
     "make_double_spider",
@@ -1051,7 +1070,7 @@ def test_star_import_binds_every_public_name():
         "import steklov_trees\n"
         "print(len(steklov_trees.__all__), set(steklov_trees.__all__) - set(globals()))\n"
     )
-    assert lines == ["36 set()"]
+    assert lines == ["35 set()"]
 
 
 def test_package_import_defers_flux_and_reduce_and_keeps_classify_the_function():

@@ -1,5 +1,6 @@
 """Laplacian, DtN matrix, leaf distances, the oracles of each, Steklov spectra and lambda_2."""
 
+import hashlib
 import math
 import random
 import tracemalloc
@@ -17,7 +18,6 @@ from steklov_trees import (
     dtn_matrix,
     greedy_ascent_trace,
     lambda2_numeric,
-    laplacian_matrix,
     leaf_distance_matrix,
     leaf_set,
     make_double_spider,
@@ -36,6 +36,8 @@ from oracles import (
     enumerate_trees,
     harmonic_extension,
     jacobi_eigenvalues,
+    laplacian_matrix,
+    laplacian_schur_complement,
     leaf_distances_by_bfs,
     prufer_to_edges,
     spider_lambda2_exact,
@@ -87,6 +89,44 @@ def test_dtn_matrix_star():
     got = dtn_matrix(make_spider(SpiderProfile((1, 1, 1))))
     want = (3 * np.eye(3) - np.ones((3, 3))) / 3.0
     assert np.allclose(got, want, atol=1e-14)
+
+
+def _prufer_trees():
+    """Four seeded random labeled trees of each order 3..120."""
+    rng = random.Random(3120)
+    for n in range(3, 121):
+        for _ in range(4):
+            yield Tree(n, tuple(prufer_to_edges([rng.randrange(n) for _ in range(n - 2)], n)))
+
+
+def _same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_dtn_matrix_golden_bytes():
+    # SHA-256 of the matrices' bytes, frozen from the full-Laplacian assembly.
+    digest = hashlib.sha256()
+    for t in [*_prufer_trees(), make_path(3000)]:
+        digest.update(dtn_matrix(t).tobytes())
+    assert digest.hexdigest() == "3124c3c3f83334635924669500864f9e613034ad9eff315db88ed38942860b8f"
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_dtn_matrix_is_the_laplacian_schur_complement_on_every_small_tree(n):
+    for d in range(1, n):
+        for t in enumerate_trees(n, d):
+            assert _same_bits(dtn_matrix(t), laplacian_schur_complement(t)), t
+
+
+def test_dtn_matrix_is_the_laplacian_schur_complement_on_random_trees():
+    for t in _prufer_trees():
+        assert _same_bits(dtn_matrix(t), laplacian_schur_complement(t)), t
+
+
+def test_dtn_matrix_holds_one_interior_block():
+    # Path 3000: L_II is 2999 x 2999, 68.6 MiB; the full Laplacian would add 68.7 more.
+    block = 8 * 2999**2 / 2**20
+    assert block <= _transient_mb(lambda: dtn_matrix(make_path(3000))) < 1.15 * block
 
 
 @settings(max_examples=80, deadline=None)
@@ -266,10 +306,10 @@ def _transient_mb(fn):
 def test_lambda2_and_reduce_allocate_no_n_by_n_array():
     # The traced peak sees numpy buffers: the Laplacian of a 1001-vertex path is 8 MB.
     assert _transient_mb(lambda: laplacian_matrix(make_path(1000)).sum()) >= 7.6
-    # The Schur complement needs a 3001 x 3001 Laplacian (72 MB) here.
+    # The Schur complement needs a 2999 x 2999 interior block (72 MB) here.
     assert _transient_mb(lambda: lambda2_numeric(make_path(3000))) < 2.0
     assert _transient_mb(lambda: steklov_spectrum(make_path(3000))) < 2.0
-    # Order 400 with 40 leaves: the Schur route allocates about 2.5 MB a step.
+    # Order 400 with 40 leaves: the Schur route allocates about 1.2 MB a step, its interior block 1.04 MB of it.
     rng = random.Random(400)
     while True:
         internal = rng.sample(range(400), 360)

@@ -330,6 +330,19 @@ def test_sweep_memory_is_bounded_by_its_tables():
     assert _sweep_peak_bytes(900) <= 1.15 * _sweep_peak_bytes(600)
 
 
+def test_unbounded_sweep_draws_its_first_report_from_one_table():
+    # The masses are cut into tables as they arrive: no list of 10^12 masses is built.
+    tracemalloc.start()
+    try:
+        report = next(verify_unimodality(3, range(1, 10**12)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (report.M, report.passed) == (1, True)
+    # The first table, of at most _ENTRIES roots, and its rows take about 12 MB.
+    assert peak < 20 * 2**20
+
+
 # ------------------------------ domination ------------------------------
 
 
