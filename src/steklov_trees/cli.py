@@ -15,13 +15,12 @@ from __future__ import annotations
 
 import argparse
 import functools
-import io
 import sys
 
 import numpy as np
 
 from .classify import _odd_case, _predicted_counts, classify
-from .roots import _root_routes
+from .roots import double_spider_rho, spider_lambda2
 from .spectral import dtn_matrix, lambda2_numeric, steklov_spectrum
 from .trees import (
     DoubleSpiderProfile,
@@ -37,6 +36,8 @@ from .trees import (
     make_spider,
     parse_tree,
     parse_tree_text,
+    recognize_double_spider,
+    recognize_spider,
     render_shorthand,
 )
 from .verify import _sweep_tables, verify_classification, verify_unimodality
@@ -55,13 +56,16 @@ def _fmt(x: float) -> str:
     return f"{x:.12g}"
 
 
-def _print_csv(header: list[str], rows: list[list[str]]) -> None:
+def _csv_writer():
+    """A csv writer straight onto stdout, in the one dialect of every csv output."""
     import csv  # only --format csv needs it
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
+    return csv.writer(sys.stdout, lineterminator="\n")
+
+
+def _print_csv(header: list[str], rows: list[list[str]]) -> None:
+    writer = _csv_writer()
     writer.writerow(header)
     writer.writerows(rows)
-    sys.stdout.write(buf.getvalue())
 
 
 def _print_rows(fmt: str, header: list[str], rows: list[list[str]]) -> None:
@@ -129,14 +133,17 @@ def _cmd_lambda2(args: argparse.Namespace) -> int:
         lam = lambda2_numeric(tree)
     elif args.method == "matrix":
         lam = float(np.linalg.eigvalsh(dtn_matrix(tree))[1])
-    else:
-        route = next(_root_routes(tree), None)
-        if route is None:
+    else:  # a spider has at most one branch vertex and a double spider two: at most one equation applies
+        spider, double = recognize_spider(tree), recognize_double_spider(tree)
+        if spider is not None and spider.lengths[0] > spider.lengths[1]:
+            lam = spider_lambda2(spider)
+        elif double is not None and double.a_lengths[0] == double.b_lengths[0]:
+            lam = 1.0 / double_spider_rho(double)
+        else:
             raise ValueError(
                 "root method needs a spider with a strict longest branch "
                 "or a double spider with equal longest sides"
             )
-        lam = route[1]
     if args.format == "text":
         print(_fmt(lam))
     elif args.format == "csv":
@@ -228,8 +235,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             sys.stdout.write("".join(lines))
         return 0 if passed else 3
     if args.format == "csv":
-        import csv  # only --format csv needs it
-        writer = csv.writer(sys.stdout, lineterminator="\n")
+        writer = _csv_writer()
     else:
         import json  # only --format json needs it
     for n, rep in enumerate(verify_unimodality(args.r, masses)):  # a report at a time, as its table is solved

@@ -19,17 +19,17 @@ whichever points a bisection evaluates, as long as that evaluation
 changes sign once.  That is a property test, not a runtime check.  One
 bisection walks from a Newton estimate, then halves only between the
 points around the root.  All of it is scalar arithmetic, without numpy.
-The equations that a tree's shape admits are listed here too, for
-`lambda2 --method root`.
+The solvers take profiles, never trees: which equation a tree's shape
+admits is read off its recognized profile by `lambda2 --method root`.
 """
 
 from __future__ import annotations
 
 import math
 from functools import partial
-from typing import Callable, Iterator, NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
-from .trees import DoubleSpiderProfile, SpiderProfile, Tree, _runs, recognize_double_spider, recognize_spider
+from .trees import DoubleSpiderProfile, SpiderProfile, _runs
 
 
 class ThresholdData(NamedTuple):
@@ -233,23 +233,6 @@ def double_spider_rho(p: DoubleSpiderProfile) -> float:
         raise ValueError(f"both sides must share the longest length, got {p.a_lengths[0]} and {p.b_lengths[0]}")
     total = sum(p.a_lengths) + sum(p.b_lengths)
     return _bisect(partial(_double_spider_equation, p), float(r), float(r + total + 1), partial(_rho_estimate, p, r))
-
-
-# ----------------------------- root routes -----------------------------
-
-
-def _root_routes(t: Tree) -> Iterator[tuple[str, float]]:
-    """lambda_2 from each root equation that t's shape admits, spider first.
-
-    The spider equation needs a strict longest branch; the double-spider
-    equation needs equal longest sides.  Values are solved only as drawn.
-    """
-    spider = recognize_spider(t)
-    if spider is not None and spider.lengths[0] > spider.lengths[1]:
-        yield "spider_root", spider_lambda2(spider)
-    double = recognize_double_spider(t)
-    if double is not None and double.a_lengths[0] == double.b_lengths[0]:
-        yield "double_spider_root", 1.0 / double_spider_rho(double)
 
 
 # ------------------------- threshold quadratic -------------------------

@@ -282,21 +282,17 @@ def recognize_spider(t: Tree) -> Optional[SpiderProfile]:
 
 
 def recognize_double_spider(t: Tree) -> Optional[DoubleSpiderProfile]:
-    """Profile of t if all branching sits on two adjacent vertices.
+    """Profile of t if it has exactly two vertices of degree >= 3, adjacent, else None.
 
-    Any other tree with a spider profile splits it along its longest
-    branch, whose first edge becomes the central one: the inverse of
-    _lone_side_spider.  Stars and paths with fewer than 3 edges leave a
-    side empty and report None.
+    Each side lists the arms from its branch vertex away from the other.
+    A tree with at most one branch vertex is a spider or a path, which
+    recognize_spider reports, and reports None here.
     """
     hubs = t._hubs
-    if len(hubs) == 2 and hubs[1] in t.adjacency[hubs[0]]:
-        u, v = hubs
-        return DoubleSpiderProfile(_side_arm_lengths(t, u, v), _side_arm_lengths(t, v, u))
-    spider = recognize_spider(t)
-    if spider is None or spider.lengths[0] < 2:
+    if len(hubs) != 2 or hubs[1] not in t.adjacency[hubs[0]]:
         return None
-    return DoubleSpiderProfile(spider.lengths[1:], (spider.lengths[0] - 1,))
+    u, v = hubs
+    return DoubleSpiderProfile(_side_arm_lengths(t, u, v), _side_arm_lengths(t, v, u))
 
 
 # --------------------------- canonical code ---------------------------

@@ -19,7 +19,12 @@ the package's layout from (r, q, M).
 Keep this module free of imports from the package except where a test
 explicitly certifies one route against the other, as the certification
 harness at the end does: the double-spider domination inequality tree by
-tree, and every applicable lambda_2 route against the others.  Seven
+tree, and every applicable lambda_2 route against the others.  That
+harness also holds root_routes, every root equation a tree's shape
+admits, of which `lambda2 --method root` solves only the first, and
+double_spider_split, which splits a tree with at most one branch vertex
+into a double spider along its longest branch, where the package's
+recognize_double_spider reports None.  Seven
 test-only forms of package routes also live here: the scalar
 balanced-family root at real q, which the stacked sweep table must
 equal bit for bit, the sweep's verdicts as loops over one mass's rows,
@@ -58,11 +63,13 @@ from steklov_trees import (
     leaf_set,
     make_double_spider,
     recognize_double_spider,
+    recognize_spider,
+    spider_lambda2,
 )
 from steklov_trees import roots, verify
 from steklov_trees.classify import _TIE_RTOL, _odd_case
 from steklov_trees.reduce import _checked_root
-from steklov_trees.roots import _resolvent_sum, _root_routes
+from steklov_trees.roots import _resolvent_sum
 from steklov_trees.trees import _center_codes
 from steklov_trees.verify import _STRICT_RTOL
 
@@ -932,6 +939,38 @@ class CrossMethodReport:
     detail: str
 
 
+def double_spider_split(t: Tree) -> DoubleSpiderProfile | None:
+    """t as a double spider: recognize_double_spider's profile, or a spider's split.
+
+    A tree with at most one branch vertex splits its spider profile along
+    its longest branch, whose first edge becomes the central one: the
+    inverse of the package's _lone_side_spider.  Stars and paths with
+    fewer than 3 edges leave a side empty and report None.
+    """
+    double = recognize_double_spider(t)
+    if double is not None:
+        return double
+    spider = recognize_spider(t)
+    if spider is None or spider.lengths[0] < 2:
+        return None
+    return DoubleSpiderProfile(spider.lengths[1:], (spider.lengths[0] - 1,))
+
+
+def root_routes(t: Tree) -> Iterator[tuple[str, float]]:
+    """lambda_2 from every root equation that t's shape admits, spider first.
+
+    The spider equation needs a strict longest branch; the double-spider
+    equation needs equal longest sides of double_spider_split, which a
+    spider with l_2 = l_1 - 1 has too.  Values are solved only as drawn.
+    """
+    spider = recognize_spider(t)
+    if spider is not None and spider.lengths[0] > spider.lengths[1]:
+        yield "spider_root", spider_lambda2(spider)
+    double = double_spider_split(t)
+    if double is not None and double.a_lengths[0] == double.b_lengths[0]:
+        yield "double_spider_root", 1.0 / double_spider_rho(double)
+
+
 def verify_domination(n: int, d: int) -> DominationReport:
     """Dominate every tree of order n, odd diameter d, and keep the margins.
 
@@ -953,7 +992,7 @@ def verify_domination(n: int, d: int) -> DominationReport:
             problems.append(f"domination fails by {-margin} on {canonical_code(t).decode()}")
         elif abs(margin) <= _TIE_RTOL:
             equalities += 1
-            if recognize_double_spider(t) is None:
+            if double_spider_split(t) is None:
                 problems.append(f"equality on non-double-spider {canonical_code(t).decode()}")
     return DominationReport(
         n=n,
@@ -977,7 +1016,7 @@ def verify_cross_methods(t: Tree) -> CrossMethodReport:
     values = [
         ("matrix", float(np.linalg.eigvalsh(dtn_matrix(t))[1])),
         ("distance", lambda2_numeric(t)),
-        *_root_routes(t),
+        *root_routes(t),
     ]
 
     problems = []

@@ -27,7 +27,6 @@ from steklov_trees import (
     leaf_distance_matrix,
     leaf_set,
     make_path,
-    recognize_double_spider,
     recognize_spider,
     spider_lambda2,
     steklov_spectrum,
@@ -40,6 +39,7 @@ from oracles import (
     BoundaryFlux,
     balance_main_step,
     cut_sums,
+    double_spider_split,
     enumerate_trees,
     jacobi_eigenvalues,
     q_form,
@@ -103,8 +103,7 @@ def test_criterion_1_path_sharpness():
         # Three independent routes: Schur complement, leaf distance form, root equation.
         routes = [float(np.linalg.eigvalsh(dtn_matrix(t))[1]), lambda2_numeric(t)]
         if d % 2 == 1:
-            profile = recognize_double_spider(t)
-            routes.append(1.0 / double_spider_rho(profile))
+            routes.append(1.0 / double_spider_rho(double_spider_split(t)))
         for lam in routes:
             if abs(lam - expect) > PATH_TOL:
                 problems.append((d, lam, expect))

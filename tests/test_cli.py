@@ -112,6 +112,17 @@ def test_lambda2_root_on_double_spider(capsys):
     assert out == "0.38799538113\n"
 
 
+# Exit code, stdout and stderr of `lambda2` by every method in every format: a spider, a double
+# spider, an odd and an even path, and a spider with a repeated longest branch; the last two have
+# no root equation.
+LAMBDA2_GOLDENS = json.loads((Path(__file__).parent / "goldens" / "cli_lambda2.json").read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("golden", LAMBDA2_GOLDENS, ids=lambda golden: " ".join(golden["argv"][1:]))
+def test_lambda2_goldens(capsys, golden):
+    assert _capture(capsys, golden["argv"]) == (golden["code"], golden["stdout"], golden["stderr"])
+
+
 def test_classify_text_golden(capsys):
     code, out, _ = _capture(capsys, ["classify", "7", "5"])
     assert code == 0
@@ -889,9 +900,11 @@ def test_shared_parser_keeps_no_state_between_runs(capsys, monkeypatch):
 
 
 def test_verify_jobs_do_not_change_bytes(capsys):
-    _, serial, _ = _capture(capsys, ["verify", "12", "5", "--jobs", "1"])
-    _, sharded, _ = _capture(capsys, ["verify", "12", "5", "--jobs", "2"])
-    assert serial == sharded
+    # The 4,625 trees of (16, 7) make two chunks: two jobs start a worker pool wherever two CPUs are.
+    serial = _capture(capsys, ["verify", "16", "7", "--jobs", "1", "--format", "json"])
+    sharded = _capture(capsys, ["verify", "16", "7", "--jobs", "2", "--format", "json"])
+    assert serial[0] == 0
+    assert sharded == serial
 
 
 def _fresh_python(script):

@@ -22,7 +22,6 @@ from steklov_trees import (
     make_double_spider,
     make_path,
     make_spider,
-    recognize_double_spider,
     recognize_spider,
     spider_lambda2,
 )
@@ -30,7 +29,7 @@ from steklov_trees import (
 import steklov_trees.reduce as reduce_module
 from steklov_trees.cli import run
 
-from oracles import balance_main_step, enumerate_trees, prufer_to_edges
+from oracles import balance_main_step, double_spider_split, enumerate_trees, prufer_to_edges
 
 INCREASE_MARGIN = 1e-10
 DOMINATION_SLACK = 1e-9
@@ -75,7 +74,7 @@ def test_domination_inequality_exhaustive(n):
             lam = lambda2_numeric(t)
             assert lam <= bound + DOMINATION_SLACK
             if abs(lam - bound) <= DOMINATION_SLACK:
-                assert recognize_double_spider(t) is not None
+                assert double_spider_split(t) is not None
 
 
 # ------------------------------ arm transfer ------------------------------

@@ -34,6 +34,7 @@ from oracles import (
     ASParams,
     all_labeled_trees,
     count_trees,
+    double_spider_split,
     enumerate_trees,
     double_spider_shorthand_per_branch,
     nonisomorphic_trees_by_diameter,
@@ -275,35 +276,43 @@ def test_recognize_spider_rejects_two_hubs():
 
 
 def test_recognize_double_spider_round_trip():
-    for a, b in [((2, 1), (2,)), ((3, 1), (3, 1)), ((4, 2), (4, 1, 1))]:
+    for a, b in [((3, 1), (3, 1)), ((4, 2), (4, 1, 1))]:
         p = DoubleSpiderProfile(a, b)
         got = recognize_double_spider(make_double_spider(p))
         assert got is not None
         assert (got.a_lengths, got.b_lengths) == (p.a_lengths, p.b_lengths)
+    # A side of one branch lays out a spider: only the split reads the profile back.
+    p = DoubleSpiderProfile((2, 1), (2,))
+    assert recognize_double_spider(make_double_spider(p)) is None
+    assert double_spider_split(make_double_spider(p)) == p
 
 
 def test_recognize_double_spider_special_shapes():
     star = make_spider(SpiderProfile((1, 1, 1)))
     assert recognize_double_spider(star) is None
-    got = recognize_double_spider(make_path(7))
-    assert (got.a_lengths, got.b_lengths) == ((3,), (3,))
-    got = recognize_double_spider(make_path(6))
-    assert (got.a_lengths, got.b_lengths) == ((3,), (2,))
+    assert double_spider_split(star) is None
+    for length, split in ((7, ((3,), (3,))), (6, ((3,), (2,)))):
+        assert recognize_double_spider(make_path(length)) is None
+        got = double_spider_split(make_path(length))
+        assert (got.a_lengths, got.b_lengths) == split
     # two branch vertices at distance two: neither spider nor double spider
     t = Tree(7, ((0, 1), (0, 2), (0, 3), (3, 4), (4, 5), (4, 6)))
     assert recognize_spider(t) is None
     assert recognize_double_spider(t) is None
+    assert double_spider_split(t) is None
 
 
 def test_double_spider_split_of_a_spider_inverts_its_lone_side():
-    # A tree with at most one branch vertex splits into a double spider of the same tree,
-    # whose lone side gives back its spider; stars and paths of fewer than 3 edges have no split.
+    # A tree with at most one branch vertex is no double spider to the package, but splits into a
+    # double spider of the same tree, whose lone side gives back its spider; stars and paths of
+    # fewer than 3 edges have no split.
     for n in range(2, 13):
         for d in range(1, n):
             for t in enumerate_trees(n, d):
                 if sum(deg >= 3 for deg in t.degrees) > 1:
                     continue
-                profile = recognize_double_spider(t)
+                assert recognize_double_spider(t) is None
+                profile = double_spider_split(t)
                 assert (profile is None) == (d <= 2)  # diameter <= 2: a star or a path of 1 or 2 edges
                 if profile is not None:
                     assert canonical_code(make_double_spider(profile)) == canonical_code(t)

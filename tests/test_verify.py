@@ -5,6 +5,7 @@ import contextlib
 import io
 import json
 import math
+import os
 import tracemalloc
 
 import numpy as np
@@ -53,9 +54,18 @@ def test_brute_force_small_orders():
     assert verify_classification(9, 5).argmax_codes == (_spider_code(3, 2, 1, 1, 1),)
 
 
-def test_brute_force_deterministic_across_jobs():
-    # Every value, not only the maximum, is the same bits for any job count.
-    assert verify_module._evaluate_all(12, 5, 3) == verify_module._evaluate_all(12, 5, 1)
+def test_brute_force_deterministic_across_jobs(monkeypatch):
+    # Every value, not only the maximum, is the same bits for any job count.  The 4,625 trees
+    # of (16, 7) make two chunks, so two jobs map them over a real pool wherever two CPUs are.
+    opened, pool = [], concurrent.futures.ProcessPoolExecutor
+    monkeypatch.setattr(
+        concurrent.futures, "ProcessPoolExecutor", lambda max_workers: opened.append(max_workers) or pool(max_workers)
+    )
+    sharded = verify_module._evaluate_all(16, 7, 2)
+    assert opened == ([2] if (os.cpu_count() or 1) >= 2 else [])
+    serial = verify_module._evaluate_all(16, 7, 1)
+    assert len(serial) == 4625
+    assert [(code, lam.hex()) for code, lam in sharded] == [(code, lam.hex()) for code, lam in serial]
 
 
 def test_brute_force_rejects_bad_jobs():
@@ -176,16 +186,6 @@ def test_a_winner_set_short_of_the_tie_band_is_unresolved(capsys, monkeypatch):
     assert run(["verify", "12", "7"]) == 0
     line = "n=12 D=7 trees=128 winners=spider:4,3,2,2 lambda2=0.27469597861 verdict=tie_unresolved\n"
     assert capsys.readouterr() == (line, "")
-
-
-def test_verify_classification_deterministic_across_jobs():
-    a = verify_classification(12, 5, jobs=1)
-    b = verify_classification(12, 5, jobs=3)
-    assert a.trees_enumerated == b.trees_enumerated
-    assert a.argmax_codes == b.argmax_codes
-    assert a.argmax_lambda2 == b.argmax_lambda2
-    assert a.classifier_codes == b.classifier_codes
-    assert a.verdict == b.verdict
 
 
 def test_brute_force_winners_are_spiders():
