@@ -188,6 +188,16 @@ def test_a_winner_set_short_of_the_tie_band_is_unresolved(capsys, monkeypatch):
     assert capsys.readouterr() == (line, "")
 
 
+def test_verify_classification_deterministic_across_jobs():
+    a = verify_classification(12, 5, jobs=1)
+    b = verify_classification(12, 5, jobs=3)
+    assert a.trees_enumerated == b.trees_enumerated
+    assert a.argmax_codes == b.argmax_codes
+    assert a.argmax_lambda2 == b.argmax_lambda2
+    assert a.classifier_codes == b.classifier_codes
+    assert a.verdict == b.verdict
+
+
 def test_brute_force_winners_are_spiders():
     for d in (3, 5):
         for n in range(d + 1, 11):
