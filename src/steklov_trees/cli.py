@@ -9,13 +9,19 @@ job count (`verify --jobs` starts at most one worker per CPU and per chunk of
 4096 trees).  Exit codes: 0 success, 1 usage error, 2 domain error, 3
 verification mismatch, 4 internal numeric or resource failure, such as an
 order too large to build.  Every error is one line on stderr.
+
+A plainly spelled argv (a subcommand, then positionals and exact long options
+each given once with its value as the next token) is read straight off the
+subcommand's row of `_SUBCOMMANDS`; only other argv import argparse, so every
+help text and usage error is argparse's.  `--help` omits this paragraph.
 """
 
 from __future__ import annotations
 
-import argparse
 import functools
 import sys
+from types import SimpleNamespace
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -42,14 +48,12 @@ from .trees import (
 )
 from .verify import _sweep_tables, verify_classification, verify_unimodality
 
+if TYPE_CHECKING:
+    import argparse
+
 
 class _UsageError(Exception):
     """Bad invocation, distinct from a bad value inside a valid one."""
-
-
-class _Parser(argparse.ArgumentParser):
-    def error(self, message: str) -> None:  # type: ignore[override]
-        raise _UsageError(message)
 
 
 def _fmt(x: float) -> str:
@@ -282,6 +286,7 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    _odd_case(args.n, args.D)  # before the loop: an empty --all-orders range fails as its one order would
     orders = range(args.D + 1, args.n + 1) if args.all_orders else [args.n]
     reports = [verify_classification(n, args.D, jobs=args.jobs) for n in orders]
     rows = [
@@ -358,7 +363,58 @@ _SUBCOMMANDS = {
 }
 
 
-def _add_arguments(sub: _Parser, name: str) -> _Parser:
+def _plain_args(name: str, tokens: list[str]) -> SimpleNamespace | None:
+    """The namespace that the parser of subcommand `name` returns for plainly spelled tokens, else None.
+
+    The row's type, choices, default, dest, store_true, optional positional and required apply as in
+    argparse.  Any other token starting with "-", a repeated option, a missing value or one starting
+    with "-", a failed type or choice, a wrong positional count or a missing required option gives None.
+    """
+    _, handler, arguments = _SUBCOMMANDS[name]
+    flags = {flag: options for flag, options in arguments if flag[0] == "-"}
+    given, values, positionals, words = {}, {}, [], iter(tokens)
+    for token in words:
+        if token[:1] != "-":
+            positionals.append(token)
+        elif token not in flags or token in given:
+            return None
+        else:  # a missing value reads as "-", which declines below
+            given[token] = flags[token].get("action") == "store_true" or next(words, "-")
+    for flag, options in arguments:
+        if flag[0] == "-":
+            dest, token = options.get("dest", flag[2:].replace("-", "_")), given.get(flag)
+        else:
+            dest, token = flag, positionals.pop(0) if positionals else None
+        if token is None:
+            if options.get("required") or (flag[0] != "-" and options.get("nargs") != "?"):
+                return None
+            values[dest] = options.get("default", False if options.get("action") == "store_true" else None)
+            continue
+        if token is not True:
+            if token[:1] == "-":
+                return None
+            try:
+                token = options.get("type", str)(token)
+            except ValueError:
+                return None
+            if token not in options.get("choices", (token,)):
+                return None
+        values[dest] = token
+    return None if positionals else SimpleNamespace(**values, handler=handler)
+
+
+def _new_parser(**kwargs) -> argparse.ArgumentParser:
+    """An argparse parser whose errors raise _UsageError; argparse loads only for argv that _plain_args declines."""
+    import argparse
+
+    class _Parser(argparse.ArgumentParser):
+        def error(self, message: str) -> None:  # type: ignore[override]
+            raise _UsageError(message)
+
+    return _Parser(**kwargs)
+
+
+def _add_arguments(sub: argparse.ArgumentParser, name: str) -> argparse.ArgumentParser:
     """Give sub the arguments and handler of the subcommand `name`, from its row of _SUBCOMMANDS."""
     _, handler, arguments = _SUBCOMMANDS[name]
     for flag, options in arguments:
@@ -367,14 +423,14 @@ def _add_arguments(sub: _Parser, name: str) -> _Parser:
     return sub
 
 
-@functools.cache  # one parser per subcommand and process, built on its first run; parse_args keeps no state
-def _subcommand_parser(name: str) -> _Parser:
-    return _add_arguments(_Parser(prog=f"steklov {name}"), name)
+@functools.cache  # one parser per subcommand and process, built on the first argv it reads; parse_args keeps no state
+def _subcommand_parser(name: str) -> argparse.ArgumentParser:
+    return _add_arguments(_new_parser(prog=f"steklov {name}"), name)
 
 
-def _top_level_parser() -> _Parser:
+def _top_level_parser() -> argparse.ArgumentParser:
     """`steklov` with every subcommand: built only for argv that names none first."""
-    parser = _Parser(prog="steklov", description=__doc__)
+    parser = _new_parser(prog="steklov", description=__doc__ and __doc__.rpartition("\n\n")[0])
     subs = parser.add_subparsers(dest="command")
     for name, (help_line, _, _) in _SUBCOMMANDS.items():
         _add_arguments(subs.add_parser(name, help=help_line), name)
@@ -384,9 +440,9 @@ def _top_level_parser() -> _Parser:
 def run(argv: list[str] | None = None) -> int:
     """Entry point returning the exit code instead of raising SystemExit."""
     try:
-        # A subcommand named first builds only its own parser, for the arguments after its name.
+        # A subcommand named first reads the arguments after its name plainly, or with its own parser.
         if argv and argv[0] in _SUBCOMMANDS:
-            args = _subcommand_parser(argv[0]).parse_args(argv[1:])
+            args = _plain_args(argv[0], argv[1:]) or _subcommand_parser(argv[0]).parse_args(argv[1:])
         else:
             parser = _top_level_parser()
             args = parser.parse_args(argv)

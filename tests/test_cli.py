@@ -1,6 +1,7 @@
 """End-to-end command-line checks: goldens, exit codes, determinism."""
 
 import ast
+import contextlib
 import csv
 import hashlib
 import importlib
@@ -20,6 +21,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from steklov_trees import (
     SpiderProfile,
@@ -395,6 +398,18 @@ def test_verify_all_orders(capsys):
     assert all(line.endswith("match") for line in lines[1:])
 
 
+@pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+@pytest.mark.parametrize(
+    "n, d, message",
+    [(5, 5, "error: order 5 cannot carry diameter 5; need n >= 6\n"), (3, 8, "error: diameter 8 is even;")],
+)
+def test_verify_all_orders_rejects_the_pair_of_an_empty_range(capsys, fmt, n, d, message):
+    # No order lies between D+1 and n; the pair fails as it does without the flag, not with an empty answer.
+    single = _capture(capsys, ["verify", str(n), str(d), "--format", fmt])
+    assert single[:2] == (2, "") and single[2].startswith(message) and single[2].count("\n") == 1
+    assert _capture(capsys, ["verify", str(n), str(d), "--all-orders", "--format", fmt]) == single
+
+
 # ----------------------------- json output -----------------------------
 
 
@@ -532,6 +547,8 @@ FRONT_END_GOLDENS = json.loads((Path(__file__).parent / "goldens" / "cli_front_e
 def test_front_end_goldens(capsys, monkeypatch, golden):
     monkeypatch.setenv("COLUMNS", "80")  # help wraps at the terminal width
     assert _capture(capsys, golden["argv"]) == (golden["code"], golden["stdout"], golden["stderr"])
+    monkeypatch.setattr(cli_module, "_plain_args", lambda name, tokens: None)  # every argv to argparse
+    assert _capture(capsys, golden["argv"]) == (golden["code"], golden["stdout"], golden["stderr"])
 
 
 @pytest.mark.parametrize(
@@ -556,6 +573,72 @@ def test_a_named_subcommand_never_reaches_the_top_level_parse(capsys, monkeypatc
     assert _capture(capsys, argv) == expected
     with pytest.raises(AssertionError, match="top-level parser was built"):
         run(["nonsense"])
+
+
+# Every long option of every subcommand and spellings the plain reader must leave to
+# argparse; values of every kind, integer spellings that int() reads or refuses, and
+# values starting with "-".
+_ARGV_FLAGS = sorted({flag for _, _, rows in cli_module._SUBCOMMANDS.values() for flag, _ in rows if flag[0] == "-"})
+_ARGV_FLAGS += ["--form", "--meth", "--all", "--M", "--format=csv", "--method=root", "--jobs=2", "--", "-h", "--help"]
+_ARGV_INTS = ["9", "5", "15", "2", "0", "+7", " 9", "1_0", "\u0663", "\u0967\u096b"]
+_ARGV_VALUES = ["text", "csv", "json", "matrix", "distance", "root", "path:3", "spider:3,2,1", "", "x", "9.0", "-1"]
+_ARGV_VALUES += [*_ARGV_INTS, "-csv", "-x", "-path:3", "-", "--"]
+_STRAY_PIECES = (
+    st.sampled_from(_ARGV_VALUES).map(lambda value: [value])
+    | st.tuples(st.sampled_from(_ARGV_FLAGS), st.sampled_from(_ARGV_VALUES)).map(list)
+    | st.sampled_from(_ARGV_FLAGS).map(lambda flag: [flag])
+    | st.text(alphabet="-=+_ 059\u0663csvr", max_size=4).map(lambda text: [text])
+)
+
+
+@st.composite
+def _subcommand_argv(draw):
+    """A subcommand and an argv for it: some of its own arguments, each with a value that fits
+    its row or a stray one, plus a few stray tokens, in any order."""
+    name = draw(st.sampled_from(sorted(cli_module._SUBCOMMANDS)))
+    pieces = draw(st.lists(_STRAY_PIECES, max_size=1))
+    for flag, options in cli_module._SUBCOMMANDS[name][2]:
+        if draw(st.integers(0, 5)) == 0:
+            continue
+        fitting = options.get("choices") or (_ARGV_INTS if options.get("type") is int else ["path:3", ""])
+        value = draw(st.sampled_from(fitting if draw(st.integers(0, 5)) else _ARGV_VALUES))
+        if flag[0] != "-":
+            pieces.append([value])
+        elif options.get("action") or not draw(st.integers(0, 7)):  # a flag, or an option missing its value
+            pieces.append([flag])
+        else:
+            pieces.append([flag, value])
+    return name, [token for piece in draw(st.permutations(pieces)) for token in piece]
+
+
+def _argparse_vars(name, tokens):
+    """vars() of the namespace that the subcommand's argparse parser returns, or None if it stops instead."""
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            return vars(cli_module._subcommand_parser(name).parse_args(tokens))
+    except (cli_module._UsageError, SystemExit):
+        return None
+
+
+@settings(max_examples=2000, deadline=None)
+@given(argv=_subcommand_argv())
+def test_plain_reader_reads_as_argparse_or_declines(argv):
+    name, tokens = argv
+    plain = cli_module._plain_args(name, tokens)
+    assert plain is None or vars(plain) == _argparse_vars(name, tokens)
+
+
+@pytest.mark.parametrize("workload", ["certify", "classify_scale", "single_tree"])
+def test_benchmark_operations_read_plainly_and_print_as_argparse_reads_them(
+    capsys, monkeypatch, benchmark_batch, workload
+):
+    argvs = [list(op.argv) for op in benchmark_batch(workload)]
+    for argv in argvs:
+        plain = cli_module._plain_args(argv[0], argv[1:])
+        assert plain is not None and vars(plain) == _argparse_vars(argv[0], argv[1:]), argv
+    runs = [_capture(capsys, argv) for argv in argvs]
+    monkeypatch.setattr(cli_module, "_plain_args", lambda name, tokens: None)  # every argv to argparse
+    assert [_capture(capsys, argv) for argv in argvs] == runs
 
 
 def test_help_prints_to_stdout_and_returns_zero(capsys, monkeypatch):
@@ -873,7 +956,8 @@ def test_output_is_byte_stable(capsys):
 
 
 def test_shared_parser_keeps_no_state_between_runs(capsys, monkeypatch):
-    # A process builds the parser of each subcommand it runs, once; no run may leak into the next.
+    # A process builds the parser of a subcommand once, for the first argv that the plain
+    # reader declines (here only `classify x 5`); no run may leak into the next.
     sequence = [
         ["classify", "15", "9"],
         ["classify", "15", "9", "--format", "csv"],
@@ -886,17 +970,15 @@ def test_shared_parser_keeps_no_state_between_runs(capsys, monkeypatch):
         ["verify", "9", "5"],
     ]
     built = []
-    real = cli_module._Parser.__init__
-    monkeypatch.setattr(
-        cli_module._Parser, "__init__", lambda self, **kw: (built.append(kw["prog"]), real(self, **kw))[1]
-    )
+    real = cli_module._new_parser
+    monkeypatch.setattr(cli_module, "_new_parser", lambda **kw: (built.append(kw["prog"]), real(**kw))[1])
     cli_module._subcommand_parser.cache_clear()  # the first pass starts on fresh parsers
     first = [_capture(capsys, argv) for argv in sequence]
     second = [_capture(capsys, argv) for argv in sequence]
     assert second == first
     assert [code for code, _, _ in first] == [0, 0, 0, 0, 0, 0, 1, 2, 0]
     assert cli_module._subcommand_parser("classify") is cli_module._subcommand_parser("classify")
-    assert built == [f"steklov {name}" for name in dict.fromkeys(argv[0] for argv in sequence)]
+    assert built == ["steklov classify"]
 
 
 def test_verify_jobs_do_not_change_bytes(capsys):
@@ -979,6 +1061,31 @@ def test_reduce_csv_and_json_load_on_first_use():
         "0 ['steklov_trees.reduce']",
         "0 ['steklov_trees.reduce', 'csv']",
         "0 ['steklov_trees.reduce', 'csv', 'json']",
+    ]
+
+
+def test_plainly_spelled_argv_leaves_argparse_unloaded():
+    # argparse, and with it gettext and locale, loads only for argv that the plain reader declines.
+    script = """
+import contextlib, io, sys
+from steklov_trees.cli import run
+for argv in {argvs}:
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()) as err:
+        code = run(argv)
+    print(code, [m for m in ["argparse", "gettext", "locale"] if m in sys.modules], repr(err.getvalue()))
+"""
+    argvs = [
+        ["verify", "9", "5"],
+        ["classify", "15", "9"],
+        ["candidates", "15", "9"],
+        ["sweep", "--r", "3", "--M-max", "10"],
+        ["lambda2", "spider:3,2,1", "--method", "root"],
+        ["reduce", "path:3"],
+        ["classify", "x", "5"],
+    ]
+    lines = _fresh_python(script.format(argvs=argvs))
+    assert lines == ["0 [] ''"] * 6 + [
+        "1 ['argparse', 'gettext', 'locale'] \"usage error: argument n: invalid int value: 'x'\\n\""
     ]
 
 

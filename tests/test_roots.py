@@ -2,8 +2,6 @@
 
 import hashlib
 import math
-import random
-import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -540,9 +538,6 @@ def test_double_spider_equation_increases_on_its_bracket(r, a_extra, b_extra):
 # walk from the estimate included; plain bisection takes 46-55.
 _MAX_EVALUATIONS = 12
 
-_PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
-
-
 def _bisect_calls(solve, *args):
     """(f, lo, hi, root, evaluations) of every _bisect call that solve(*args) makes.
 
@@ -583,16 +578,6 @@ def _bisect_calls(solve, *args):
     finally:
         roots._bisect = real
     return calls
-
-
-def _benchmark_batch(workload, tmp_path):
-    """The seed-1 operations of a workload of perfbench/, seeded as its run.py seeds them."""
-    sys.path.insert(0, str(_PERFBENCH))  # workloads imports its sibling module checks
-    try:
-        import workloads
-    finally:
-        sys.path.remove(str(_PERFBENCH))
-    return workloads.WORKLOADS[workload](random.Random(f"{workload}-1"), tmp_path)
 
 
 @settings(max_examples=200, deadline=None)
@@ -663,10 +648,10 @@ def test_bisect_estimate_only_saves_evaluations(solve, args):
         assert got.hex() == want.hex(), estimate
 
 
-def test_reduce_trace_roots_take_few_evaluations(tmp_path):
+def test_reduce_trace_roots_take_few_evaluations(benchmark_batch):
     # Every profile of the reduce traces on the single_tree benchmark inputs.
     evaluations = []
-    for op in _benchmark_batch("single_tree", tmp_path):
+    for op in benchmark_batch("single_tree"):
         if op.argv[0] == "reduce":
             tree = parse_tree_text(Path(op.argv[2]).read_text())
             evaluations += [e for *_, e in _bisect_calls(greedy_ascent_trace, tree)]
@@ -674,10 +659,10 @@ def test_reduce_trace_roots_take_few_evaluations(tmp_path):
     assert max(evaluations) <= _MAX_EVALUATIONS
 
 
-def test_classify_roots_take_few_evaluations(tmp_path):
+def test_classify_roots_take_few_evaluations(benchmark_batch):
     # Every candidate of the classify operations of the classify_scale benchmark.
     evaluations = []
-    for op in _benchmark_batch("classify_scale", tmp_path):
+    for op in benchmark_batch("classify_scale"):
         if op.argv[0] == "classify":
             evaluations += [e for *_, e in _bisect_calls(classify, int(op.argv[1]), int(op.argv[2]))]
     assert len(evaluations) > 600
