@@ -32,7 +32,7 @@ from .trees import (
     DoubleSpiderProfile,
     SpiderProfile,
     Tree,
-    _as_profile,
+    _as_shorthand,
     _double_spider_shorthand,
     _spider_shorthand,
     canonical_code,
@@ -77,8 +77,7 @@ def _print_rows(fmt: str, header: list[str], rows: list[list[str]]) -> None:
     if fmt == "csv":
         _print_csv(header, rows)
     else:
-        for row in rows:
-            print(" ".join(f"{k}={v}" for k, v in zip(header, row)))
+        sys.stdout.write("".join(" ".join(f"{k}={v}" for k, v in zip(header, row)) + "\n" for row in rows))
 
 
 def _print_json(obj: object) -> None:
@@ -166,12 +165,14 @@ def _cmd_lambda2(args: argparse.Namespace) -> int:
 
 def _cmd_classify(args: argparse.Namespace) -> int:
     result = classify(args.n, args.D)
-    rows = [(_spider_shorthand(p), lam, len(p.lengths) - 2, (p, lam) in result.winners) for p, lam in result.candidates]
+    r, M = _odd_case(args.n, args.D)  # each candidate is named from (r, q, M), the path by its diameter
+    marked = [(len(p.lengths) - 2, lam, (p, lam) in result.winners) for p, lam in result.candidates]
+    rows = [(_as_shorthand(r, q, M) if q else f"path:{args.D}", lam, q, won) for q, lam, won in marked]
     if args.format == "text":
-        print(f"n={args.n} D={args.D} case={result.case_tag} tie={str(result.tie_flag).lower()}")
-        for name, lam, q, won in rows:
-            mark = "winner" if won else "loser"
-            print(f"{mark} q={q} tree={name} lambda2={_fmt(lam)}")
+        text = [f"n={args.n} D={args.D} case={result.case_tag} tie={str(result.tie_flag).lower()}\n"]
+        for name, lam, q, won in rows:  # each name joined in place, not copied into a line first
+            text += [f"{'winner' if won else 'loser'} q={q} tree=", name, f" lambda2={_fmt(lam)}\n"]
+        sys.stdout.write("".join(text))
     elif args.format == "csv":
         _print_csv(
             ["case", "q", "candidate", "lambda2", "winner"],
@@ -207,8 +208,8 @@ def _cmd_candidates(args: argparse.Namespace) -> int:
     else:
         s, q_minus, q_plus = _predicted_counts(r, M)
         head.update(s=s, q_minus=q_minus, q_plus=q_plus)
-        # Every name is built before the first print, once per distinct q: an order too large to build prints nothing.
-        names = {q: _spider_shorthand(_as_profile(r, q, M)) for q in dict.fromkeys((q_minus, q_plus))}
+        # Every name is written before the first print, once per distinct q: an order too large to name prints nothing.
+        names = {q: _as_shorthand(r, q, M) for q in dict.fromkeys((q_minus, q_plus))}
         rows = [
             {"slot": slot, "q": q, "c": M // q, "t": M % q, "tree": names[q]}
             for slot, q in (("minus", q_minus), ("plus", q_plus))
@@ -362,6 +363,8 @@ _SUBCOMMANDS = {
     ),
 }
 
+_FLAGS = {name: {flag: options for flag, options in row[2] if flag[0] == "-"} for name, row in _SUBCOMMANDS.items()}
+
 
 def _plain_args(name: str, tokens: list[str]) -> SimpleNamespace | None:
     """The namespace that the parser of subcommand `name` returns for plainly spelled tokens, else None.
@@ -371,7 +374,7 @@ def _plain_args(name: str, tokens: list[str]) -> SimpleNamespace | None:
     with "-", a failed type or choice, a wrong positional count or a missing required option gives None.
     """
     _, handler, arguments = _SUBCOMMANDS[name]
-    flags = {flag: options for flag, options in arguments if flag[0] == "-"}
+    flags = _FLAGS[name]
     given, values, positionals, words = {}, {}, [], iter(tokens)
     for token in words:
         if token[:1] != "-":

@@ -58,7 +58,8 @@ class ThresholdData(NamedTuple):
 # either sign.
 _POLE_ULPS = 4
 
-_NEWTON_PASSES = 30  # cap on an estimate's Newton passes; about four converge
+_NEWTON_PASSES = 30  # cap on an estimate's Newton passes; about three converge
+_CONVERGED = 2**-30  # an estimate stops after a Newton step of at most this share of x: the next is below an ulp
 
 
 def _bisect(f: Callable[[float], float], lo: float, hi: float, estimate: Callable[[], float]) -> float:
@@ -137,8 +138,8 @@ def _pole_sum_estimate(terms: Sequence[tuple[int, float]]) -> float:
             g += w / d
             slope += w * l / (d * d)
         nxt = x - (w1 + (1 - l1 * x) * g) / ((1 - l1 * x) * slope - l1 * g)
-        if not nxt < x:
-            break
+        if not x - nxt > _CONVERGED * x:  # no descent, or the last step worth taking
+            return min(x, nxt)
         x = nxt
     return x
 

@@ -22,7 +22,7 @@ import sys
 from bisect import bisect_right
 from functools import cached_property
 from operator import neg
-from typing import Iterator, NamedTuple, Optional
+from typing import Iterable, Iterator, NamedTuple, Optional
 
 Edge = tuple[int, int]
 
@@ -161,13 +161,23 @@ class SpiderProfile(NamedTuple("SpiderProfile", [("lengths", tuple[int, ...])]))
         return self.lengths[0] + self.lengths[1]
 
 
-def _as_profile(r: int, q: int, M: int) -> SpiderProfile:
-    """AS(r, q+2, c, t) with M = q*c + t as a spider: branches r+1 and r, t laterals of length c+1, q-t of c."""
+def _as_runs(r, q, M):
+    """AS(r, q+2, c, t), M = q*c + t, as (length, count) runs: r+1 and r, t laterals of c+1, q-t of c.
+
+    Elementwise on int64 arrays too.  Where t = 0 the c+1 run is empty, its length capped at r, off the pole of r+1.
+    """
     c, t = divmod(M, q)
+    return (r + 1, 1), (r, 1), (c + (c < r), t), (c, q - t)
+
+
+def _as_profile(r: int, q: int, M: int) -> SpiderProfile:
+    """AS(r, q+2, c, t) with M = q*c + t as a spider, its runs laid out longest first with no re-sort."""
+    (_, _), (_, _), (longer, t), (c, rest) = _as_runs(r, q, M)
     if c + (t > 0) > r:
         raise ValueError(f"lateral length {c + (t > 0)} exceeds r={r}")
-    SpiderProfile((r + 1, r, c))  # checks the distinct lengths; _make skips the re-sort, the layout is longest first
-    return SpiderProfile._make([(r + 1, r) + (c + 1,) * t + (c,) * (q - t)])
+    if c < 1:  # r >= c here, so every length is >= 1
+        raise ValueError(f"branch lengths must be >= 1, got {(r + 1, r, c)}")
+    return SpiderProfile._make([(r + 1, r) + (longer,) * t + (c,) * rest])
 
 
 class DoubleSpiderProfile(
@@ -444,14 +454,19 @@ def _runs(lengths: tuple[int, ...], start: int = 0) -> Iterator[tuple[int, int]]
         start = end
 
 
-def _lengths_text(lengths: tuple[int, ...]) -> str:
-    """Sorted lengths comma-separated, written as one repeated string per run."""
-    return "".join(f"{l}," * k for l, k in _runs(lengths))[:-1]
+def _runs_text(runs: Iterable[tuple[int, int]]) -> str:
+    """The lengths of (length, count) runs comma-separated, written as one repeated string per run."""
+    return "".join([f"{l}," * k for l, k in runs])[:-1]
 
 
 def _spider_shorthand(p: SpiderProfile) -> str:
     """Shorthand of make_spider(p), read off the profile: a path when it has two branches."""
-    return f"path:{p.diameter}" if len(p.lengths) == 2 else "spider:" + _lengths_text(p.lengths)
+    return f"path:{p.diameter}" if len(p.lengths) == 2 else "spider:" + _runs_text(_runs(p.lengths))
+
+
+def _as_shorthand(r: int, q: int, M: int) -> str:
+    """_spider_shorthand(_as_profile(r, q, M)), written from the AS runs with no branch tuple."""
+    return "spider:" + _runs_text(_as_runs(r, q, M))
 
 
 def _lone_side_spider(p: DoubleSpiderProfile) -> Optional[SpiderProfile]:
@@ -467,7 +482,7 @@ def _double_spider_shorthand(p: DoubleSpiderProfile) -> str:
     spider = _lone_side_spider(p)
     if spider is not None:
         return _spider_shorthand(spider)
-    return f"ds:{_lengths_text(p.a_lengths)}/{_lengths_text(p.b_lengths)}"
+    return f"ds:{_runs_text(_runs(p.a_lengths))}/{_runs_text(_runs(p.b_lengths))}"
 
 
 def render_shorthand(t: Tree) -> Optional[str]:

@@ -21,9 +21,9 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 import numpy as np
 
 from .classify import _TIE_RTOL, _near_argmax, _predicted_counts, classify
-from .roots import _NEWTON_PASSES, _POLE_ULPS, _pole_sum, q_range_integer
+from .roots import _CONVERGED, _NEWTON_PASSES, _POLE_ULPS, _pole_sum, q_range_integer
 from .spectral import _lambda2_batch
-from .trees import SpiderProfile, _center_codes, canonical_code, make_spider
+from .trees import SpiderProfile, _as_runs, _center_codes, canonical_code, make_spider
 
 # Trees per stacked batch; bounds the kernel's memory at O(_CHUNK n^2) bytes.
 _CHUNK = 4096
@@ -156,7 +156,7 @@ def _stacked_estimate(terms: Sequence[tuple[np.ndarray | int, np.ndarray | int]]
 
     The same upper model read the same way: l1 and l2 from the first two
     terms, every later term a lateral whose length is at most l2 in every
-    entry.  Each entry stops descending where the scalar loop would.
+    entry.  Entries descend until none steps by more than _CONVERGED of x.
     """
     (l1, w1), (l2, w2), *laterals = terms
     lateral = sum(w * float(l1) / (l1 - l) for l, w in laterals)
@@ -172,10 +172,9 @@ def _stacked_estimate(terms: Sequence[tuple[np.ndarray | int, np.ndarray | int]]
             slope = slope + wl / (d * d)
         d = 1 - l1 * x
         nxt = x - (w1 + d * g) / (d * slope - l1 * g)
-        down = nxt < x
-        if not down.any():
+        x, last = np.where(nxt < x, nxt, x), x
+        if not (last - x > _CONVERGED * x).any():
             break
-        x = np.where(down, nxt, x)
     return x
 
 
@@ -184,22 +183,18 @@ def _sigma_tables(r: int, masses: Sequence[int]) -> tuple[np.ndarray, np.ndarray
 
     Mass i's entries run from starts[i] up to the next start, q rising.
     sigma is the root in (1/(r+1), 1/r) of the balanced-family equation:
-    the spider equation of principal branches (r+1, r) and q lateral
-    branches of total length M spread as evenly as possible, c = M // q
-    long or one longer, with its terms in _spider_terms' order.  One
-    stacked bisection solves every root from a stacked estimate.  Where q
-    divides M the weight on the longer laterals is zero instead of
-    dropped, and their length is capped at r so that the term never sits
-    on the pole 1/(r+1): it adds +-0.0 inside the open bracket, and each
-    value equals spider_lambda2's of its balanced profile bit for bit.
+    the spider equation of the AS runs of (r, q, M), _as_runs read on
+    arrays, in _spider_terms' order.  One stacked bisection solves every
+    root from a stacked estimate.  Where q divides M the run of c+1 has
+    weight zero instead of being dropped, off the pole 1/(r+1): it adds
+    +-0.0 inside the open bracket, and each value equals spider_lambda2's
+    of its balanced profile bit for bit.
     """
     spans = np.array([q_range_integer(r, M) for M in masses], dtype=np.int64).reshape(-1, 2)
     counts = spans[:, 1] - spans[:, 0] + 1
     starts = np.cumsum(counts) - counts
     q = np.arange(counts.sum()) + np.repeat(spans[:, 0] - starts, counts)
-    m = np.repeat(spans[:, 1], counts)
-    c = m // q
-    terms = ((r + 1, 1), (r, 1), (c + (c < r), m - c * q), (c, (c + 1) * q - m))
+    terms = _as_runs(r, q, np.repeat(spans[:, 1], counts))
     brackets = np.full(len(q), 1.0 / (r + 1)), np.full(len(q), 1.0 / r)
     sigma = _bisect_stacked(lambda lam: _pole_sum(terms, lam), *brackets, lambda: _stacked_estimate(terms))
     return q, sigma, starts

@@ -202,6 +202,27 @@ def test_candidates_digest_golden(capsys, fmt, hexdigest):
 
 
 @pytest.mark.parametrize(
+    "fmt, hexdigest",
+    [
+        ("text", "d87cd6a28dba2cf132715febaf2523bc729c7385e25167129aefc2afe38af089"),
+        ("csv", "64ca889cfb49270a3dc678a7ab982636d68eb370119e5f2fc34ac0c2134aaf88"),
+        ("json", "5949b57d7f68725533154c2a589f724462dc3c05aaf5c0c4a50d8b2f97b40f0b"),
+    ],
+)
+def test_classify_digest_golden(capsys, benchmark_batch, fmt, hexdigest):
+    # classify over the candidates grid, then every classify operation of the seed-1 classify_scale
+    # batch; exit code, stdout and stderr of each, as json at the 2^54 radius exits 4 on its tree text.
+    argvs = [["classify", str(n), str(d)] for n, d in _CANDIDATES_GRID]
+    argvs += [list(op.argv) for op in benchmark_batch("classify_scale") if op.argv[0] == "classify"]
+    digest = hashlib.sha256()
+    for argv in argvs:
+        code, out, err = _capture(capsys, [*argv, "--format", fmt])
+        digest.update(f"{code}\n{out}{err}".encode())
+    assert len(argvs) == 768
+    assert digest.hexdigest() == hexdigest
+
+
+@pytest.mark.parametrize(
     "n, d, built",
     [
         (2000008, 7, [10**6]),  # s divides M: both slots are q = 10^6
@@ -211,9 +232,10 @@ def test_candidates_digest_golden(capsys, fmt, hexdigest):
     ],
 )
 def test_candidates_build_each_distinct_profile_once(capsys, monkeypatch, n, d, built):
+    # Each distinct q is named once, from its AS runs: no branch tuple is built.
     calls = []
-    real = cli_module._as_profile
-    monkeypatch.setattr(cli_module, "_as_profile", lambda r, q, m: (calls.append(q), real(r, q, m))[1])
+    real = cli_module._as_shorthand
+    monkeypatch.setattr(cli_module, "_as_shorthand", lambda r, q, m: (calls.append(q), real(r, q, m))[1])
     for fmt in ("text", "csv", "json"):
         code, out, _ = _capture(capsys, ["candidates", str(n), str(d), "--format", fmt])
         assert code == 0 and out.count("spider:") == 2 * bool(built)  # a collapsed pair still prints two rows

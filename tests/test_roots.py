@@ -1,7 +1,9 @@
 """Scalar root equations: spider, balanced family, double spider, thresholds."""
 
 import hashlib
+import inspect
 import math
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -667,3 +669,47 @@ def test_classify_roots_take_few_evaluations(benchmark_batch):
             evaluations += [e for *_, e in _bisect_calls(classify, int(op.argv[1]), int(op.argv[2]))]
     assert len(evaluations) > 600
     assert max(evaluations) <= _MAX_EVALUATIONS
+
+
+def _count_newton_passes(monkeypatch, module, name):
+    """[calls, passes] of the Newton estimate module.name from here on; a pass is one run of its `nxt = ` line."""
+    estimate = getattr(module, name)
+    source, first = inspect.getsourcelines(estimate)
+    line = first + next(i for i, text in enumerate(source) if "nxt = " in text)
+    counts = [0, 0]
+
+    def trace(frame, event, arg):
+        counts[1] += event == "line" and frame.f_lineno == line
+        return trace
+
+    def counted(*args):
+        counts[0] += 1
+        previous = sys.gettrace()
+        sys.settrace(lambda frame, event, arg: trace if frame.f_code is estimate.__code__ else None)
+        try:
+            return estimate(*args)
+        finally:
+            sys.settrace(previous)
+
+    monkeypatch.setattr(module, name, counted)
+    return counts
+
+
+def test_newton_estimates_stop_after_a_converged_step(monkeypatch, benchmark_batch):
+    # A step of at most _CONVERGED of x ends the estimate: the pass after it only confirmed
+    # convergence, and these totals were 2452, 1678 and 41 with it.  The roots do not move
+    # (the bisection alone decides each float), nor does any sweep's count of evaluations.
+    counts = _count_newton_passes(monkeypatch, roots, "_pole_sum_estimate")
+    for op in benchmark_batch("classify_scale"):
+        if op.argv[0] == "classify":
+            classify(int(op.argv[1]), int(op.argv[2]))
+    assert counts == [629, 1755]
+    counts[:] = [0, 0]
+    for op in benchmark_batch("single_tree"):
+        if op.argv[0] == "reduce":
+            greedy_ascent_trace(parse_tree_text(Path(op.argv[2]).read_text()))
+    assert counts == [414, 1242]
+    stacked = _count_newton_passes(monkeypatch, verify, "_stacked_estimate")
+    for r in range(2, 9):
+        verify._sigma_tables(r, range(1, 83))
+    assert stacked == [7, 28]

@@ -6,8 +6,9 @@ import pickle
 import random
 
 import networkx as nx
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from steklov_trees import (
@@ -51,6 +52,8 @@ from steklov_trees.roots import _spider_terms
 from steklov_trees.spectral import lambda2_numeric
 from steklov_trees.trees import (
     _as_profile,
+    _as_runs,
+    _as_shorthand,
     _center_codes,
     _double_spider_shorthand,
     _lone_side_spider,
@@ -529,6 +532,39 @@ def test_as_profile_equals_the_profile_of_its_lengths():
                 want = SpiderProfile((c,) * (q - t) + (c + 1,) * t + (r, r + 1))
                 got = _as_profile(r, q, m)
                 assert (got, hash(got), got.lengths) == (want, hash(want), want.lengths), (r, q, m)
+
+
+@st.composite
+def _as_tables(draw):
+    """A radius r and the (q, M) of some AS trees at r: c = M // q in 1..r, and below r where q does not divide M."""
+    r = draw(st.one_of(st.integers(1, 12), st.just(2**54)))
+    pairs = []
+    for _ in range(draw(st.integers(1, 6))):
+        q = draw(st.integers(1, 30))
+        c = draw(st.integers(1, r) if r < 2**54 else st.sampled_from([1, r - 1, r]))
+        pairs.append((q, q * c + draw(st.integers(0, q - 1 if c < r else 0))))
+    return r, pairs
+
+
+@settings(max_examples=400, deadline=None)
+@given(_as_tables())
+# t = 0 at c = r, c + 1 = r, q = 1, q = M, r = 1, and the 2^54 radius at either end of c.
+@example((5, [(3, 15), (4, 18), (1, 4), (7, 7)]))
+@example((1, [(1, 1), (6, 6)]))
+@example((2**54, [(3, 3 * 2**54), (2, 2**55 - 1), (30, 30)]))
+def test_as_runs_are_the_one_layout_rule(table):
+    # The profile, its name, its poles and the sweep's array terms all read _as_runs.
+    r, pairs = table
+    q, m = (np.array(column, dtype=np.int64) for column in zip(*pairs))
+    stacked = [np.broadcast_to(column, q.shape).tolist() for run in _as_runs(r, q, m) for column in run]
+    for i, (q_i, m_i) in enumerate(pairs):
+        runs = _as_runs(r, q_i, m_i)
+        p = _as_profile(r, q_i, m_i)
+        assert p == ASParams(r, q_i, *divmod(m_i, q_i)).spider_profile()
+        assert all(length <= r for length, _ in runs[2:])  # no lateral run on the pole of r+1, empty or not
+        assert tuple(run for run in runs if run[1]) == _spider_terms(p.lengths)
+        assert _as_shorthand(r, q_i, m_i) == _spider_shorthand(p)
+        assert [column[i] for column in stacked] == [x for run in runs for x in run]
 
 
 @st.composite
