@@ -165,7 +165,7 @@ def _cmd_lambda2(args: argparse.Namespace) -> int:
 
 def _cmd_classify(args: argparse.Namespace) -> int:
     result = classify(args.n, args.D)
-    r, M = _odd_case(args.n, args.D)  # each candidate is named from (r, q, M), the path by its diameter
+    r, M = args.D // 2, args.n - args.D - 1  # each candidate is named from (r, q, M), the path by its diameter
     marked = [(len(p.lengths) - 2, lam, (p, lam) in result.winners) for p, lam in result.candidates]
     rows = [(_as_shorthand(r, q, M) if q else f"path:{args.D}", lam, q, won) for q, lam, won in marked]
     if args.format == "text":
@@ -364,6 +364,7 @@ _SUBCOMMANDS = {
 }
 
 _FLAGS = {name: {flag: options for flag, options in row[2] if flag[0] == "-"} for name, row in _SUBCOMMANDS.items()}
+_DESTS = {flag: options.get("dest", flag[2:].replace("-", "_")) for flags in _FLAGS.values() for flag, options in flags.items()}
 
 
 def _plain_args(name: str, tokens: list[str]) -> SimpleNamespace | None:
@@ -385,7 +386,7 @@ def _plain_args(name: str, tokens: list[str]) -> SimpleNamespace | None:
             given[token] = flags[token].get("action") == "store_true" or next(words, "-")
     for flag, options in arguments:
         if flag[0] == "-":
-            dest, token = options.get("dest", flag[2:].replace("-", "_")), given.get(flag)
+            dest, token = _DESTS[flag], given.get(flag)
         else:
             dest, token = flag, positionals.pop(0) if positionals else None
         if token is None:

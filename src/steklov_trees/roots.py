@@ -125,7 +125,7 @@ def _pole_sum_estimate(terms: Sequence[tuple[int, float]]) -> float:
     Newton descends from its root.
     """
     (l1, w1), (l2, w2), *laterals = terms
-    lateral = sum(w * l1 / (l1 - l) for l, w in laterals)
+    lateral = sum([w * l1 / (l1 - l) for l, w in laterals])
     rest = terms[1:]
     # The model times (1 - l2 x): lateral l1 l2 x^2 - p x + q, positive at 1/l1 and negative at 1/l2.
     p = w1 * l2 + (w2 + lateral) * l1 + lateral * l2
