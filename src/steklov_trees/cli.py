@@ -165,7 +165,7 @@ def _cmd_lambda2(args: argparse.Namespace) -> int:
 
 def _cmd_classify(args: argparse.Namespace) -> int:
     result = classify(args.n, args.D)
-    r, M = args.D // 2, args.n - args.D - 1  # each candidate is named from (r, q, M), the path by its diameter
+    r, M = _odd_case(args.n, args.D)  # each candidate is named from (r, q, M), the path by its diameter
     marked = [(len(p.lengths) - 2, lam, (p, lam) in result.winners) for p, lam in result.candidates]
     rows = [(_as_shorthand(r, q, M) if q else f"path:{args.D}", lam, q, won) for q, lam, won in marked]
     if args.format == "text":
