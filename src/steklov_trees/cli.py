@@ -12,13 +12,14 @@ order too large to build.  Every error is one line on stderr.
 
 A plainly spelled argv (a subcommand, then positionals and exact long options
 each given once with its value as the next token) is read straight off the
-subcommand's row of `_SUBCOMMANDS`; only other argv import argparse, so every
-help text and usage error is argparse's.  `--help` omits this paragraph.
+subcommand's row of `_SUBCOMMANDS`.  Every other argv goes to one argparse
+parser of `steklov` and its seven subcommands, built from the same rows once
+per process, so every help text and usage error is argparse's.  `--help` omits
+this paragraph.
 """
 
 from __future__ import annotations
 
-import functools
 import sys
 from types import SimpleNamespace
 from typing import TYPE_CHECKING
@@ -407,51 +408,38 @@ def _plain_args(name: str, tokens: list[str]) -> SimpleNamespace | None:
     return None if positionals else SimpleNamespace(**values, handler=handler)
 
 
-def _new_parser(**kwargs) -> argparse.ArgumentParser:
-    """An argparse parser whose errors raise _UsageError; argparse loads only for argv that _plain_args declines."""
-    import argparse
-
-    class _Parser(argparse.ArgumentParser):
-        def error(self, message: str) -> None:  # type: ignore[override]
-            raise _UsageError(message)
-
-    return _Parser(**kwargs)
+_PARSER = None  # _parser's one parser, once built
 
 
-def _add_arguments(sub: argparse.ArgumentParser, name: str) -> argparse.ArgumentParser:
-    """Give sub the arguments and handler of the subcommand `name`, from its row of _SUBCOMMANDS."""
-    _, handler, arguments = _SUBCOMMANDS[name]
-    for flag, options in arguments:
-        sub.add_argument(flag, **options)
-    sub.set_defaults(handler=handler)
-    return sub
+def _parser() -> argparse.ArgumentParser:
+    """`steklov` with every subcommand, its errors raised as _UsageError: built once per process, for argv that
+    _plain_args declines or that names no subcommand; argparse loads only then.  parse_args keeps no state."""
+    global _PARSER
+    if _PARSER is None:
+        import argparse
 
+        class _Parser(argparse.ArgumentParser):  # add_parser makes each subcommand's parser of this class too
+            def error(self, message: str) -> None:  # type: ignore[override]
+                raise _UsageError(message)
 
-@functools.cache  # one parser per subcommand and process, built on the first argv it reads; parse_args keeps no state
-def _subcommand_parser(name: str) -> argparse.ArgumentParser:
-    return _add_arguments(_new_parser(prog=f"steklov {name}"), name)
-
-
-def _top_level_parser() -> argparse.ArgumentParser:
-    """`steklov` with every subcommand: built only for argv that names none first."""
-    parser = _new_parser(prog="steklov", description=__doc__ and __doc__.rpartition("\n\n")[0])
-    subs = parser.add_subparsers(dest="command")
-    for name, (help_line, _, _) in _SUBCOMMANDS.items():
-        _add_arguments(subs.add_parser(name, help=help_line), name)
-    return parser
+        _PARSER = _Parser(prog="steklov", description=__doc__ and __doc__.rpartition("\n\n")[0])
+        subs = _PARSER.add_subparsers(dest="command")
+        for name, (help_line, handler, arguments) in _SUBCOMMANDS.items():
+            sub = subs.add_parser(name, help=help_line)
+            for flag, options in arguments:
+                sub.add_argument(flag, **options)
+            sub.set_defaults(handler=handler)
+    return _PARSER
 
 
 def run(argv: list[str] | None = None) -> int:
     """Entry point returning the exit code instead of raising SystemExit."""
     try:
-        # A subcommand named first reads the arguments after its name plainly, or with its own parser.
-        if argv and argv[0] in _SUBCOMMANDS:
-            args = _plain_args(argv[0], argv[1:]) or _subcommand_parser(argv[0]).parse_args(argv[1:])
-        else:
-            parser = _top_level_parser()
-            args = parser.parse_args(argv)
-            if not hasattr(args, "handler"):
-                parser.error("a subcommand is required")
+        # A subcommand named first reads the arguments after its name plainly, if it can.
+        args = _plain_args(argv[0], argv[1:]) if argv and argv[0] in _SUBCOMMANDS else None
+        args = args or _parser().parse_args(argv)
+        if not hasattr(args, "handler"):
+            raise _UsageError("a subcommand is required")
         return args.handler(args)
     except SystemExit:  # argparse exits only after printing --help, as error() raises instead
         return 0

@@ -10,15 +10,16 @@ and Fractions alike, over terms that one rule writes: the two
 principal branches as poles of weight 1, then the laterals grouped by
 length, longest first.  spider_lambda2, verify's
 sweep table and reduce's exact check sum those terms in that order, so
-they solve one equation; both Newton estimates read l1 and l2 from the
-first two terms and bound every later one in one upper model.  Each
+they solve one equation; one Newton estimate, on floats and elementwise
+on the table's arrays, reads l1 and l2 from the first two terms and
+bounds every later one in one upper model.  Each
 equation is strictly increasing on an explicit bracket whose endpoints
 are poles, and its root is the largest float of the bracket at which
 its float evaluation is <= 0: with no tolerance, and the same float
 whichever points a bisection evaluates, as long as that evaluation
 changes sign once.  That is a property test, not a runtime check.  One
 bisection walks from a Newton estimate, then halves only between the
-points around the root.  All of it is scalar arithmetic, without numpy.
+points around the root.  All of it is plain arithmetic, without numpy.
 The solvers take profiles, never trees: which equation a tree's shape
 admits is read off its recognized profile by `lambda2 --method root`.
 """
@@ -115,14 +116,15 @@ def _pole_sum(terms: Sequence[tuple[int, float]], lam: float) -> float:
 
 
 def _pole_sum_estimate(terms: Sequence[tuple[int, float]]) -> float:
-    """Newton estimate of the pole sum's zero in (1/l1, 1/l2), for _bisect.
+    """Newton estimate of the pole sum's zero in (1/l1, 1/l2), for _bisect; elementwise on arrays of terms too.
 
     l1 and l2 are the first two terms' lengths, every later term is a
     lateral with l <= l2.  h(x) = (1 - l1 x) sum w/(1 - l x) = w1 +
     (1 - l1 x) g(x) is concave and decreasing there, as g is positive,
     increasing and convex.  Each lateral term of g is at least its value
     at 1/l1, so with those constants h's two-pole model lies above h:
-    Newton descends from its root.
+    Newton descends from its root.  A step up is refused, and the
+    estimate stops after a step of at most _CONVERGED of x in every entry.
     """
     (l1, w1), (l2, w2), *laterals = terms
     lateral = sum([w * l1 / (l1 - l) for l, w in laterals])
@@ -130,17 +132,18 @@ def _pole_sum_estimate(terms: Sequence[tuple[int, float]]) -> float:
     # The model times (1 - l2 x): lateral l1 l2 x^2 - p x + q, positive at 1/l1 and negative at 1/l2.
     p = w1 * l2 + (w2 + lateral) * l1 + lateral * l2
     q = w1 + w2 + lateral
-    x = 2 * q / (p + math.sqrt(max(p * p - 4 * lateral * l1 * l2 * q, 0.0)))
+    x = 2 * q / (p + abs(p * p - 4 * lateral * l1 * l2 * q) ** 0.5)  # the discriminant is >= 0 but for rounding
     for _ in range(_NEWTON_PASSES):
         g = slope = 0.0
         for l, w in rest:
             d = 1 - l * x
             g += w / d
             slope += w * l / (d * d)
-        nxt = x - (w1 + (1 - l1 * x) * g) / ((1 - l1 * x) * slope - l1 * g)
-        if not x - nxt > _CONVERGED * x:  # no descent, or the last step worth taking
-            return min(x, nxt)
-        x = nxt
+        step = (w1 + (1 - l1 * x) * g) / ((1 - l1 * x) * slope - l1 * g)
+        moved = step > _CONVERGED * x  # a bool, or an array of one per entry
+        x = x - (step + abs(step)) / 2  # a step up is refused
+        if not getattr(moved, "any", moved.__bool__)():  # no entry's step was worth taking
+            break
     return x
 
 
@@ -216,8 +219,8 @@ def _rho_estimate(p: DoubleSpiderProfile, r: int) -> float:
             value += 1 / total
             slope += squares / (total * total)
         nxt = rho - value / slope
-        if not nxt > rho:
-            break
+        if not nxt - rho > _CONVERGED * rho:  # no ascent, or the last step worth taking
+            return max(rho, nxt)
         rho = nxt
     return rho
 

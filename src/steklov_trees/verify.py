@@ -21,7 +21,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 import numpy as np
 
 from .classify import _TIE_RTOL, _near_argmax, _predicted_counts, classify
-from .roots import _CONVERGED, _NEWTON_PASSES, _POLE_ULPS, _pole_sum, q_range_integer
+from .roots import _POLE_ULPS, _pole_sum, _pole_sum_estimate, q_range_integer
 from .spectral import _lambda2_batch
 from .trees import SpiderProfile, _as_runs, _center_codes, canonical_code, make_spider
 
@@ -151,33 +151,6 @@ def _bisect_stacked(
     return np.where((a < value) & (value < b), value, np.where(a > lo, a, b))
 
 
-def _stacked_estimate(terms: Sequence[tuple[np.ndarray | int, np.ndarray | int]]) -> np.ndarray:
-    """_pole_sum_estimate elementwise, for terms of array (or scalar) lengths and weights.
-
-    The same upper model read the same way: l1 and l2 from the first two
-    terms, every later term a lateral whose length is at most l2 in every
-    entry.  Entries descend until none steps by more than _CONVERGED of x.
-    """
-    (l1, w1), (l2, w2), *laterals = terms
-    lateral = sum(w * float(l1) / (l1 - l) for l, w in laterals)
-    p = w1 * l2 + (w2 + lateral) * l1 + lateral * l2
-    q = w1 + w2 + lateral
-    x = 2 * q / (p + np.sqrt(np.maximum(p * p - 4 * lateral * l1 * l2 * q, 0.0)))
-    rest = [(l, w, w * l) for l, w in terms[1:]]
-    for _ in range(_NEWTON_PASSES):
-        g = slope = 0.0
-        for l, w, wl in rest:
-            d = 1 - l * x
-            g = g + w / d
-            slope = slope + wl / (d * d)
-        d = 1 - l1 * x
-        nxt = x - (w1 + d * g) / (d * slope - l1 * g)
-        x, last = np.where(nxt < x, nxt, x), x
-        if not (last - x > _CONVERGED * x).any():
-            break
-    return x
-
-
 def _sigma_tables(r: int, masses: Sequence[int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(q, sigma, starts): every feasible integer q and its root, for each M in masses, in one flat table.
 
@@ -185,10 +158,10 @@ def _sigma_tables(r: int, masses: Sequence[int]) -> tuple[np.ndarray, np.ndarray
     sigma is the root in (1/(r+1), 1/r) of the balanced-family equation:
     the spider equation of the AS runs of (r, q, M), _as_runs read on
     arrays, in _spider_terms' order.  One stacked bisection solves every
-    root from a stacked estimate.  Where q divides M the run of c+1 has
-    weight zero instead of being dropped, off the pole 1/(r+1): it adds
-    +-0.0 inside the open bracket, and each value equals spider_lambda2's
-    of its balanced profile bit for bit.
+    root from roots' own Newton estimate, run on the arrays.  Where q
+    divides M the run of c+1 has weight zero instead of being dropped,
+    off the pole 1/(r+1): it adds +-0.0 inside the open bracket, and each
+    value equals spider_lambda2's of its balanced profile bit for bit.
     """
     spans = np.array([q_range_integer(r, M) for M in masses], dtype=np.int64).reshape(-1, 2)
     counts = spans[:, 1] - spans[:, 0] + 1
@@ -196,7 +169,7 @@ def _sigma_tables(r: int, masses: Sequence[int]) -> tuple[np.ndarray, np.ndarray
     q = np.arange(counts.sum()) + np.repeat(spans[:, 0] - starts, counts)
     terms = _as_runs(r, q, np.repeat(spans[:, 1], counts))
     brackets = np.full(len(q), 1.0 / (r + 1)), np.full(len(q), 1.0 / r)
-    sigma = _bisect_stacked(lambda lam: _pole_sum(terms, lam), *brackets, lambda: _stacked_estimate(terms))
+    sigma = _bisect_stacked(lambda lam: _pole_sum(terms, lam), *brackets, lambda: _pole_sum_estimate(terms))
     return q, sigma, starts
 
 

@@ -1,5 +1,6 @@
 """End-to-end command-line checks: goldens, exit codes, determinism."""
 
+import argparse
 import ast
 import contextlib
 import csv
@@ -579,22 +580,23 @@ def test_front_end_goldens(capsys, monkeypatch, golden):
         ["classify", "7", "5"],
         ["candidates", "15", "9", "--format", "csv"],
         ["lambda2", "path:5"],
-        ["classify", "10", "5", "--bogus"],
-        ["verify", "9", "5", "--jobs", "x"],
-        ["classify", "--help"],
+        ["sweep", "--M-max", "4", "--r", "2"],
+        ["verify", "9", "5", "--all-orders", "--jobs", "1"],
+        ["spectrum", "spider:2,1,1", "--format", "json"],
     ],
 )
-def test_a_named_subcommand_never_reaches_the_top_level_parse(capsys, monkeypatch, argv):
+def test_plainly_spelled_argv_never_build_the_parser(capsys, monkeypatch, argv):
+    # The bytes of declined argv, each parsed by the one argparse parser, are the front-end goldens.
     monkeypatch.setenv("COLUMNS", "80")
     expected = _capture(capsys, argv)
 
-    def refuse(*args, **kwargs):
-        raise AssertionError(f"the top-level parser was built for {argv}")
+    def refuse():
+        raise AssertionError(f"the parser was built for {argv}")
 
-    monkeypatch.setattr(cli_module, "_top_level_parser", refuse)
+    monkeypatch.setattr(cli_module, "_parser", refuse)
     assert _capture(capsys, argv) == expected
-    with pytest.raises(AssertionError, match="top-level parser was built"):
-        run(["nonsense"])
+    with pytest.raises(AssertionError, match="the parser was built"):
+        run(["classify", "7", "5", "--bogus"])
 
 
 # Every long option of every subcommand and spellings the plain reader must leave to
@@ -634,12 +636,15 @@ def _subcommand_argv(draw):
 
 
 def _argparse_vars(name, tokens):
-    """vars() of the namespace that the subcommand's argparse parser returns, or None if it stops instead."""
+    """vars() of the namespace that the argparse parser returns for the subcommand, without its
+    command key, or None if it stops instead."""
     try:
         with contextlib.redirect_stdout(io.StringIO()):
-            return vars(cli_module._subcommand_parser(name).parse_args(tokens))
+            namespace = vars(cli_module._parser().parse_args([name, *tokens]))
     except (cli_module._UsageError, SystemExit):
         return None
+    assert namespace.pop("command") == name
+    return namespace
 
 
 @settings(max_examples=2000, deadline=None)
@@ -978,8 +983,8 @@ def test_output_is_byte_stable(capsys):
 
 
 def test_shared_parser_keeps_no_state_between_runs(capsys, monkeypatch):
-    # A process builds the parser of a subcommand once, for the first argv that the plain
-    # reader declines (here only `classify x 5`); no run may leak into the next.
+    # A process builds the one parser once, for the first argv that the plain reader
+    # declines (here only `classify x 5`); no run may leak into the next.
     sequence = [
         ["classify", "15", "9"],
         ["classify", "15", "9", "--format", "csv"],
@@ -992,15 +997,20 @@ def test_shared_parser_keeps_no_state_between_runs(capsys, monkeypatch):
         ["verify", "9", "5"],
     ]
     built = []
-    real = cli_module._new_parser
-    monkeypatch.setattr(cli_module, "_new_parser", lambda **kw: (built.append(kw["prog"]), real(**kw))[1])
-    cli_module._subcommand_parser.cache_clear()  # the first pass starts on fresh parsers
+    real = argparse.ArgumentParser.add_subparsers  # called once per parser build, on `steklov` itself
+
+    def spy(self, **kwargs):
+        built.append(self.prog)
+        return real(self, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "add_subparsers", spy)
+    monkeypatch.setattr(cli_module, "_PARSER", None)  # the first pass starts on a fresh parser
     first = [_capture(capsys, argv) for argv in sequence]
     second = [_capture(capsys, argv) for argv in sequence]
     assert second == first
     assert [code for code, _, _ in first] == [0, 0, 0, 0, 0, 0, 1, 2, 0]
-    assert cli_module._subcommand_parser("classify") is cli_module._subcommand_parser("classify")
-    assert built == ["steklov classify"]
+    assert cli_module._parser() is cli_module._parser()
+    assert built == ["steklov"]
 
 
 def test_verify_jobs_do_not_change_bytes(capsys):
@@ -1259,6 +1269,21 @@ def test_package_imports_only_itself_numpy_and_the_standard_library():
                 where = f"{path.name}:{node.lineno}: import {name}"
                 assert top == "numpy" or top in sys.stdlib_module_names, where
                 assert top != "dataclasses", where
+
+
+def test_root_and_classify_modules_never_import_numpy():
+    # classify's path (classify, roots, trees) runs on plain floats and ints, so numpy can
+    # load on first use for the other subcommands; every import, also inside a function.
+    for name in ["roots.py", "trees.py", "classify.py"]:
+        path = Path(steklov_trees.__file__).parent / name
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            assert all(module.partition(".")[0] != "numpy" for module in names), f"{name}:{node.lineno}"
 
 
 def test_benchmark_tracer_wraps_the_package_as_it_is_laid_out(capsys):

@@ -3,6 +3,7 @@
 import hashlib
 import inspect
 import math
+import re
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -672,10 +673,10 @@ def test_classify_roots_take_few_evaluations(benchmark_batch):
 
 
 def _count_newton_passes(monkeypatch, module, name):
-    """[calls, passes] of the Newton estimate module.name from here on; a pass is one run of its `nxt = ` line."""
+    """[calls, passes] of the Newton estimate module.name from here on; a pass is one run of its Newton step's line."""
     estimate = getattr(module, name)
     source, first = inspect.getsourcelines(estimate)
-    line = first + next(i for i, text in enumerate(source) if "nxt = " in text)
+    line = first + next(i for i, text in enumerate(source) if re.match(r"\s*(nxt|step) = ", text))
     counts = [0, 0]
 
     def trace(frame, event, arg):
@@ -696,20 +697,24 @@ def _count_newton_passes(monkeypatch, module, name):
 
 
 def test_newton_estimates_stop_after_a_converged_step(monkeypatch, benchmark_batch):
-    # A step of at most _CONVERGED of x ends the estimate: the pass after it only confirmed
-    # convergence, and these totals were 2452, 1678 and 41 with it.  The roots do not move
-    # (the bisection alone decides each float), nor does any sweep's count of evaluations.
+    # A step of at most _CONVERGED of x ends an estimate: the pass after it only confirmed
+    # convergence.  With it the pole-sum totals were 2452, 1678 and 41, and the rho estimate,
+    # which ran until a step failed to ascend, took 478 passes.  The roots do not move (the
+    # bisection alone decides each float), nor does any sweep's count of evaluations.
     counts = _count_newton_passes(monkeypatch, roots, "_pole_sum_estimate")
     for op in benchmark_batch("classify_scale"):
         if op.argv[0] == "classify":
             classify(int(op.argv[1]), int(op.argv[2]))
     assert counts == [629, 1755]
     counts[:] = [0, 0]
+    rho = _count_newton_passes(monkeypatch, roots, "_rho_estimate")
     for op in benchmark_batch("single_tree"):
         if op.argv[0] == "reduce":
             greedy_ascent_trace(parse_tree_text(Path(op.argv[2]).read_text()))
     assert counts == [414, 1242]
-    stacked = _count_newton_passes(monkeypatch, verify, "_stacked_estimate")
+    assert rho == [109, 402]
+    counts[:] = [0, 0]
+    monkeypatch.setattr(verify, "_pole_sum_estimate", roots._pole_sum_estimate)  # the one estimate, on arrays
     for r in range(2, 9):
         verify._sigma_tables(r, range(1, 83))
-    assert stacked == [7, 28]
+    assert counts == [7, 28]
