@@ -142,7 +142,7 @@ def _pole_sum_estimate(terms: Sequence[tuple[int, float]]) -> float:
         step = (w1 + (1 - l1 * x) * g) / ((1 - l1 * x) * slope - l1 * g)
         moved = step > _CONVERGED * x  # a bool, or an array of one per entry
         x = x - (step + abs(step)) / 2  # a step up is refused
-        if not getattr(moved, "any", moved.__bool__)():  # no entry's step was worth taking
+        if not (moved.any() if hasattr(moved, "any") else moved):  # no entry's step was worth taking
             break
     return x
 
